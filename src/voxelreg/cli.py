@@ -258,8 +258,8 @@ def cmd_batch(args) -> int:
     def run_one(pair):
         try:
             return pair["pair_id"], _run_batch_pair(pair, cfg), None
-        except (VolumeError, ValueError, OSError) as exc:
-            return pair["pair_id"], None, str(exc)
+        except (VolumeError, ValueError, OSError, MemoryError) as exc:
+            return pair["pair_id"], None, str(exc) or type(exc).__name__
 
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
         for pair_id, result, error in pool.map(run_one, pairs):

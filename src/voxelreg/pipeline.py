@@ -13,7 +13,7 @@ composition, adequate for the small, bounded increments searched here.
 The cost volume for one level can reach gigabytes, so it is never
 materialized whole: ``chunked_dsv_execution`` walks displacement
 candidates in tie-break priority order in budget-sized batches, keeping a
-running per-voxel (best cost, best displacement) pair. Its output is
+running per-voxel (best cost, best candidate) pair. Its output is
 bit-identical to building, aggregating, smoothing and arg-minimizing the
 full cost volume.
 """
@@ -185,12 +185,15 @@ def chunked_dsv_execution(
     """Winner field without materializing the full cost volume.
 
     Candidates are processed in tie-break priority order in batches sized
-    so the batched cost maps (float64) fit the budget; a strict-less-than
-    merge against the running best preserves the tie-break, making the
+    so the batched cost maps (float64) fit the budget; each batch is filled
+    by the per-label kernel of ``regcore.build_dsv`` and filtered in place,
+    whole batch at once. A strict-less-than merge of each map, in priority
+    order, against the running best preserves the tie-break, making the
     result bit-identical to the unchunked build/aggregate/regularize/
-    winner-takes-all path.
+    winner-takes-all path. The budget sizes the batch only; a level also
+    holds float64 channel-first copies of both feature volumes (the moving
+    one padded by ceil(l_max) voxels per side) and the running best maps.
     """
-    regcore._check_feature_pair(f_fixed, f_moving)
     nz, ny, nx = f_fixed.data.shape[:3]
     map_bytes = nz * ny * nx * 8
     batch_size = int(memory_budget_bytes // map_bytes)
@@ -199,28 +202,27 @@ def chunked_dsv_execution(
             f"memory budget {memory_budget_bytes} B is smaller than one cost map ({map_bytes} B)"
         )
 
-    fixed64 = f_fixed.data.astype(np.float64)
-    moving64 = f_moving.data.astype(np.float64)
+    fixed64, moving64 = regcore._level_arrays(f_fixed, f_moving, disp)
     order = disp.priority_order()
 
     best_cost = np.full((nz, ny, nx), np.inf, dtype=np.float64)
-    best_disp = np.zeros((nz, ny, nx, 3), dtype=np.float32)
+    best_label = np.zeros((nz, ny, nx), dtype=np.intp)
+    improved = np.empty((nz, ny, nx), dtype=bool)
+    buffer = np.empty((min(batch_size, disp.count), nz, ny, nx), dtype=np.float64)
     for start in range(0, disp.count, batch_size):
         labels = order[start : start + batch_size]
-        batch = np.empty((len(labels), nz, ny, nx), dtype=np.float64)
+        batch = buffer[: len(labels)]
         for bi, li in enumerate(labels):
-            cost_map = regcore._label_cost_map(fixed64, moving64, disp.displacements[li])
-            if patch_radius > 0:
-                cost_map = np.maximum(regcore._box_sum_map(cost_map, patch_radius), 0.0)
-            if smooth_sigma > 0:
-                cost_map = np.maximum(regcore._smooth_map(cost_map, smooth_sigma), 0.0)
-            batch[bi] = cost_map
-        arg = np.argmin(batch, axis=0)
-        bmin = np.take_along_axis(batch, arg[np.newaxis], axis=0)[0]
-        improved = bmin < best_cost
-        best_cost = np.where(improved, bmin, best_cost)
-        batch_disp = disp.displacements[labels][arg].astype(np.float32)
-        best_disp = np.where(improved[..., np.newaxis], batch_disp, best_disp)
+            regcore._label_cost_map(fixed64, moving64, disp.displacements[li], out=batch[bi])
+        if patch_radius > 0:
+            regcore._box_sum_map(batch, patch_radius)
+        if smooth_sigma > 0:
+            regcore._smooth_map(batch, smooth_sigma)
+        for cost_map, li in zip(batch, labels):
+            np.less(cost_map, best_cost, out=improved)
+            np.copyto(best_cost, cost_map, where=improved)
+            np.copyto(best_label, li, where=improved)
+    best_disp = disp.displacements[best_label].astype(np.float32)
 
     header = VolumeHeader(f_fixed.dims, channels=3, dtype="float32")
     return DisplacementField(header, best_disp)

@@ -10,15 +10,25 @@ patch (``aggregate_costs``) and by Gaussian-smoothing each candidate's
 cost map (``regularize_dsv``) before the per-voxel argmin
 (``winner_takes_all``).
 
+Per level, both feature volumes are copied once to float64, channel-first
+(C, z, y, x), the moving one edge-padded by ceil(l_max) voxels, so every
+candidate shift (and trilinear corner) is a slice and edge padding gives
+the border clamping of a shifted lookup. ``_label_cost_map`` serves both
+``build_dsv`` and ``pipeline``'s chunked search; box-sum and Gaussian
+filters run in place on whole (labels, z, y, x) batches.
+
 All operations are pure functions over immutable inputs and are
 bit-deterministic: the cost volume is label-major (one contiguous 3-D map
-per candidate), SAD accumulates in channel order, and argmin ties resolve
-by smallest L1 displacement, then lexicographic (dz, dy, dx), so the zero
-displacement always wins a tie against any other candidate.
+per candidate), SAD accumulates channel by channel in channel order, and
+argmin ties resolve by smallest L1 displacement, then lexicographic
+(dz, dy, dx), so the zero displacement always wins a tie against any
+other candidate.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,30 +120,6 @@ class CostVolume:
         return self.costs.shape[0]
 
 
-@dataclass(frozen=True)
-class RegParams:
-    """One level's search/regularization parameters.
-
-    ``smooth_sigma`` defaults to sqrt(alpha): the quadratic field penalty
-    is realized approximately by Gaussian-smoothing each candidate's cost
-    map before the argmin.
-    """
-
-    q: float = 2.0
-    l_max: float = 8.0
-    alpha: float = 2.0
-    patch_radius: int = 2
-    smooth_sigma: float | None = None
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if self.patch_radius < 0:
-            raise ValueError("patch_radius must be >= 0")
-        if self.smooth_sigma is None:
-            object.__setattr__(self, "smooth_sigma", float(np.sqrt(self.alpha)))
-
-
 def sad(a, b) -> float:
     """Sum of absolute differences, accumulated in channel order."""
     a = np.asarray(a, dtype=np.float64).ravel()
@@ -153,58 +139,74 @@ def _check_feature_pair(f_fixed: FeatureVolume, f_moving: FeatureVolume):
         raise ValueError(f"channel mismatch: {f_fixed.channels} vs {f_moving.channels}")
 
 
-def _shift_clamped_4d(data: np.ndarray, dz: int, dy: int, dx: int) -> np.ndarray:
-    nz, ny, nx = data.shape[:3]
-    zi = np.clip(np.arange(nz) + dz, 0, nz - 1)
-    yi = np.clip(np.arange(ny) + dy, 0, ny - 1)
-    xi = np.clip(np.arange(nx) + dx, 0, nx - 1)
-    return data[np.ix_(zi, yi, xi)]
+def _level_arrays(f_fixed: FeatureVolume, f_moving: FeatureVolume, disp: DisplacementSet):
+    """Float64 (z, y, x, C) views of channel-first copies of both volumes.
 
-
-def _sample_shifted(moving: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """moving(x + d) for a constant displacement d = (dx, dy, dz), clamped.
-
-    Integer displacements use direct lookup (bit-exact); fractional ones
-    blend the 8 integer-shifted corners with trilinear weights, channel
-    values interpolated independently.
+    The moving copy is edge-padded by ceil(max |d|), the reach of the
+    farthest trilinear corner.
     """
-    dx, dy, dz = float(d[0]), float(d[1]), float(d[2])
-    if dx.is_integer() and dy.is_integer() and dz.is_integer():
-        return _shift_clamped_4d(moving, int(dz), int(dy), int(dx))
-    bx, by, bz = int(np.floor(dx)), int(np.floor(dy)), int(np.floor(dz))
-    fx, fy, fz = dx - bx, dy - by, dz - bz
-    out = np.zeros(moving.shape, dtype=np.float64)
-    for cz, wz in ((0, 1.0 - fz), (1, fz)):
-        for cy, wy in ((0, 1.0 - fy), (1, fy)):
-            for cx, wx in ((0, 1.0 - fx), (1, fx)):
-                w = wz * wy * wx
-                if w == 0.0:
-                    continue
-                out += w * _shift_clamped_4d(moving, bz + cz, by + cy, bx + cx)
+    _check_feature_pair(f_fixed, f_moving)
+    pad = math.ceil(np.abs(disp.displacements).max(initial=0.0))
+    fixed = np.ascontiguousarray(np.moveaxis(f_fixed.data, -1, 0), dtype=np.float64)
+    moving = np.moveaxis(f_moving.data, -1, 0).astype(np.float64)
+    moving = np.pad(moving, [(0, 0)] + [(pad, pad)] * 3, mode="edge")
+    return np.moveaxis(fixed, 0, -1), np.moveaxis(moving, 0, -1)
+
+
+def _label_cost_map(fixed64: np.ndarray, moving64: np.ndarray, d: np.ndarray, out=None) -> np.ndarray:
+    """Per-voxel SAD between fixed(x) and moving(x + d), shape (z, y, x), into ``out``.
+
+    Both inputs are (z, y, x, C) views as ``_level_arrays`` returns them;
+    the moving pad is read off the shape difference. Integer displacements
+    are direct lookups (bit-exact); fractional ones blend the 8 integer
+    corners with trilinear weights, each channel independently.
+    """
+    fixed, moving = np.moveaxis(fixed64, -1, 0), np.moveaxis(moving64, -1, 0)
+    dims = fixed.shape[1:]
+    pad = (moving.shape[1] - dims[0]) // 2
+    shift = (float(d[2]), float(d[1]), float(d[0]))
+    base = [math.floor(v) for v in shift]
+    corners = []  # (weight, window) of every corner with a nonzero weight
+    for offset in itertools.product((0, 1), repeat=3):
+        w = 1.0
+        for v, b, c in zip(shift, base, offset):
+            w *= (v - b) if c else 1.0 - (v - b)
+        if w != 0.0:
+            window = tuple(slice(pad + b + c, pad + b + c + n) for b, c, n in zip(base, offset, dims))
+            corners.append((w, window))
+
+    out = np.empty(dims) if out is None else out
+    diff, sample = np.empty(dims), np.empty(dims)
+    for c in range(fixed.shape[0]):
+        shifted = moving[c][corners[0][1]]
+        if len(corners) > 1:
+            shifted = np.multiply(shifted, corners[0][0], out=sample)
+            for w, window in corners[1:]:
+                shifted += np.multiply(moving[c][window], w, out=diff)
+        acc = out if c == 0 else diff
+        np.abs(np.subtract(fixed[c], shifted, out=acc), out=acc)
+        if c > 0:
+            out += diff
     return out
-
-
-def _label_cost_map(fixed64: np.ndarray, moving64: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Per-voxel SAD between fixed(x) and moving(x + d), shape (z, y, x)."""
-    shifted = _sample_shifted(moving64, d)
-    return np.abs(fixed64 - shifted).sum(axis=-1)
 
 
 def build_dsv(f_fixed: FeatureVolume, f_moving: FeatureVolume, disp: DisplacementSet) -> CostVolume:
     """Dense cost volume: costs[d][x] = SAD(fixed(x), moving(x + d))."""
-    _check_feature_pair(f_fixed, f_moving)
-    fixed64 = f_fixed.data.astype(np.float64)
-    moving64 = f_moving.data.astype(np.float64)
-    nz, ny, nx = fixed64.shape[:3]
-    costs = np.empty((disp.count, nz, ny, nx), dtype=np.float64)
+    fixed64, moving64 = _level_arrays(f_fixed, f_moving, disp)
+    costs = np.empty((disp.count,) + fixed64.shape[:3], dtype=np.float64)
     for li in range(disp.count):
-        costs[li] = _label_cost_map(fixed64, moving64, disp.displacements[li])
+        _label_cost_map(fixed64, moving64, disp.displacements[li], out=costs[li])
     return CostVolume(dims=f_fixed.dims, costs=costs)
 
 
-def _box_sum_map(cost_map: np.ndarray, radius: int) -> np.ndarray:
+def _box_sum_map(costs: np.ndarray, radius: int) -> np.ndarray:
+    """Box-sum every map of a (labels, z, y, x) batch in place, clamped at 0."""
     size = 2 * radius + 1
-    return ndimage.uniform_filter(cost_map, size=size, mode="nearest") * float(size**3)
+    ndimage.uniform_filter(costs, size=(1, size, size, size), mode="nearest", output=costs)
+    costs *= float(size**3)
+    # rolling sums can leave tiny negative residues on all-zero maps
+    np.maximum(costs, 0.0, out=costs)
+    return costs
 
 
 def aggregate_costs(dsv: CostVolume, patch_radius: int) -> CostVolume:
@@ -217,16 +219,14 @@ def aggregate_costs(dsv: CostVolume, patch_radius: int) -> CostVolume:
         raise ValueError("patch_radius must be >= 0")
     if patch_radius == 0:
         return dsv
-    out = np.empty_like(dsv.costs)
-    for li in range(dsv.label_count):
-        out[li] = _box_sum_map(dsv.costs[li], patch_radius)
-    # rolling sums can leave tiny negative residues on all-zero maps
-    np.maximum(out, 0.0, out=out)
-    return CostVolume(dims=dsv.dims, costs=out)
+    return CostVolume(dims=dsv.dims, costs=_box_sum_map(dsv.costs.copy(), patch_radius))
 
 
-def _smooth_map(cost_map: np.ndarray, sigma: float) -> np.ndarray:
-    return ndimage.gaussian_filter(cost_map, sigma=sigma, mode="nearest")
+def _smooth_map(costs: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian-smooth every map of a (labels, z, y, x) batch in place, clamped at 0."""
+    ndimage.gaussian_filter(costs, sigma=(0.0, sigma, sigma, sigma), mode="nearest", output=costs)
+    np.maximum(costs, 0.0, out=costs)
+    return costs
 
 
 def regularize_dsv(dsv: CostVolume, smooth_sigma: float) -> CostVolume:
@@ -235,11 +235,7 @@ def regularize_dsv(dsv: CostVolume, smooth_sigma: float) -> CostVolume:
         raise ValueError("smooth_sigma must be >= 0")
     if smooth_sigma == 0:
         return dsv
-    out = np.empty_like(dsv.costs)
-    for li in range(dsv.label_count):
-        out[li] = _smooth_map(dsv.costs[li], smooth_sigma)
-    np.maximum(out, 0.0, out=out)
-    return CostVolume(dims=dsv.dims, costs=out)
+    return CostVolume(dims=dsv.dims, costs=_smooth_map(dsv.costs.copy(), smooth_sigma))
 
 
 def winner_takes_all(dsv: CostVolume, disp: DisplacementSet) -> DisplacementField:

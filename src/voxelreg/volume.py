@@ -236,10 +236,10 @@ def load_volume(path, kind: str = "auto") -> Volume:
     ``path`` may name the payload, the sidecar, or the common stem. With
     ``kind="auto"`` the volume class is inferred from the header: integer
     dtypes load as LabelVolume, float with channels == 1 as ScalarVolume,
-    float with channels == 3 as... still a FeatureVolume (use
-    :func:`load_field` for displacement fields), and any other channel
-    count as FeatureVolume. ``kind`` in {"scalar", "feature", "label"}
-    forces the class, converting integer payloads to float32 if needed.
+    and float with any other channel count, 3 included, as FeatureVolume
+    (load displacement fields with :func:`load_field`). ``kind`` in
+    {"scalar", "feature", "label"} forces the class, converting integer
+    payloads to float32 if needed.
     """
     stem = _stem(path)
     sidecar = stem.with_suffix(".json")

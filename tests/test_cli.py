@@ -386,6 +386,31 @@ def test_batch_jobs_do_not_change_report(tmp_path):
     assert (tmp_path / "o1" / "report.json").read_bytes() == (tmp_path / "o4" / "report.json").read_bytes()
 
 
+def test_batch_skips_pair_that_runs_out_of_memory(tmp_path, monkeypatch, caplog):
+    from voxelreg import cli
+
+    pairs = []
+    for i, seed in enumerate((27, 28)):
+        p = write_pair_files(tmp_path, seed=seed, name=f"m{i}")
+        p.pop("unregistered_jc")
+        pairs.append({"pair_id": f"p{i}", **p})
+    manifest = batch_manifest(tmp_path, pairs, output_dir=tmp_path / "out")
+    oversized = load_volume(pairs[1]["fixed"], kind="scalar").data
+    real_register = cli.register
+
+    def register(fixed, moving, cfg):
+        if np.array_equal(fixed.data, oversized):
+            raise MemoryError
+        return real_register(fixed, moving, cfg)
+
+    monkeypatch.setattr(cli, "register", register)
+    assert cli.main(["batch", str(manifest)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [p["fixed"] for p in report["pairs"]] == [pairs[0]["fixed"]]
+    assert report["skipped_pairs"] == ["p1"]
+    assert "pair p1 failed and was excluded: MemoryError" in caplog.text
+
+
 # ---------------------------------------------------------------------------
 # pair enumeration
 # ---------------------------------------------------------------------------

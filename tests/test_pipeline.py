@@ -62,6 +62,13 @@ def test_config_requires_divisible_factors():
         )
 
 
+def test_level_params_sigma_defaults_to_sqrt_alpha():
+    assert LevelParams(alpha=4.0).smooth_sigma == 2.0
+    assert LevelParams(alpha=0.0).smooth_sigma == 0.0
+    with pytest.raises(ValueError):
+        LevelParams(alpha=-1.0)
+
+
 def test_config_external_requires_paths():
     with pytest.raises(ValueError):
         RegistrationConfig(feature="external")

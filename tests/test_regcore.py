@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from voxelreg import regcore
 from voxelreg.regcore import (
     CostVolume,
     DisplacementSet,
-    RegParams,
     aggregate_costs,
     build_displacement_set,
     build_dsv,
@@ -27,8 +28,6 @@ def make_features(data):
 
 
 def smooth_features(rng, shape, channels=1, sigma=1.5):
-    from scipy import ndimage
-
     data = np.stack(
         [ndimage.gaussian_filter(rng.standard_normal(shape), sigma) for _ in range(channels)],
         axis=-1,
@@ -458,9 +457,64 @@ def test_dsv_and_wta_are_bit_deterministic():
     assert np.array_equal(w1.data, w2.data)
 
 
-def test_regparams_sigma_defaults_to_sqrt_alpha():
-    p = RegParams(alpha=4.0)
-    assert p.smooth_sigma == 2.0
-    assert RegParams(alpha=0.0).smooth_sigma == 0.0
-    with pytest.raises(ValueError):
-        RegParams(alpha=-1.0)
+# ---------------------------------------------------------------------------
+# Per-label cost kernel and batch filters
+# ---------------------------------------------------------------------------
+
+def shift_clamped_oracle(data, dz, dy, dx):
+    """Clamped integer shift of a (z, y, x, C) array by index gathering."""
+    nz, ny, nx = data.shape[:3]
+    zi = np.clip(np.arange(nz) + dz, 0, nz - 1)
+    yi = np.clip(np.arange(ny) + dy, 0, ny - 1)
+    xi = np.clip(np.arange(nx) + dx, 0, nx - 1)
+    return data[np.ix_(zi, yi, xi)]
+
+
+def sample_shifted_oracle(moving, d):
+    """moving(x + d) for d = (dx, dy, dz): blend of the 8 clamped integer corners."""
+    dx, dy, dz = (float(v) for v in d)
+    bx, by, bz = (int(np.floor(v)) for v in (dx, dy, dz))
+    fx, fy, fz = dx - bx, dy - by, dz - bz
+    out = np.zeros(moving.shape, dtype=np.float64)
+    for cz, wz in ((0, 1.0 - fz), (1, fz)):
+        for cy, wy in ((0, 1.0 - fy), (1, fy)):
+            for cx, wx in ((0, 1.0 - fx), (1, fx)):
+                out += wz * wy * wx * shift_clamped_oracle(moving, bz + cz, by + cy, bx + cx)
+    return out
+
+
+@pytest.mark.parametrize("channels", [1, 3, 12])
+@pytest.mark.parametrize("q", [1.0, 0.5])
+def test_label_cost_map_matches_clamped_gather_oracle(channels, q):
+    # non-cubic dims so that any mix-up of axes shows; at q=1 every shift
+    # with |d| = l_max along some axis reaches each face of the padding
+    rng = np.random.default_rng(60 + channels)
+    f_fixed = make_features(rng.standard_normal((7, 9, 11, channels)))
+    f_moving = make_features(rng.standard_normal((7, 9, 11, channels)))
+    ds = build_displacement_set(q, 2.0 if q == 1.0 else 1.0)
+    assert ds.count == 125
+    fixed64, moving64 = regcore._level_arrays(f_fixed, f_moving, ds)
+    for arr in (fixed64, moving64):  # views of channel-first storage
+        assert np.moveaxis(arr, -1, 0).flags.c_contiguous
+    moving_oracle = f_moving.data.astype(np.float64)
+    for d in ds.displacements:
+        got = regcore._label_cost_map(fixed64, moving64, d)
+        want = np.abs(f_fixed.data - sample_shifted_oracle(moving_oracle, d)).sum(axis=-1)
+        assert got.shape == (7, 9, 11)
+        assert np.abs(got - want).max() < 1e-12, d
+
+
+def test_batch_filters_in_place_equal_per_map_filters():
+    rng = np.random.default_rng(61)
+    batch = rng.uniform(0, 5, size=(4, 7, 9, 11))
+    want_box = np.stack(
+        [np.maximum(ndimage.uniform_filter(m, size=5, mode="nearest") * 125.0, 0.0) for m in batch]
+    )
+    want_smooth = np.stack(
+        [np.maximum(ndimage.gaussian_filter(m, sigma=1.3, mode="nearest"), 0.0) for m in want_box]
+    )
+    out = batch.copy()
+    assert regcore._box_sum_map(out, 2) is out
+    assert np.array_equal(out, want_box)
+    assert regcore._smooth_map(out, 1.3) is out
+    assert np.array_equal(out, want_smooth)
