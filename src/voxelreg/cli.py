@@ -17,12 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from voxelreg import evaluation, synth
-from voxelreg.features import (
-    edge_features,
-    load_external_features,
-    normalize_intensity,
-    ssc_features,
-)
+from voxelreg.features import DESCRIPTORS, load_external_features
 from voxelreg.pipeline import (
     FEATURE_KINDS,
     LevelParams,
@@ -129,14 +124,9 @@ def cmd_features(args) -> int:
         fv = load_external_features(args.infile, zscore=args.zscore)
     else:
         vol = load_volume(args.infile, kind="scalar")
-        if args.descriptor == "intensity":
-            fv = normalize_intensity(vol, args.p_low, args.p_high)
-        elif args.descriptor == "edge":
-            fv = edge_features(vol)
-        elif args.descriptor == "ssc":
-            fv = ssc_features(vol)
-        else:
-            raise ValueError(f"unknown descriptor {args.descriptor!r}")
+        # only intensity takes parameters on the command line
+        kwargs = {"p_low": args.p_low, "p_high": args.p_high} if args.descriptor == "intensity" else {}
+        fv = DESCRIPTORS[args.descriptor](vol, **kwargs)
     save_volume(fv, args.out)
     logger.info("wrote %d-channel features to %s", fv.channels, args.out)
     return 0

@@ -1,6 +1,8 @@
 """Per-voxel feature descriptors and intensity harmonization.
 
-Descriptors all return a :class:`~voxelreg.volume.FeatureVolume`:
+Descriptors all return a :class:`~voxelreg.volume.FeatureVolume`; the
+built-in ones are registered by name in ``DESCRIPTORS``, the one table
+the pipeline and the CLI dispatch through:
 
 * ``normalize_intensity`` - percentile-rescaled raw intensity (1 channel).
 * ``edge_features`` - gradient magnitude of the [0, 1]-normalized volume
@@ -197,24 +199,6 @@ SSC_PAIRS = tuple(
 assert len(SSC_PAIRS) == 12
 
 
-def _shift_clamped(data: np.ndarray, offset) -> np.ndarray:
-    """data[z+dz, y+dy, x+dx] with indices clamped to the volume."""
-    dz, dy, dx = offset
-    nz, ny, nx = data.shape
-    zi = np.clip(np.arange(nz) + dz, 0, nz - 1)
-    yi = np.clip(np.arange(ny) + dy, 0, ny - 1)
-    xi = np.clip(np.arange(nx) + dx, 0, nx - 1)
-    return data[np.ix_(zi, yi, xi)]
-
-
-def _box_sum(data: np.ndarray, radius: int) -> np.ndarray:
-    """Sum over the (2r+1)^3 window around each voxel, edges replicated."""
-    if radius == 0:
-        return data
-    size = 2 * radius + 1
-    return ndimage.uniform_filter(data, size=size, mode="nearest") * float(size**3)
-
-
 def ssc_features(vol: ScalarVolume, params: SscParams = SscParams()) -> FeatureVolume:
     """12-channel self-similarity descriptor.
 
@@ -224,27 +208,45 @@ def ssc_features(vol: ScalarVolume, params: SscParams = SscParams()) -> FeatureV
         D_k(x) = sum_p (v(x + p + o_i) - v(x + p + o_j))^2
 
     is taken over the (2r+1)^3 patch offsets p, with every lookup clamped
-    to the volume (edge replication, applied at the shift stage and again
-    at the patch-sum stage). Channels are exp(-D_k(x) / m(x)) where m(x)
-    is the mean of the 12 distances floored at ``noise_floor``, so all
+    to the volume (edge replication: the volume is edge-padded by one
+    voxel so each neighbor shift is a slice, and the patch sum replicates
+    the edges of the distance maps). Channels are exp(-D_k(x) / m(x)) where
+    m(x) is the mean of the 12 distances floored at ``noise_floor``, so all
     outputs lie in (0, 1] and the descriptor is invariant to affine
     intensity changes a*v + b with a > 0.
     """
     min_dim = 2 * (params.patch_radius + 1) + 1
     if min(vol.dims) < min_dim:
         raise ValueError(f"ssc needs dims >= {min_dim} per axis, got {vol.dims}")
-    data = vol.data.astype(np.float64)
-    shifted = [_shift_clamped(data, off) for off in SIX_NEIGHBORHOOD]
+    padded = np.pad(vol.data.astype(np.float64), 1, mode="edge")
+    nz, ny, nx = vol.data.shape
+    shifted = [
+        padded[1 + dz : 1 + dz + nz, 1 + dy : 1 + dy + ny, 1 + dx : 1 + dx + nx]
+        for dz, dy, dx in SIX_NEIGHBORHOOD
+    ]
 
-    dists = np.empty((12,) + data.shape, dtype=np.float64)
+    dists = np.empty((12, nz, ny, nx), dtype=np.float64)
     for k, (i, j) in enumerate(SSC_PAIRS):
-        diff = shifted[i] - shifted[j]
-        dists[k] = _box_sum(diff * diff, params.patch_radius)
+        diff = np.subtract(shifted[i], shifted[j], out=dists[k])
+        np.multiply(diff, diff, out=diff)
+    size = 2 * params.patch_radius + 1
+    ndimage.uniform_filter(dists, size=(1, size, size, size), mode="nearest", output=dists)
+    dists *= float(size**3)
 
     mean_dist = np.maximum(dists.mean(axis=0), params.noise_floor)
     channels = np.exp(-dists / mean_dist)
     out = np.moveaxis(channels, 0, -1).astype(np.float32)
     return FeatureVolume(_feature_header(vol.header, 12), out)
+
+
+# Built-in descriptors by name, each ScalarVolume -> FeatureVolume with its
+# default parameters. The pipeline and the CLI both dispatch through this
+# table, so a new descriptor is one entry here.
+DESCRIPTORS = {
+    "intensity": normalize_intensity,
+    "edge": edge_features,
+    "ssc": ssc_features,
+}
 
 
 # ---------------------------------------------------------------------------

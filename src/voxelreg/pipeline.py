@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field, fields
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from voxelreg.volume import (
     zero_field,
 )
 
-FEATURE_KINDS = ("intensity", "edge", "ssc", "external")
+FEATURE_KINDS = (*feat.DESCRIPTORS, "external")
 DEFAULT_MEMORY_BUDGET_MB = 1024
 MEMORY_BUDGET_ENV = "REG_MEMORY_BUDGET_MB"
 
@@ -65,16 +65,13 @@ class LevelParams:
             raise ValueError("alpha and patch_radius must be >= 0")
         if self.smooth_sigma is None:
             object.__setattr__(self, "smooth_sigma", float(math.sqrt(self.alpha)))
+        if self.smooth_sigma < 0:
+            raise ValueError(f"smooth_sigma must be >= 0, got {self.smooth_sigma}")
+        # same q / l_max rule as the search, checked before any level runs
+        regcore.build_displacement_set(self.q, self.l_max)
 
     def to_dict(self) -> dict:
-        return {
-            "factor": self.factor,
-            "q": self.q,
-            "l_max": self.l_max,
-            "patch_radius": self.patch_radius,
-            "alpha": self.alpha,
-            "smooth_sigma": self.smooth_sigma,
-        }
+        return asdict(self)
 
 
 def default_levels() -> list[LevelParams]:
@@ -82,6 +79,14 @@ def default_levels() -> list[LevelParams]:
         LevelParams(factor=2, q=2.0, l_max=8.0, patch_radius=2, alpha=2.0),
         LevelParams(factor=1, q=1.0, l_max=2.0, patch_radius=2, alpha=2.0),
     ]
+
+
+def _check_keys(d: dict, cls, what: str):
+    if not isinstance(d, dict):
+        raise ValueError(f"a {what} must be a JSON object, got {type(d).__name__}")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what} key(s) {unknown}")
 
 
 @dataclass(frozen=True)
@@ -126,39 +131,32 @@ class RegistrationConfig:
         mb = self.memory_budget_mb
         if mb is None:
             env = os.environ.get(MEMORY_BUDGET_ENV)
-            mb = int(env) if env else DEFAULT_MEMORY_BUDGET_MB
+            try:
+                mb = int(env) if env else DEFAULT_MEMORY_BUDGET_MB
+            except ValueError:
+                raise ValueError(
+                    f"{MEMORY_BUDGET_ENV} must be an integer number of MB, got {env!r}"
+                ) from None
         if mb <= 0:
             raise ValueError("memory budget must be positive")
         return int(mb) * 1024 * 1024
 
     def to_dict(self) -> dict:
-        return {
-            "feature": self.feature,
-            "levels": [lv.to_dict() for lv in self.levels],
-            "external_fixed": self.external_fixed,
-            "external_moving": self.external_moving,
-            "zscore_external": self.zscore_external,
-            "standardize": self.standardize,
-            "standardize_reference": self.standardize_reference,
-            "memory_budget_mb": self.memory_budget_mb,
-        }
+        return {**asdict(self), "levels": [lv.to_dict() for lv in self.levels]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegistrationConfig":
-        levels = d.get("levels")
-        parsed = (
-            tuple(LevelParams(**lv) for lv in levels) if levels else tuple(default_levels())
-        )
-        return cls(
-            feature=d.get("feature", "ssc"),
-            levels=parsed,
-            external_fixed=d.get("external_fixed"),
-            external_moving=d.get("external_moving"),
-            zscore_external=bool(d.get("zscore_external", False)),
-            standardize=bool(d.get("standardize", False)),
-            standardize_reference=d.get("standardize_reference"),
-            memory_budget_mb=d.get("memory_budget_mb"),
-        )
+        """Inverse of ``to_dict``; absent keys take their defaults, unknown ones are errors."""
+        _check_keys(d, cls, "config")
+        levels = d.get("levels") or ()
+        for lv in levels:
+            _check_keys(lv, LevelParams, "level")
+        return cls(**{
+            **d,
+            "levels": tuple(LevelParams(**lv) for lv in levels) or tuple(default_levels()),
+            "zscore_external": bool(d.get("zscore_external", False)),
+            "standardize": bool(d.get("standardize", False)),
+        })
 
     @classmethod
     def from_json(cls, path) -> "RegistrationConfig":
@@ -229,13 +227,7 @@ def chunked_dsv_execution(
 
 
 def _featurize(vol: ScalarVolume, feature: str) -> FeatureVolume:
-    if feature == "intensity":
-        return feat.normalize_intensity(vol, 1.0, 99.0)
-    if feature == "edge":
-        return feat.edge_features(vol)
-    if feature == "ssc":
-        return feat.ssc_features(vol)
-    raise ValueError(f"no built-in descriptor {feature!r}")
+    return feat.DESCRIPTORS[feature](vol)
 
 
 def _check_level_dims(dims, level: LevelParams):

@@ -39,6 +39,7 @@ from voxelreg.volume import (
     FeatureVolume,
     VolumeHeader,
     _trilinear_zyx,
+    _warp_coords,
 )
 
 
@@ -118,18 +119,6 @@ class CostVolume:
     @property
     def label_count(self) -> int:
         return self.costs.shape[0]
-
-
-def sad(a, b) -> float:
-    """Sum of absolute differences, accumulated in channel order."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"channel count mismatch: {a.shape} vs {b.shape}")
-    total = 0.0
-    for av, bv in zip(a.tolist(), b.tolist()):
-        total += abs(av - bv)
-    return total
 
 
 def _check_feature_pair(f_fixed: FeatureVolume, f_moving: FeatureVolume):
@@ -268,20 +257,11 @@ def energy(f_fixed: FeatureVolume, f_moving: FeatureVolume, field: DisplacementF
     _check_feature_pair(f_fixed, f_moving)
     if field.dims != f_fixed.dims:
         raise ValueError(f"field dims {field.dims} != volume dims {f_fixed.dims}")
-    nz, ny, nx = f_fixed.data.shape[:3]
-    zz, yy, xx = np.meshgrid(
-        np.arange(nz, dtype=np.float64),
-        np.arange(ny, dtype=np.float64),
-        np.arange(nx, dtype=np.float64),
-        indexing="ij",
-    )
-    u = field.data.astype(np.float64)
-    warped = _trilinear_zyx(
-        f_moving.data, zz + u[..., 2], yy + u[..., 1], xx + u[..., 0]
-    )
+    warped = _trilinear_zyx(f_moving.data, *_warp_coords(field.dims, field.data))
     data_term = float(np.abs(f_fixed.data.astype(np.float64) - warped).sum())
 
     grad_term = 0.0
+    u = field.data.astype(np.float64)
     for c in range(3):
         comp = u[..., c]
         grad_term += float((np.diff(comp, axis=0) ** 2).sum())

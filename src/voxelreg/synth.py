@@ -20,7 +20,6 @@ from voxelreg.volume import (
     VolumeHeader,
     warp_labels,
     warp_scalar,
-    zero_field,
 )
 
 SYNTH_KINDS = ("translation", "sinusoid", "blobs")
@@ -60,13 +59,7 @@ def sinusoid_field(dims, amplitude: float, period: float, seed: int) -> Displace
     if period <= 0:
         raise ValueError("period must be > 0")
     rng = np.random.default_rng(seed)
-    nz, ny, nx = _shape_zyx(dims)
-    zz, yy, xx = np.meshgrid(
-        np.arange(nz, dtype=np.float64),
-        np.arange(ny, dtype=np.float64),
-        np.arange(nx, dtype=np.float64),
-        indexing="ij",
-    )
+    zz, yy, xx = np.indices(_shape_zyx(dims), dtype=np.float64, sparse=True)
     w = 2.0 * np.pi / period
     comps = []
     for _ in range(3):
@@ -95,12 +88,7 @@ def blob_labels(
     rng = np.random.default_rng(seed)
     nz, ny, nx = _shape_zyx(dims)
     data = np.zeros((nz, ny, nx), dtype=np.int32)
-    zz, yy, xx = np.meshgrid(
-        np.arange(nz, dtype=np.float64),
-        np.arange(ny, dtype=np.float64),
-        np.arange(nx, dtype=np.float64),
-        indexing="ij",
-    )
+    zz, yy, xx = np.indices((nz, ny, nx), dtype=np.float64, sparse=True)
     for label in range(1, num_structures + 1):
         r = rng.uniform(min_radius, max_radius)
         cz = rng.uniform(r, max(nz - 1 - r, r))
@@ -154,12 +142,3 @@ def make_pair(
         "fixed_labels": fixed_labels,
     }
 
-
-def identity_case(dims, seed: int) -> dict:
-    """Fixed == moving with a zero ground-truth field."""
-    moving = smooth_random_volume(dims, seed)
-    return {
-        "moving": moving,
-        "fixed": moving,
-        "field": zero_field(tuple(int(d) for d in dims)),
-    }

@@ -371,13 +371,8 @@ def sample_trilinear(vol: ScalarVolume, p: Sequence[float]) -> float:
 
 
 def _warp_coords(dims_xyz, field_data):
-    nz, ny, nx = dims_xyz[2], dims_xyz[1], dims_xyz[0]
-    zz, yy, xx = np.meshgrid(
-        np.arange(nz, dtype=np.float64),
-        np.arange(ny, dtype=np.float64),
-        np.arange(nx, dtype=np.float64),
-        indexing="ij",
-    )
+    """Float64 (z, y, x) sample coordinates x + u(x) of a backward warp."""
+    zz, yy, xx = np.indices(dims_xyz[::-1], dtype=np.float64, sparse=True)
     u = field_data.astype(np.float64, copy=False)
     return zz + u[..., 2], yy + u[..., 1], xx + u[..., 0]
 
@@ -422,14 +417,8 @@ def warp_labels(labels: LabelVolume, field: DisplacementField) -> LabelVolume:
 # ---------------------------------------------------------------------------
 
 def _downsample_array(data: np.ndarray, factor: int) -> np.ndarray:
-    sigma = 0.5 * factor
-    if data.ndim == 4:
-        smoothed = np.empty_like(data, dtype=np.float64)
-        for c in range(data.shape[3]):
-            smoothed[..., c] = ndimage.gaussian_filter(
-                data[..., c].astype(np.float64), sigma=sigma, mode="nearest"
-            )
-        return smoothed[::factor, ::factor, ::factor, :]
+    # a channel axis gets sigma 0, which scipy skips: channels stay separate
+    sigma = (0.5 * factor,) * 3 + (0.0,) * (data.ndim - 3)
     smoothed = ndimage.gaussian_filter(data.astype(np.float64), sigma=sigma, mode="nearest")
     return smoothed[::factor, ::factor, ::factor]
 
@@ -476,13 +465,7 @@ def upsample_field(field: DisplacementField, factor: int, target_dims: Sequence[
     target_dims = tuple(int(d) for d in target_dims)
     if factor == 1 and target_dims == field.dims:
         return field
-    nz, ny, nx = target_dims[2], target_dims[1], target_dims[0]
-    zz, yy, xx = np.meshgrid(
-        np.arange(nz, dtype=np.float64) / factor,
-        np.arange(ny, dtype=np.float64) / factor,
-        np.arange(nx, dtype=np.float64) / factor,
-        indexing="ij",
-    )
+    zz, yy, xx = (g / factor for g in np.indices(target_dims[::-1], dtype=np.float64, sparse=True))
     out = _trilinear_zyx(field.data, zz, yy, xx) * factor
     spacing = tuple(s / factor for s in field.header.spacing)
     header = VolumeHeader(target_dims, spacing, 3, "float32")

@@ -1,6 +1,7 @@
 """End-to-end CLI tests via subprocess: exit codes, files, reports."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -8,16 +9,25 @@ import numpy as np
 import pytest
 
 from voxelreg.cli import enumerate_pairs, load_manifest
+from voxelreg.features import normalize_intensity
 from voxelreg.volume import load_field, load_volume, save_volume
 from voxelreg.synth import make_pair, smooth_random_volume
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "voxelreg", *map(str, args)],
         capture_output=True,
         text=True,
+        env={**os.environ, **(env or {})},
     )
+
+
+def assert_one_line_error(res, needle):
+    assert res.returncode == 1, res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+    assert needle in lines[0]
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +159,38 @@ def test_register_with_config_file(tmp_path):
     assert np.all(load_field(tmp_path / "field").data == 0.0)
 
 
+@pytest.mark.parametrize(
+    "cfg, needle",
+    [
+        ({"levels": [{"factr": 2}]}, "factr"),
+        ({"featur": "edge"}, "featur"),
+        ({"levels": [{"factor": 1, "q": 3.0, "l_max": 2.0}]}, "multiple"),
+        ([], "config must be a JSON object"),
+        ({"levels": [[1, 1.0]]}, "level must be a JSON object"),
+    ],
+)
+def test_register_bad_config_is_one_line_error(tmp_path, cfg, needle):
+    vol = smooth_random_volume((12, 12, 12), seed=12)
+    save_volume(vol, tmp_path / "vol")
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    res = run_cli(
+        "register", "--fixed", tmp_path / "vol", "--moving", tmp_path / "vol",
+        "--config", tmp_path / "cfg.json", "--out-field", tmp_path / "field",
+    )
+    assert_one_line_error(res, needle)
+
+
+def test_register_bad_budget_env_is_one_line_error(tmp_path):
+    vol = smooth_random_volume((12, 12, 12), seed=12)
+    save_volume(vol, tmp_path / "vol")
+    res = run_cli(
+        "register", "--fixed", tmp_path / "vol", "--moving", tmp_path / "vol",
+        "--levels", "1:1:1:1:1", "--out-field", tmp_path / "field",
+        env={"REG_MEMORY_BUDGET_MB": "abc"},
+    )
+    assert_one_line_error(res, "REG_MEMORY_BUDGET_MB")
+
+
 # ---------------------------------------------------------------------------
 # features
 # ---------------------------------------------------------------------------
@@ -177,6 +219,17 @@ def test_features_edge_of_ramp_is_constant_interior(tmp_path):
     assert res.returncode == 0, res.stderr
     fv = load_volume(tmp_path / "edge")
     assert np.allclose(fv.data[..., 0], 1.0 / (nx - 1), atol=1e-6)
+
+
+def test_features_intensity_passes_percentiles(tmp_path):
+    vol = smooth_random_volume((10, 9, 8), seed=14)
+    save_volume(vol, tmp_path / "vol")
+    res = run_cli("features", "--in", tmp_path / "vol", "--descriptor", "intensity",
+                  "--out", tmp_path / "int", "--p-low", "10", "--p-high", "90")
+    assert res.returncode == 0, res.stderr
+    got = load_volume(tmp_path / "int", kind="feature").data
+    assert np.array_equal(got, normalize_intensity(vol, 10, 90).data)
+    assert not np.array_equal(got, normalize_intensity(vol).data)
 
 
 def test_features_unknown_descriptor_is_usage_error(tmp_path):

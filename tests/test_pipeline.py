@@ -69,6 +69,29 @@ def test_level_params_sigma_defaults_to_sqrt_alpha():
         LevelParams(alpha=-1.0)
 
 
+def test_level_params_rejects_negative_sigma():
+    with pytest.raises(ValueError, match="smooth_sigma"):
+        LevelParams(smooth_sigma=-1.0)
+
+
+def test_level_params_rejects_bad_candidate_grid():
+    # a bad fine level must fail when the schedule is built, not after the
+    # coarse levels have run
+    with pytest.raises(ValueError, match="multiple"):
+        LevelParams(factor=1, q=3.0, l_max=2.0)
+    with pytest.raises(ValueError, match="q must be > 0"):
+        LevelParams(q=0.0)
+    with pytest.raises(ValueError, match="l_max must be >= 0"):
+        LevelParams(l_max=-1.0)
+
+
+def test_config_from_dict_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="featur"):
+        RegistrationConfig.from_dict({"featur": "edge"})
+    with pytest.raises(ValueError, match="factr"):
+        RegistrationConfig.from_dict({"levels": [{"factr": 2}]})
+
+
 def test_config_external_requires_paths():
     with pytest.raises(ValueError):
         RegistrationConfig(feature="external")
@@ -330,3 +353,9 @@ def test_memory_budget_env_var(monkeypatch):
     explicit = single_level(memory_budget_mb=3)
     monkeypatch.setenv("REG_MEMORY_BUDGET_MB", "7")
     assert explicit.budget_bytes() == 3 * 1024 * 1024
+
+
+def test_memory_budget_env_var_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("REG_MEMORY_BUDGET_MB", "abc")
+    with pytest.raises(ValueError, match="REG_MEMORY_BUDGET_MB"):
+        single_level().budget_bytes()

@@ -13,7 +13,6 @@ from voxelreg.regcore import (
     build_dsv,
     energy,
     regularize_dsv,
-    sad,
     winner_takes_all,
 )
 from voxelreg.volume import FeatureVolume, VolumeHeader, zero_field
@@ -81,33 +80,24 @@ def test_priority_order_puts_zero_first():
 
 
 # ---------------------------------------------------------------------------
-# SAD
-# ---------------------------------------------------------------------------
-
-def test_sad_identity_and_hand_case():
-    assert sad((1, 2, 3), (1, 2, 3)) == 0.0
-    assert sad((0, 0), (1, 2)) == 3.0
-
-
-def test_sad_rejects_channel_mismatch():
-    with pytest.raises(ValueError):
-        sad((1, 2), (1, 2, 3))
-
-
-def test_sad_matches_scalar_loop_exactly():
-    rng = np.random.default_rng(40)
-    for _ in range(20):
-        a = rng.standard_normal(12)
-        b = rng.standard_normal(12)
-        want = 0.0
-        for c in range(12):
-            want += abs(float(a[c]) - float(b[c]))
-        assert sad(a, b) == want
-
-
-# ---------------------------------------------------------------------------
 # DSV construction
 # ---------------------------------------------------------------------------
+
+def test_dsv_sad_accumulates_in_channel_order():
+    # at d = 0 every cost must equal a scalar left-to-right loop over the
+    # channels exactly, not just to rounding
+    rng = np.random.default_rng(40)
+    f_fixed = make_features(rng.standard_normal((5, 7, 9, 12)))
+    f_moving = make_features(rng.standard_normal((5, 7, 9, 12)))
+    ds = build_displacement_set(1.0, 1.0)
+    zero_label = int(np.where((ds.displacements == 0).all(axis=1))[0][0])
+    got = build_dsv(f_fixed, f_moving, ds).costs[zero_label]
+    for z, y, x in np.ndindex(5, 7, 9):
+        want = 0.0
+        for c in range(12):
+            want += abs(float(f_fixed.data[z, y, x, c]) - float(f_moving.data[z, y, x, c]))
+        assert got[z, y, x] == want, (z, y, x)
+
 
 def test_dsv_zero_displacement_on_identical_volumes():
     rng = np.random.default_rng(41)

@@ -17,6 +17,7 @@ from voxelreg.volume import (
     VolumeError,
     VolumeHeader,
     downsample,
+    downsample_features,
     load_field,
     load_volume,
     sample_trilinear,
@@ -339,6 +340,19 @@ def test_downsample_constant_preserves_value_and_halves_dims():
     assert out.dims == (2, 3, 3)
     assert out.header.spacing == (2.0, 2.0, 2.0)
     assert np.allclose(out.data, 3.25, atol=1e-6)
+
+
+@pytest.mark.parametrize("factor", [1, 2, 3])
+def test_downsample_features_equals_per_channel_downsample(factor):
+    rng = np.random.default_rng(12)
+    data = rng.standard_normal((7, 9, 11, 3)).astype(np.float32)
+    fv = FeatureVolume(VolumeHeader((11, 9, 7), (1.0, 2.0, 0.5), channels=3), data)
+    out = downsample_features(fv, factor)
+    for c in range(3):
+        want = downsample(make_scalar(data[..., c], spacing=(1.0, 2.0, 0.5)), factor)
+        assert np.array_equal(out.data[..., c], want.data), c
+    assert out.dims == want.dims
+    assert out.header.spacing == want.header.spacing
 
 
 def gaussian_kernel_1d(sigma):
