@@ -200,6 +200,19 @@ def enumerate_pairs(volumes: list[dict], mode: str = "ordered") -> list[dict]:
     return pairs
 
 
+def _checked_entries(entries, what: str, required: tuple[str, ...]) -> list[dict]:
+    """The manifest's list of ``what`` objects, each holding every ``required`` key."""
+    if not isinstance(entries, list):
+        raise ValueError(f"manifest {what}s must be a JSON list, got {type(entries).__name__}")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"manifest {what} {i} must be a JSON object, got {type(entry).__name__}")
+        missing = sorted(set(required) - set(entry))
+        if missing:
+            raise ValueError(f"manifest {what} {entry.get(required[0], i)} missing fields {missing}")
+    return entries
+
+
 def load_manifest(path) -> tuple[list[dict], RegistrationConfig, str | None]:
     """Parse a batch manifest; returns (pairs, config, output_dir)."""
     try:
@@ -207,18 +220,17 @@ def load_manifest(path) -> tuple[list[dict], RegistrationConfig, str | None]:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot parse manifest {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"manifest {path} must be a JSON object, got {type(data).__name__}")
     cfg = RegistrationConfig.from_dict(data.get("config", {}))
     if "pairs" in data:
-        pairs = data["pairs"]
+        pair_keys = ("pair_id", "fixed", "moving", "fixed_labels", "moving_labels")
+        pairs = _checked_entries(data["pairs"], "pair", pair_keys)
     elif "volumes" in data:
-        pairs = enumerate_pairs(data["volumes"], data.get("pair_mode", "ordered"))
+        volumes = _checked_entries(data["volumes"], "volume", ("id", "image", "labels"))
+        pairs = enumerate_pairs(volumes, data.get("pair_mode", "ordered"))
     else:
         raise ValueError("manifest needs a 'pairs' or 'volumes' entry")
-    required = {"pair_id", "fixed", "moving", "fixed_labels", "moving_labels"}
-    for p in pairs:
-        missing = required - set(p)
-        if missing:
-            raise ValueError(f"manifest pair {p.get('pair_id', '?')} missing fields {sorted(missing)}")
     ids = [p["pair_id"] for p in pairs]
     if len(set(ids)) != len(ids):
         raise ValueError("manifest pair ids are not unique")
@@ -232,9 +244,7 @@ def _run_batch_pair(pair: dict, cfg: RegistrationConfig):
     moving_labels = load_volume(pair["moving_labels"], kind="label")
     field, _ = register(fixed, moving, cfg)
     warped = warp_labels(moving_labels, field)
-    label_list = sorted(set(fixed_labels.labels()) | set(moving_labels.labels()))
-    mean, per_structure = evaluation.mean_jc_pair(fixed_labels, warped, label_list)
-    return evaluation.PairResult(pair["fixed"], pair["moving"], per_structure, mean)
+    return evaluation.pair_result(pair["fixed"], pair["moving"], fixed_labels, warped)
 
 
 def cmd_batch(args) -> int:

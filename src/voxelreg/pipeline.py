@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, field as dataclass_field, fields
 
@@ -59,6 +60,18 @@ class LevelParams:
     smooth_sigma: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.name == "smooth_sigma":
+                continue  # derived from alpha below
+            integral = f.name in ("factor", "patch_radius")
+            if integral:
+                ok = isinstance(value, numbers.Integral)
+            else:
+                ok = isinstance(value, numbers.Real) and math.isfinite(value)
+            if isinstance(value, bool) or not ok:
+                what = "an integer" if integral else "a finite real number"
+                raise ValueError(f"level {f.name} must be {what}, got {value!r}")
         if self.factor < 1:
             raise ValueError("factor must be >= 1")
         if self.alpha < 0 or self.patch_radius < 0:

@@ -257,7 +257,7 @@ def energy(f_fixed: FeatureVolume, f_moving: FeatureVolume, field: DisplacementF
     _check_feature_pair(f_fixed, f_moving)
     if field.dims != f_fixed.dims:
         raise ValueError(f"field dims {field.dims} != volume dims {f_fixed.dims}")
-    warped = _trilinear_zyx(f_moving.data, *_warp_coords(field.dims, field.data))
+    warped = _trilinear_zyx(f_moving.data, _warp_coords(field.dims, field.data))
     data_term = float(np.abs(f_fixed.data.astype(np.float64) - warped).sum())
 
     grad_term = 0.0

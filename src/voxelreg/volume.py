@@ -11,8 +11,12 @@ same element order as the file. Scalar and feature data are kept as
 float32, labels as int32. Arrays are marked read-only after construction;
 every operation here is a pure function.
 
-Out-of-bounds sampling always clamps to the nearest edge voxel, and
-warping is backward/pull: ``output(x) = moving(x + u(x))``.
+Warping is backward/pull: ``output(x) = moving(x + u(x))``. Every
+trilinear lookup (warps, field upsampling, the energy's data term) goes
+through ``ndimage.map_coordinates`` with ``order=1`` and ``mode="nearest"``:
+out-of-bounds points clamp to the nearest edge voxel, and integer
+coordinates return the stored value exactly. Label warps use the same
+coordinates with a clamped nearest-voxel lookup.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -211,7 +215,7 @@ class DisplacementField:
         return self.header.dims
 
 
-Volume = Union[ScalarVolume, FeatureVolume, LabelVolume, DisplacementField]
+Volume = ScalarVolume | FeatureVolume | LabelVolume | DisplacementField
 
 
 def zero_field(dims: Sequence[int], spacing: Sequence[float] = (1.0, 1.0, 1.0)) -> DisplacementField:
@@ -317,84 +321,46 @@ def save_volume(vol: Volume, path) -> None:
 # Interpolation and warping
 # ---------------------------------------------------------------------------
 
-def _trilinear_zyx(data: np.ndarray, zc: np.ndarray, yc: np.ndarray, xc: np.ndarray) -> np.ndarray:
-    """Trilinear sample of ``data`` (z, y, x[, C]) at continuous coordinates.
+def _trilinear_zyx(data: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Trilinear float64 samples of ``data`` (z, y, x[, C]) at ``coords``.
 
-    Corner indices are clamped to the volume, which realizes the
-    clamp-to-edge convention; at integer coordinates the result is the
-    stored value, bit-exactly.
+    ``coords`` is a float64 ``(3, ...)`` array of (z, y, x) positions. Each
+    channel is one ``ndimage.map_coordinates`` call with ``order=1`` and
+    ``mode="nearest"``, which clamps to the edge voxel and returns the
+    stored value, bit-exactly, at integer coordinates.
     """
-    nz, ny, nx = data.shape[:3]
-    z0 = np.floor(zc).astype(np.intp)
-    y0 = np.floor(yc).astype(np.intp)
-    x0 = np.floor(xc).astype(np.intp)
-    fz = (zc - z0).astype(np.float64)
-    fy = (yc - y0).astype(np.float64)
-    fx = (xc - x0).astype(np.float64)
-
-    z0c = np.clip(z0, 0, nz - 1)
-    z1c = np.clip(z0 + 1, 0, nz - 1)
-    y0c = np.clip(y0, 0, ny - 1)
-    y1c = np.clip(y0 + 1, 0, ny - 1)
-    x0c = np.clip(x0, 0, nx - 1)
-    x1c = np.clip(x0 + 1, 0, nx - 1)
-
-    if data.ndim == 4:
-        fz, fy, fx = fz[..., None], fy[..., None], fx[..., None]
-    d = data.astype(np.float64, copy=False)
-    c000 = d[z0c, y0c, x0c]
-    c001 = d[z0c, y0c, x1c]
-    c010 = d[z0c, y1c, x0c]
-    c011 = d[z0c, y1c, x1c]
-    c100 = d[z1c, y0c, x0c]
-    c101 = d[z1c, y0c, x1c]
-    c110 = d[z1c, y1c, x0c]
-    c111 = d[z1c, y1c, x1c]
-
-    c00 = c000 * (1.0 - fx) + c001 * fx
-    c01 = c010 * (1.0 - fx) + c011 * fx
-    c10 = c100 * (1.0 - fx) + c101 * fx
-    c11 = c110 * (1.0 - fx) + c111 * fx
-    c0 = c00 * (1.0 - fy) + c01 * fy
-    c1 = c10 * (1.0 - fy) + c11 * fy
-    return c0 * (1.0 - fz) + c1 * fz
+    channels = np.moveaxis(data.reshape(data.shape[:3] + (-1,)), -1, 0)
+    # contiguous channel copies sample faster than strided channel views
+    out = [
+        ndimage.map_coordinates(ch, coords, output=np.float64, order=1, mode="nearest")
+        for ch in np.ascontiguousarray(channels)
+    ]
+    return np.stack(out, axis=-1).reshape(coords.shape[1:] + data.shape[3:])
 
 
-def sample_trilinear(vol: ScalarVolume, p: Sequence[float]) -> float:
-    """Sample at a continuous point ``p = (x, y, z)`` in voxel coordinates.
+def _warp_coords(dims_xyz, field_data) -> np.ndarray:
+    """Float64 ``(3, z, y, x)`` sample coordinates x + u(x) of a backward warp."""
+    coords = np.indices(dims_xyz[::-1], dtype=np.float64)
+    coords += np.moveaxis(field_data[..., ::-1], -1, 0)
+    return coords
 
-    Out-of-bounds points clamp to the nearest edge voxel, so this is a
-    total function.
+
+def warp_scalar(
+    moving: ScalarVolume | FeatureVolume, field: DisplacementField
+) -> ScalarVolume | FeatureVolume:
+    """Backward warp ``output(x) = moving(x + u(x))``, trilinear per channel.
+
+    Takes and returns a scalar or a feature volume; ``warp_features`` is
+    the same function.
     """
-    x, y, z = (float(v) for v in p)
-    return float(_trilinear_zyx(vol.data, np.asarray(z), np.asarray(y), np.asarray(x)))
-
-
-def _warp_coords(dims_xyz, field_data):
-    """Float64 (z, y, x) sample coordinates x + u(x) of a backward warp."""
-    zz, yy, xx = np.indices(dims_xyz[::-1], dtype=np.float64, sparse=True)
-    u = field_data.astype(np.float64, copy=False)
-    return zz + u[..., 2], yy + u[..., 1], xx + u[..., 0]
-
-
-def warp_scalar(moving: ScalarVolume, field: DisplacementField) -> ScalarVolume:
-    """Backward warp: ``output(x) = moving(x + u(x))`` with trilinear sampling."""
     if field.dims != moving.dims:
         raise ValueError(f"field dims {field.dims} != volume dims {moving.dims}")
-    zc, yc, xc = _warp_coords(field.dims, field.data)
-    out = _trilinear_zyx(moving.data, zc, yc, xc)
-    header = VolumeHeader(field.dims, moving.header.spacing, 1, "float32")
-    return ScalarVolume(header, out.astype(np.float32))
+    out = _trilinear_zyx(moving.data, _warp_coords(field.dims, field.data))
+    header = VolumeHeader(field.dims, moving.header.spacing, moving.header.channels, "float32")
+    return type(moving)(header, out.astype(np.float32))
 
 
-def warp_features(moving: FeatureVolume, field: DisplacementField) -> FeatureVolume:
-    """Backward warp applied per channel."""
-    if field.dims != moving.dims:
-        raise ValueError(f"field dims {field.dims} != volume dims {moving.dims}")
-    zc, yc, xc = _warp_coords(field.dims, field.data)
-    out = _trilinear_zyx(moving.data, zc, yc, xc)
-    header = VolumeHeader(field.dims, moving.header.spacing, moving.channels, "float32")
-    return FeatureVolume(header, out.astype(np.float32))
+warp_features = warp_scalar
 
 
 def warp_labels(labels: LabelVolume, field: DisplacementField) -> LabelVolume:
@@ -416,41 +382,28 @@ def warp_labels(labels: LabelVolume, field: DisplacementField) -> LabelVolume:
 # Multi-resolution helpers
 # ---------------------------------------------------------------------------
 
-def _downsample_array(data: np.ndarray, factor: int) -> np.ndarray:
-    # a channel axis gets sigma 0, which scipy skips: channels stay separate
-    sigma = (0.5 * factor,) * 3 + (0.0,) * (data.ndim - 3)
-    smoothed = ndimage.gaussian_filter(data.astype(np.float64), sigma=sigma, mode="nearest")
-    return smoothed[::factor, ::factor, ::factor]
-
-
-def _downsampled_header(header: VolumeHeader, factor: int, channels: int) -> VolumeHeader:
-    dims = tuple(-(-d // factor) for d in header.dims)  # ceil division
-    spacing = tuple(s * factor for s in header.spacing)
-    return VolumeHeader(dims, spacing, channels, "float32")
-
-
-def downsample(vol: ScalarVolume, factor: int) -> ScalarVolume:
+def downsample(vol: ScalarVolume | FeatureVolume, factor: int) -> ScalarVolume | FeatureVolume:
     """Gaussian prefilter (sigma = 0.5 * factor) then take every factor-th voxel.
 
-    Output dims are ceil(dims / factor); factor 1 is the identity.
+    Takes and returns a scalar or a feature volume, each channel filtered
+    on its own; ``downsample_features`` is the same function. Output dims
+    are ceil(dims / factor); factor 1 is the identity.
     """
     if factor < 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
     if factor == 1:
         return vol
-    out = _downsample_array(vol.data, factor)
-    return ScalarVolume(_downsampled_header(vol.header, factor, 1), out.astype(np.float32))
+    # a channel axis gets sigma 0, which scipy skips: channels stay separate
+    sigma = (0.5 * factor,) * 3 + (0.0,) * (vol.data.ndim - 3)
+    smoothed = ndimage.gaussian_filter(vol.data.astype(np.float64), sigma=sigma, mode="nearest")
+    out = smoothed[::factor, ::factor, ::factor]
+    dims = tuple(-(-d // factor) for d in vol.header.dims)  # ceil division
+    spacing = tuple(s * factor for s in vol.header.spacing)
+    header = VolumeHeader(dims, spacing, vol.header.channels, "float32")
+    return type(vol)(header, out.astype(np.float32))
 
 
-def downsample_features(fv: FeatureVolume, factor: int) -> FeatureVolume:
-    """Per-channel counterpart of :func:`downsample`."""
-    if factor < 1:
-        raise ValueError(f"factor must be >= 1, got {factor}")
-    if factor == 1:
-        return fv
-    out = _downsample_array(fv.data, factor)
-    header = _downsampled_header(fv.header, factor, fv.channels)
-    return FeatureVolume(header, out.astype(np.float32))
+downsample_features = downsample
 
 
 def upsample_field(field: DisplacementField, factor: int, target_dims: Sequence[int]) -> DisplacementField:
@@ -465,8 +418,8 @@ def upsample_field(field: DisplacementField, factor: int, target_dims: Sequence[
     target_dims = tuple(int(d) for d in target_dims)
     if factor == 1 and target_dims == field.dims:
         return field
-    zz, yy, xx = (g / factor for g in np.indices(target_dims[::-1], dtype=np.float64, sparse=True))
-    out = _trilinear_zyx(field.data, zz, yy, xx) * factor
+    coords = np.indices(target_dims[::-1], dtype=np.float64) / factor
+    out = _trilinear_zyx(field.data, coords) * factor
     spacing = tuple(s / factor for s in field.header.spacing)
     header = VolumeHeader(target_dims, spacing, 3, "float32")
     return DisplacementField(header, out.astype(np.float32))

@@ -167,6 +167,13 @@ def test_register_with_config_file(tmp_path):
         ({"levels": [{"factor": 1, "q": 3.0, "l_max": 2.0}]}, "multiple"),
         ([], "config must be a JSON object"),
         ({"levels": [[1, 1.0]]}, "level must be a JSON object"),
+        ({"levels": [{"factor": 1, "q": "1"}]}, "level q must be a finite real number"),
+        ({"levels": [{"factor": 1, "patch_radius": 1.5}]}, "level patch_radius must be an integer"),
+        ({"levels": [{"factor": 1.5}]}, "level factor must be an integer"),
+        ({"levels": [{"factor": 1, "l_max": None}]}, "level l_max must be a finite real number"),
+        ({"levels": [{"factor": 1, "alpha": [2]}]}, "level alpha must be a finite real number"),
+        ({"levels": [{"factor": 1, "smooth_sigma": "0"}]}, "smooth_sigma must be a finite real number"),
+        ({"levels": [{"factor": 1, "alpha": float("inf")}]}, "alpha must be a finite real number"),
     ],
 )
 def test_register_bad_config_is_one_line_error(tmp_path, cfg, needle):
@@ -395,6 +402,21 @@ def test_batch_manifest_parse_failure_errors(tmp_path):
     bad.write_text("{broken")
     res = run_cli("batch", bad)
     assert res.returncode == 1
+
+
+@pytest.mark.parametrize(
+    "manifest, needle",
+    [
+        ([], "must be a JSON object, got list"),
+        ({"pairs": ["x"]}, "manifest pair 0 must be a JSON object"),
+        ({"pairs": {}}, "manifest pairs must be a JSON list"),
+        ({"volumes": [{"image": "a", "labels": "b"}]}, "missing fields ['id']"),
+    ],
+)
+def test_batch_manifest_bad_shape_is_one_line_error(tmp_path, manifest, needle):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    assert_one_line_error(run_cli("batch", path), needle)
 
 
 def test_batch_rejects_duplicate_pair_ids(tmp_path):

@@ -85,6 +85,16 @@ def test_level_params_rejects_bad_candidate_grid():
         LevelParams(l_max=-1.0)
 
 
+def test_level_params_accepts_integer_reals():
+    # a JSON integer such as "q": 1 is a real number; numpy scalars count too
+    cfg = RegistrationConfig.from_dict({"levels": [{"factor": 1, "q": 1, "l_max": 2, "alpha": 0}]})
+    level = cfg.levels[0]
+    assert (level.q, level.l_max, level.alpha) == (1, 2, 0)
+    LevelParams(factor=np.int64(2), patch_radius=np.int32(1), q=np.float32(1.0))
+    with pytest.raises(ValueError, match="factor must be an integer"):
+        LevelParams(factor=True)
+
+
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError, match="featur"):
         RegistrationConfig.from_dict({"featur": "edge"})

@@ -20,9 +20,9 @@ from voxelreg.volume import (
     downsample_features,
     load_field,
     load_volume,
-    sample_trilinear,
     save_volume,
     upsample_field,
+    warp_features,
     warp_labels,
     warp_scalar,
     zero_field,
@@ -195,29 +195,8 @@ def test_file_element_order_is_x_fastest_channels_inner(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Trilinear sampling
+# Trilinear sampling and warping
 # ---------------------------------------------------------------------------
-
-def test_sample_at_grid_points_is_exact():
-    rng = np.random.default_rng(3)
-    vol = make_scalar(rng.standard_normal((4, 4, 4)).astype(np.float32))
-    for x, y, z in [(0, 0, 0), (1, 1, 1), (3, 2, 1)]:
-        assert sample_trilinear(vol, (x, y, z)) == float(vol.data[z, y, x])
-
-
-def test_sample_midpoint_is_average():
-    data = np.zeros((1, 1, 2), dtype=np.float32)
-    data[0, 0, 1] = 2.0
-    vol = make_scalar(data)
-    assert sample_trilinear(vol, (0.5, 0.0, 0.0)) == pytest.approx(1.0)
-
-
-def test_sample_clamps_out_of_bounds():
-    rng = np.random.default_rng(4)
-    vol = make_scalar(rng.standard_normal((4, 4, 4)).astype(np.float32))
-    assert sample_trilinear(vol, (-5.0, 0.0, 0.0)) == float(vol.data[0, 0, 0])
-    assert sample_trilinear(vol, (9.0, 9.0, 9.0)) == float(vol.data[3, 3, 3])
-
 
 def trilinear_oracle(data, x, y, z):
     """Scalar trilinear interpolation with clamped corner lookups."""
@@ -237,19 +216,6 @@ def trilinear_oracle(data, x, y, z):
     return val
 
 
-def test_sample_matches_pointwise_oracle():
-    rng = np.random.default_rng(5)
-    vol = make_scalar(rng.standard_normal((5, 6, 7)).astype(np.float32))
-    pts = rng.uniform(-2, 8, size=(50, 3))
-    for x, y, z in pts:
-        got = sample_trilinear(vol, (x, y, z))
-        assert got == pytest.approx(trilinear_oracle(vol.data, x, y, z), abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# Warping
-# ---------------------------------------------------------------------------
-
 def test_warp_scalar_zero_field_is_identity():
     rng = np.random.default_rng(6)
     vol = make_scalar(rng.standard_normal((4, 5, 6)).astype(np.float32))
@@ -258,32 +224,60 @@ def test_warp_scalar_zero_field_is_identity():
 
 
 def test_warp_scalar_constant_shift_of_ramp():
+    # value x + 10y + 100z is linear, so trilinear sampling at p is exact:
+    # a half-voxel shift gives midpoint averages, and -5 / +9 clamp every
+    # axis to the first / last voxel
     nx, ny, nz = 5, 4, 3
-    ramp = np.broadcast_to(np.arange(nx, dtype=np.float32), (nz, ny, nx)).copy()
-    vol = make_scalar(ramp)
-    field = make_field(np.broadcast_to(np.array([1.0, 0, 0], np.float32), (nz, ny, nx, 3)).copy())
-    out = warp_scalar(vol, field)
-    expected = np.minimum(np.arange(nx) + 1, nx - 1).astype(np.float32)
-    assert np.array_equal(out.data, np.broadcast_to(expected, (nz, ny, nx)))
+    zz, yy, xx = np.indices((nz, ny, nx), dtype=np.float32)
+    vol = make_scalar(xx + 10 * yy + 100 * zz)
+    for s in (1.0, 0.5, -5.0, 9.0):
+        field = make_field(np.full((nz, ny, nx, 3), s, np.float32))
+        out = warp_scalar(vol, field)
+        expected = (
+            np.clip(xx + s, 0, nx - 1) + 10 * np.clip(yy + s, 0, ny - 1) + 100 * np.clip(zz + s, 0, nz - 1)
+        )
+        assert np.array_equal(out.data, expected), s
 
 
 def test_warp_scalar_matches_loop_oracle():
     rng = np.random.default_rng(7)
     vol = make_scalar(smooth_noise(rng, (6, 7, 8)))
-    field = make_field(smooth_noise(rng, (6, 7, 8, 3)) * 2.0)
-    out = warp_scalar(vol, field)
-    for z in range(6):
-        for y in range(7):
-            for x in range(8):
-                ux, uy, uz = field.data[z, y, x]
-                want = trilinear_oracle(vol.data, x + ux, y + uy, z + uz)
-                assert out.data[z, y, x] == pytest.approx(want, abs=1e-5)
+    smooth = smooth_noise(rng, (6, 7, 8, 3)) * 2.0
+    # the second field reaches up to 5 voxels past every face
+    wild = rng.uniform(-5, 5, size=(6, 7, 8, 3)).astype(np.float32)
+    for field in (make_field(smooth), make_field(wild)):
+        out = warp_scalar(vol, field)
+        for z in range(6):
+            for y in range(7):
+                for x in range(8):
+                    ux, uy, uz = (float(v) for v in field.data[z, y, x])
+                    want = trilinear_oracle(vol.data, x + ux, y + uy, z + uz)
+                    assert out.data[z, y, x] == pytest.approx(want, abs=1e-5)
 
 
 def test_warp_scalar_rejects_dim_mismatch():
     vol = make_scalar(np.zeros((3, 3, 3)))
     with pytest.raises(ValueError):
         warp_scalar(vol, zero_field((4, 4, 4)))
+
+
+@pytest.mark.parametrize("channels", [1, 3, 12])
+def test_warp_features_equals_per_channel_warp_scalar(channels):
+    rng = np.random.default_rng(14)
+    data = rng.standard_normal((5, 6, 7, channels)).astype(np.float32)
+    fv = FeatureVolume(VolumeHeader((7, 6, 5), (1.0, 2.0, 0.5), channels=channels), data)
+    field = make_field(rng.uniform(-8, 8, size=(5, 6, 7, 3)))
+    out = warp_features(fv, field)
+    assert isinstance(out, FeatureVolume) and out.header == fv.header
+    for c in range(channels):
+        want = warp_scalar(make_scalar(data[..., c], spacing=(1.0, 2.0, 0.5)), field)
+        assert np.array_equal(out.data[..., c], want.data), c
+
+
+def test_warp_features_rejects_dim_mismatch():
+    fv = FeatureVolume(VolumeHeader((3, 3, 3), channels=2), np.zeros((3, 3, 3, 2)))
+    with pytest.raises(ValueError):
+        warp_features(fv, zero_field((3, 3, 4)))
 
 
 def test_warp_labels_zero_field_is_identity():
