@@ -201,7 +201,11 @@ def enumerate_pairs(volumes: list[dict], mode: str = "ordered") -> list[dict]:
 
 
 def _checked_entries(entries, what: str, required: tuple[str, ...]) -> list[dict]:
-    """The manifest's list of ``what`` objects, each holding every ``required`` key."""
+    """The manifest's list of ``what`` objects, each holding every ``required`` key.
+
+    Each required value is a string, except a volume ``id``, which may
+    also be an integer.
+    """
     if not isinstance(entries, list):
         raise ValueError(f"manifest {what}s must be a JSON list, got {type(entries).__name__}")
     for i, entry in enumerate(entries):
@@ -210,6 +214,11 @@ def _checked_entries(entries, what: str, required: tuple[str, ...]) -> list[dict
         missing = sorted(set(required) - set(entry))
         if missing:
             raise ValueError(f"manifest {what} {entry.get(required[0], i)} missing fields {missing}")
+        for key in required:
+            value = entry[key]
+            if not isinstance(value, (str, int) if key == "id" else str) or isinstance(value, bool):
+                expected = "a string or an integer" if key == "id" else "a string"
+                raise ValueError(f"manifest {what} {i} field {key!r} must be {expected}, got {value!r}")
     return entries
 
 

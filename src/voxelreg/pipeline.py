@@ -25,6 +25,7 @@ import math
 import numbers
 import os
 from dataclasses import asdict, dataclass, field as dataclass_field, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -110,8 +111,9 @@ class RegistrationConfig:
     divisible by the next, final factor 1. ``standardize`` remaps the
     moving image's intensity scale onto the fixed image (or, when
     ``standardize_reference`` names a volume, remaps both onto that
-    reference). External features are supplied as raw+JSON paths, one per
-    image.
+    reference; a reference requires ``standardize``). External features
+    are supplied as raw+JSON paths, one per image. Paths are strings or
+    None, the two flags bools, and the budget an integer or None.
     """
 
     feature: str = "ssc"
@@ -124,7 +126,22 @@ class RegistrationConfig:
     memory_budget_mb: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.levels, Sequence) or not all(
+            isinstance(lv, LevelParams) for lv in self.levels
+        ):
+            raise ValueError(f"config levels must be a list of levels, got {self.levels!r}")
         object.__setattr__(self, "levels", tuple(self.levels))
+        for name in ("external_fixed", "external_moving", "standardize_reference"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ValueError(f"config {name} must be a string, got {getattr(self, name)!r}")
+        for name in ("zscore_external", "standardize"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"config {name} must be true or false, got {getattr(self, name)!r}")
+        mb = self.memory_budget_mb
+        if mb is not None and (isinstance(mb, bool) or not isinstance(mb, numbers.Integral)):
+            raise ValueError(f"config memory_budget_mb must be an integer, got {mb!r}")
+        if self.standardize_reference and not self.standardize:
+            raise ValueError("config standardize_reference requires standardize")
         if self.feature not in FEATURE_KINDS:
             raise ValueError(f"unknown feature {self.feature!r}, expected one of {FEATURE_KINDS}")
         if not self.levels:
@@ -162,14 +179,11 @@ class RegistrationConfig:
         """Inverse of ``to_dict``; absent keys take their defaults, unknown ones are errors."""
         _check_keys(d, cls, "config")
         levels = d.get("levels") or ()
-        for lv in levels:
-            _check_keys(lv, LevelParams, "level")
-        return cls(**{
-            **d,
-            "levels": tuple(LevelParams(**lv) for lv in levels) or tuple(default_levels()),
-            "zscore_external": bool(d.get("zscore_external", False)),
-            "standardize": bool(d.get("standardize", False)),
-        })
+        if isinstance(levels, list):  # anything else is rejected by __post_init__
+            for lv in levels:
+                _check_keys(lv, LevelParams, "level")
+            levels = tuple(LevelParams(**lv) for lv in levels)
+        return cls(**{**d, "levels": levels or tuple(default_levels())})
 
     @classmethod
     def from_json(cls, path) -> "RegistrationConfig":
@@ -265,8 +279,7 @@ def register(
     """
     if fixed.dims != moving.dims:
         raise ValueError(f"fixed dims {fixed.dims} != moving dims {moving.dims}")
-    for level in cfg.levels:
-        _check_level_dims(fixed.dims, level)
+    level_dims = [_check_level_dims(fixed.dims, level) for level in cfg.levels]
     budget = cfg.budget_bytes()
 
     ext_fixed = ext_moving = None
@@ -278,7 +291,7 @@ def register(
                 raise ValueError(f"external {name} feature dims {fv.dims} != image dims {fixed.dims}")
 
     reference = None
-    if cfg.standardize and cfg.standardize_reference:
+    if cfg.standardize_reference:
         from voxelreg.volume import load_volume
 
         reference = load_volume(cfg.standardize_reference, kind="scalar")
@@ -313,10 +326,8 @@ def register(
         field = compose_fields(field, increment)
 
         if i + 1 < len(cfg.levels):
-            next_factor = cfg.levels[i + 1].factor
-            ratio = level.factor // next_factor
-            next_dims = tuple(-(-d // next_factor) for d in fixed.dims)
-            field = upsample_field(field, ratio, next_dims)
+            ratio = level.factor // cfg.levels[i + 1].factor
+            field = upsample_field(field, ratio, level_dims[i + 1])
 
     warped = warp_scalar(moving, field)
     return field, warped

@@ -7,9 +7,10 @@ per voxel, plus a JSON sidecar ``<name>.json`` holding
 
 In memory, payloads are numpy arrays of shape ``(z, y, x)`` (scalar/label)
 or ``(z, y, x, C)`` (feature volumes, displacement fields), which is the
-same element order as the file. Scalar and feature data are kept as
-float32, labels as int32. Arrays are marked read-only after construction;
-every operation here is a pure function.
+same element order as the file; labels are int32, all else float32. The
+four container classes share one base, ``Volume``, that checks and
+freezes the payload; ``load_volume`` picks the class from the kind
+table ``KINDS``. Every operation here is a pure function.
 
 Warping is backward/pull: ``output(x) = moving(x + u(x))``. Every
 trilinear lookup (warps, field upsampling, the energy's data term) goes
@@ -22,9 +23,9 @@ coordinates with a clamped nearest-voxel lookup.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -85,12 +86,7 @@ class VolumeHeader:
         return (self.dims[2], self.dims[1], self.dims[0])
 
     def to_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "spacing": list(self.spacing),
-            "channels": self.channels,
-            "dtype": self.dtype,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "VolumeHeader":
@@ -105,56 +101,55 @@ class VolumeHeader:
             raise SidecarError(f"invalid sidecar header: {exc}") from exc
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
-    arr.setflags(write=False)
-    return arr
-
-
-def _check_finite(data: np.ndarray, what: str):
-    if not np.isfinite(data).all():
-        raise NonFiniteDataError(f"{what} contains non-finite values")
-
-
 @dataclass(frozen=True)
-class ScalarVolume:
-    """Single-channel 3-D volume of real values, shape (z, y, x), float32."""
+class Volume:
+    """Base of the four volume kinds; construct those, not this class.
+
+    The one copy of their validation. Subclasses set ``n_channels`` (1
+    means no channel axis) and override ``_cast``/``_check_payload``.
+    """
 
     header: VolumeHeader
     data: np.ndarray
 
-    def __post_init__(self):
-        if self.header.channels != 1:
-            raise ValueError("ScalarVolume requires channels == 1")
-        data = np.asarray(self.data, dtype=np.float32)
-        if data.shape != self.header.shape_zyx:
-            raise ValueError(f"data shape {data.shape} != header shape {self.header.shape_zyx}")
-        _check_finite(data, "scalar volume")
-        object.__setattr__(self, "data", _freeze(data))
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.header.dims
-
-
-@dataclass(frozen=True)
-class FeatureVolume:
-    """Per-voxel feature vectors, shape (z, y, x, C), float32."""
-
-    header: VolumeHeader
-    data: np.ndarray
+    n_channels: ClassVar[int | None] = None  # required channel count; None allows any
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float32)
-        expected = self.header.shape_zyx + (self.header.channels,)
+        if self.n_channels is not None and self.header.channels != self.n_channels:
+            raise ValueError(f"{type(self).__name__} requires channels == {self.n_channels}")
+        data = self._cast(self.data)
+        expected = self.header.shape_zyx
+        if self.n_channels != 1:
+            expected += (self.header.channels,)
         if data.shape != expected:
             raise ValueError(f"data shape {data.shape} != header shape {expected}")
-        _check_finite(data, "feature volume")
-        object.__setattr__(self, "data", _freeze(data))
+        self._check_payload(data)
+        data = np.ascontiguousarray(data)
+        data.setflags(write=False)
+        object.__setattr__(self, "data", data)
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.header.dims
+
+    def _cast(self, data) -> np.ndarray:
+        return np.asarray(data, dtype=np.float32)
+
+    def _check_payload(self, data: np.ndarray):
+        if not np.isfinite(data).all():
+            raise NonFiniteDataError(f"{type(self).__name__} contains non-finite values")
+
+
+@dataclass(frozen=True)
+class ScalarVolume(Volume):
+    """Single-channel 3-D volume of real values, shape (z, y, x), float32."""
+
+    n_channels = 1
+
+
+@dataclass(frozen=True)
+class FeatureVolume(Volume):
+    """Per-voxel feature vectors, shape (z, y, x, C), float32."""
 
     @property
     def channels(self) -> int:
@@ -162,30 +157,22 @@ class FeatureVolume:
 
 
 @dataclass(frozen=True)
-class LabelVolume:
+class LabelVolume(Volume):
     """Integer-labeled segmentation, shape (z, y, x), int32; 0 = background."""
 
-    header: VolumeHeader
-    data: np.ndarray
+    n_channels = 1
 
-    def __post_init__(self):
-        if self.header.channels != 1:
-            raise ValueError("LabelVolume requires channels == 1")
+    def _cast(self, data) -> np.ndarray:
         if self.header.dtype not in _INTEGER_DTYPES:
             raise ValueError(f"LabelVolume requires an integer dtype, got {self.header.dtype}")
-        data = np.asarray(self.data)
+        data = np.asarray(data)
         if not np.issubdtype(data.dtype, np.integer):
             raise ValueError("label data must be integer")
-        data = data.astype(np.int32)
-        if data.shape != self.header.shape_zyx:
-            raise ValueError(f"data shape {data.shape} != header shape {self.header.shape_zyx}")
+        return data.astype(np.int32)
+
+    def _check_payload(self, data: np.ndarray):
         if data.min() < 0:
             raise ValueError("labels must be non-negative")
-        object.__setattr__(self, "data", _freeze(data))
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.header.dims
 
     def labels(self) -> list[int]:
         """Sorted list of labels present, background excluded."""
@@ -194,28 +181,10 @@ class LabelVolume:
 
 
 @dataclass(frozen=True)
-class DisplacementField:
+class DisplacementField(Volume):
     """Per-voxel displacement (dx, dy, dz) in voxel units, shape (z, y, x, 3)."""
 
-    header: VolumeHeader
-    data: np.ndarray
-
-    def __post_init__(self):
-        if self.header.channels != 3:
-            raise ValueError("DisplacementField requires channels == 3")
-        data = np.asarray(self.data, dtype=np.float32)
-        expected = self.header.shape_zyx + (3,)
-        if data.shape != expected:
-            raise ValueError(f"data shape {data.shape} != header shape {expected}")
-        _check_finite(data, "displacement field")
-        object.__setattr__(self, "data", _freeze(data))
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.header.dims
-
-
-Volume = ScalarVolume | FeatureVolume | LabelVolume | DisplacementField
+    n_channels = 3
 
 
 def zero_field(dims: Sequence[int], spacing: Sequence[float] = (1.0, 1.0, 1.0)) -> DisplacementField:
@@ -234,16 +203,24 @@ def _stem(path) -> Path:
     return path
 
 
+KINDS = {
+    "scalar": ScalarVolume,
+    "feature": FeatureVolume,
+    "label": LabelVolume,
+    "field": DisplacementField,
+}
+
+
 def load_volume(path, kind: str = "auto") -> Volume:
     """Load a volume from its ``.raw`` payload + ``.json`` sidecar.
 
-    ``path`` may name the payload, the sidecar, or the common stem. With
-    ``kind="auto"`` the volume class is inferred from the header: integer
-    dtypes load as LabelVolume, float with channels == 1 as ScalarVolume,
-    and float with any other channel count, 3 included, as FeatureVolume
-    (load displacement fields with :func:`load_field`). ``kind`` in
-    {"scalar", "feature", "label"} forces the class, converting integer
-    payloads to float32 if needed.
+    ``path`` may name the payload, the sidecar, or the common stem.
+    ``kind`` picks the class from the kind table ``KINDS``; every kind but
+    "label" gets a float32 header and payload. ``kind="auto"`` infers it
+    from the header: integer dtypes load as LabelVolume, float with
+    channels == 1 as ScalarVolume, and float with any other channel count,
+    3 included, as FeatureVolume. A payload the class rejects raises a
+    VolumeError that names the payload file.
     """
     stem = _stem(path)
     sidecar = stem.with_suffix(".json")
@@ -252,7 +229,7 @@ def load_volume(path, kind: str = "auto") -> Volume:
         raise SidecarError(f"missing sidecar {sidecar}")
     try:
         header = VolumeHeader.from_dict(json.loads(sidecar.read_text()))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, SidecarError) as exc:
         raise SidecarError(f"garbled sidecar {sidecar}: {exc}") from exc
     if not payload.exists():
         raise VolumeError(f"missing payload {payload}")
@@ -263,40 +240,28 @@ def load_volume(path, kind: str = "auto") -> Volume:
         raise PayloadSizeError(
             f"{payload}: payload has {raw.size} values, header implies {expected}"
         )
-    if header.channels == 1:
-        raw = raw.reshape(header.shape_zyx)
-    else:
-        raw = raw.reshape(header.shape_zyx + (header.channels,))
 
-    is_integer = header.dtype in _INTEGER_DTYPES
     if kind == "auto":
+        is_integer = header.dtype in _INTEGER_DTYPES
         kind = "label" if is_integer else ("scalar" if header.channels == 1 else "feature")
-
-    if kind == "label":
-        if not is_integer:
-            raise VolumeError(f"{payload}: label volumes require an integer dtype")
-        return LabelVolume(header, raw)
-    if kind == "scalar":
-        if header.channels != 1:
-            raise VolumeError(f"{payload}: scalar volume requires channels == 1")
-        hdr = VolumeHeader(header.dims, header.spacing, 1, "float32")
-        return ScalarVolume(hdr, raw.astype(np.float32))
-    if kind == "feature":
-        hdr = VolumeHeader(header.dims, header.spacing, header.channels, "float32")
-        data = raw.astype(np.float32)
-        if header.channels == 1:
-            data = data[..., np.newaxis]
-        return FeatureVolume(hdr, data)
-    raise ValueError(f"unknown kind {kind!r}")
+    if kind not in KINDS:
+        raise ValueError(f"{payload}: unknown kind {kind!r}, expected one of {sorted(KINDS)}")
+    cls = KINDS[kind]
+    if cls is not LabelVolume:
+        header = VolumeHeader(header.dims, header.spacing, header.channels, "float32")
+    # a wrong channel count keeps its axis, so the class reports the count
+    channel_axis = () if cls.n_channels == header.channels == 1 else (header.channels,)
+    try:
+        return cls(header, raw.reshape(header.shape_zyx + channel_axis))
+    except NonFiniteDataError as exc:
+        raise NonFiniteDataError(f"{payload}: {exc}") from exc
+    except ValueError as exc:
+        raise VolumeError(f"{payload}: {exc}") from exc
 
 
 def load_field(path) -> DisplacementField:
-    """Load a displacement field stored as a 3-channel float32 volume."""
-    fv = load_volume(path, kind="feature")
-    if fv.channels != 3:
-        raise VolumeError(f"displacement field requires 3 channels, got {fv.channels}")
-    header = VolumeHeader(fv.header.dims, fv.header.spacing, 3, "float32")
-    return DisplacementField(header, fv.data)
+    """Load a displacement field: a 3-channel volume, read as float32."""
+    return load_volume(path, kind="field")
 
 
 def save_volume(vol: Volume, path) -> None:

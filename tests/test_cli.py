@@ -174,6 +174,14 @@ def test_register_with_config_file(tmp_path):
         ({"levels": [{"factor": 1, "alpha": [2]}]}, "level alpha must be a finite real number"),
         ({"levels": [{"factor": 1, "smooth_sigma": "0"}]}, "smooth_sigma must be a finite real number"),
         ({"levels": [{"factor": 1, "alpha": float("inf")}]}, "alpha must be a finite real number"),
+        ({"levels": 5}, "config levels must be a list of levels, got 5"),
+        ({"memory_budget_mb": "64"}, "config memory_budget_mb must be an integer, got '64'"),
+        ({"memory_budget_mb": True}, "config memory_budget_mb must be an integer, got True"),
+        ({"feature": "external", "external_fixed": 5, "external_moving": "m"},
+         "config external_fixed must be a string, got 5"),
+        ({"standardize": "false"}, "config standardize must be true or false, got 'false'"),
+        ({"zscore_external": "false"}, "config zscore_external must be true or false"),
+        ({"standardize_reference": "ref"}, "config standardize_reference requires standardize"),
     ],
 )
 def test_register_bad_config_is_one_line_error(tmp_path, cfg, needle):
@@ -411,6 +419,13 @@ def test_batch_manifest_parse_failure_errors(tmp_path):
         ({"pairs": ["x"]}, "manifest pair 0 must be a JSON object"),
         ({"pairs": {}}, "manifest pairs must be a JSON list"),
         ({"volumes": [{"image": "a", "labels": "b"}]}, "missing fields ['id']"),
+        ({"pairs": [{"pair_id": "p", "fixed": 5, "moving": "m", "fixed_labels": "fl",
+                     "moving_labels": "ml"}]}, "pair 0 field 'fixed' must be a string, got 5"),
+        ({"pairs": [{"pair_id": ["a"], "fixed": "f", "moving": "m", "fixed_labels": "fl",
+                     "moving_labels": "ml"}]}, "pair 0 field 'pair_id' must be a string"),
+        ({"volumes": [{"id": True, "image": "a", "labels": "b"}]},
+         "field 'id' must be a string or an integer, got True"),
+        ({"volumes": [{"id": 1, "image": "a", "labels": None}]}, "field 'labels' must be a string"),
     ],
 )
 def test_batch_manifest_bad_shape_is_one_line_error(tmp_path, manifest, needle):
@@ -513,3 +528,11 @@ def test_manifest_volumes_mode(tmp_path):
     pairs, cfg, out_dir = load_manifest(manifest)
     assert len(pairs) == 6
     assert out_dir is None
+
+
+def test_manifest_accepts_integer_volume_ids(tmp_path):
+    volumes = [{"id": i, "image": f"v{i}.raw", "labels": f"l{i}.raw"} for i in (1, 2)]
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"volumes": volumes}))
+    pairs, _, _ = load_manifest(manifest)
+    assert [p["pair_id"] for p in pairs] == ["2->1", "1->2"]

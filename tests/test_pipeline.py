@@ -354,6 +354,41 @@ def test_register_with_standardization():
     assert np.all(interior == np.array([1.0, 0.0, 0.0], dtype=np.float32))
 
 
+def test_register_with_standardization_reference(tmp_path, monkeypatch):
+    # both inputs get the reference's intensity map, so an image registered
+    # onto itself stays in place; the spy shows the saved reference was used
+    from voxelreg import features
+    from voxelreg.volume import ScalarVolume
+
+    vol = smooth_random_volume((16, 16, 16), seed=5)
+    ref = smooth_random_volume((16, 16, 16), seed=6)
+    ref = ScalarVolume(ref.header, ref.data * 2.0 + 5.0)
+    save_volume(ref, tmp_path / "ref")
+    references = []
+    real_standardize = features.intensity_standardize
+
+    def spy(v, reference):
+        references.append(reference)
+        return real_standardize(v, reference)
+
+    monkeypatch.setattr(features, "intensity_standardize", spy)
+    cfg = RegistrationConfig(
+        feature="intensity",
+        levels=(
+            LevelParams(factor=2, q=1.0, l_max=1.0, patch_radius=1, alpha=0.0),
+            LevelParams(factor=1, q=1.0, l_max=1.0, patch_radius=1, alpha=0.0),
+        ),
+        standardize=True,
+        standardize_reference=str(tmp_path / "ref"),
+    )
+    field, warped = register(vol, vol, cfg)
+    assert np.all(field.data == 0.0)
+    assert np.array_equal(warped.data, vol.data)
+    # fixed and moving are each mapped onto the reference, on both levels
+    assert [r.dims for r in references] == [(8, 8, 8)] * 2 + [(16, 16, 16)] * 2
+    assert all(np.array_equal(r.data, ref.data) for r in references[2:])
+
+
 def test_memory_budget_env_var(monkeypatch):
     cfg = single_level()
     monkeypatch.setenv("REG_MEMORY_BUDGET_MB", "7")

@@ -1,5 +1,6 @@
 """Volume container, I/O and warping tests against naive loop oracles."""
 
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from voxelreg.volume import (
+    DTYPES,
     DisplacementField,
     FeatureVolume,
     LabelVolume,
@@ -120,6 +122,9 @@ def test_missing_and_garbled_sidecar(tmp_path):
     np.zeros(1, dtype="<f4").tofile(stem.with_suffix(".raw"))
     with pytest.raises(SidecarError):
         load_volume(stem)
+    stem.with_suffix(".json").write_text(json.dumps({"dims": [0, 1, 1], "dtype": "float32"}))
+    with pytest.raises(SidecarError, match="bad.json"):
+        load_volume(stem)
 
 
 def test_nan_payload_is_reported(tmp_path):
@@ -128,8 +133,43 @@ def test_nan_payload_is_reported(tmp_path):
         json.dumps({"dims": [2, 1, 1], "spacing": [1, 1, 1], "channels": 1, "dtype": "float32"})
     )
     np.array([0.0, np.nan], dtype="<f4").tofile(stem.with_suffix(".raw"))
-    with pytest.raises(NonFiniteDataError):
+    with pytest.raises(NonFiniteDataError, match="nan.raw"):
         load_volume(stem)
+
+
+@pytest.mark.parametrize(
+    "values, channels, dtype, load",
+    [
+        ([0, 1, 2, 3, 4, 5], 3, "float32", lambda stem: load_volume(stem, kind="scalar")),
+        ([0, 1], 1, "float32", lambda stem: load_volume(stem, kind="label")),
+        ([0, 1], 1, "float32", load_field),
+        ([-1, 1], 1, "int32", load_volume),
+    ],
+    ids=["scalar_of_3_channels", "label_of_float32", "field_of_1_channel", "negative_label"],
+)
+def test_load_mismatch_is_volume_error_naming_payload(tmp_path, values, channels, dtype, load):
+    stem = tmp_path / "vol"
+    stem.with_suffix(".json").write_text(
+        json.dumps({"dims": [2, 1, 1], "channels": channels, "dtype": dtype})
+    )
+    np.asarray(values, dtype=DTYPES[dtype]).tofile(stem.with_suffix(".raw"))
+    with pytest.raises(VolumeError) as excinfo:
+        load(stem)
+    assert excinfo.type is VolumeError
+    assert str(stem.with_suffix(".raw")) in str(excinfo.value)
+
+
+def test_containers_are_frozen():
+    containers = [
+        make_scalar(np.zeros((1, 1, 2))),
+        FeatureVolume(VolumeHeader((2, 1, 1), channels=2), np.zeros((1, 1, 2, 2))),
+        make_labels(np.zeros((1, 1, 2))),
+        make_field(np.zeros((1, 1, 2, 3))),
+    ]
+    for vol in containers:
+        for name in ("header", "data", "extra"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(vol, name, None)
 
 
 def test_uint16_labels_roundtrip(tmp_path):
