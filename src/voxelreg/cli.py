@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import logging
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -39,68 +41,45 @@ logger = logging.getLogger("voxelreg")
 # register
 # ---------------------------------------------------------------------------
 
+# register flags whose argparse dest is the RegistrationConfig / LevelParams
+# field they override; a level flag applies to every level
+CONFIG_FLAGS = ("feature", "memory_budget_mb", "standardize", "standardize_reference",
+                "external_fixed", "external_moving", "zscore_external")
+LEVEL_FLAGS = ("q", "l_max", "alpha", "patch_radius")
+# the --levels fields: the first five of LevelParams, in spec order, with their types
+LEVEL_SPEC = tuple(typing.get_type_hints(LevelParams).items())[:5]
+
+
 def _parse_levels(spec: str) -> tuple[LevelParams, ...]:
     """Parse 'factor:q:lmax:radius:alpha[,...]' into a level schedule."""
     levels = []
     for part in spec.split(","):
-        fields = part.split(":")
-        if len(fields) != 5:
+        values = part.split(":")
+        if len(values) != len(LEVEL_SPEC):
             raise ValueError(f"bad level spec {part!r}, expected factor:q:lmax:radius:alpha")
-        factor, q, l_max, radius, alpha = fields
-        levels.append(
-            LevelParams(
-                factor=int(factor),
-                q=float(q),
-                l_max=float(l_max),
-                patch_radius=int(radius),
-                alpha=float(alpha),
-            )
-        )
+        levels.append(LevelParams(**{name: cast(v) for (name, cast), v in zip(LEVEL_SPEC, values)}))
     return tuple(levels)
 
 
-def _config_from_args(args) -> RegistrationConfig:
-    if args.config:
-        cfg = RegistrationConfig.from_json(args.config)
-    else:
-        cfg = RegistrationConfig()
+def _given(args, names) -> dict:
+    """The flags among ``names`` set on the command line; an empty value counts as unset."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) not in (None, "")}
 
-    overrides = {}
-    if args.feature:
-        overrides["feature"] = args.feature
+
+def _config_from_args(args) -> RegistrationConfig:
+    cfg = RegistrationConfig.from_json(args.config) if args.config else RegistrationConfig()
+    overrides = _given(args, CONFIG_FLAGS)
     if args.levels:
         overrides["levels"] = _parse_levels(args.levels)
-    if args.memory_budget is not None:
-        overrides["memory_budget_mb"] = args.memory_budget
-    if args.standardize:
+    if "standardize_reference" in overrides:
         overrides["standardize"] = True
-    if getattr(args, "standardize_reference", None):
-        overrides["standardize"] = True
-        overrides["standardize_reference"] = args.standardize_reference
-    if getattr(args, "external_fixed", None):
-        overrides["external_fixed"] = args.external_fixed
-    if getattr(args, "external_moving", None):
-        overrides["external_moving"] = args.external_moving
-    if getattr(args, "zscore_external", False):
-        overrides["zscore_external"] = True
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-
-    # per-level scalar overrides apply to every level
-    level_overrides = {}
-    if args.q is not None:
-        level_overrides["q"] = args.q
-    if args.lmax is not None:
-        level_overrides["l_max"] = args.lmax
-    if args.alpha is not None:
-        level_overrides["alpha"] = args.alpha
-        level_overrides["smooth_sigma"] = None
-    if args.patch_radius is not None:
-        level_overrides["patch_radius"] = args.patch_radius
-    if level_overrides:
-        levels = tuple(dataclasses.replace(lv, **level_overrides) for lv in cfg.levels)
-        cfg = dataclasses.replace(cfg, levels=levels)
-    return cfg
+    # the config is checked before the level flags, so its errors are reported first
+    cfg = dataclasses.replace(cfg, **overrides)
+    level_overrides = _given(args, LEVEL_FLAGS)
+    if "alpha" in level_overrides:
+        level_overrides["smooth_sigma"] = None  # re-derived from the new alpha
+    levels = tuple(dataclasses.replace(lv, **level_overrides) for lv in cfg.levels)
+    return dataclasses.replace(cfg, levels=levels)
 
 
 def cmd_register(args) -> int:
@@ -136,37 +115,28 @@ def cmd_features(args) -> int:
 # evaluate
 # ---------------------------------------------------------------------------
 
-def _report_paths(out_report: str) -> tuple[Path, Path]:
-    base = Path(out_report)
-    if base.suffix == ".json":
-        return base, base.with_suffix(".csv")
-    return base.with_suffix(".json"), base.with_suffix(".csv")
-
-
-def _parse_label_list(spec):
-    if not spec:
-        return None
-    return [int(v) for v in spec.split(",")]
+def _write_report(report: evaluation.JcReport, out) -> Path:
+    """Write ``report`` to ``out`` with a .json and with a .csv suffix; returns the JSON path."""
+    json_path = Path(out).with_suffix(".json")
+    evaluation.write_report_json(report, json_path)
+    evaluation.write_report_csv(report, json_path.with_suffix(".csv"))
+    return json_path
 
 
 def cmd_evaluate(args) -> int:
     fixed_labels = load_volume(args.fixed_labels, kind="label")
     if args.warped_labels:
         warped = load_volume(args.warped_labels, kind="label")
+    elif args.moving_labels and args.field:
+        warped = warp_labels(load_volume(args.moving_labels, kind="label"), load_field(args.field))
     else:
-        if not (args.moving_labels and args.field):
-            raise ValueError("need --warped-labels, or --moving-labels together with --field")
-        moving_labels = load_volume(args.moving_labels, kind="label")
-        field = load_field(args.field)
-        warped = warp_labels(moving_labels, field)
+        raise ValueError("need --warped-labels, or --moving-labels together with --field")
+    labels = [int(v) for v in args.labels.split(",")] if args.labels else None
     result = evaluation.pair_result(
-        args.fixed_labels, args.warped_labels or args.moving_labels,
-        fixed_labels, warped, _parse_label_list(args.labels),
+        args.fixed_labels, args.warped_labels or args.moving_labels, fixed_labels, warped, labels
     )
     report = evaluation.build_report([result])
-    json_path, csv_path = _report_paths(args.out_report)
-    evaluation.write_report_json(report, json_path)
-    evaluation.write_report_csv(report, csv_path)
+    json_path = _write_report(report, args.out_report)
     logger.info("mean JC %.2f, report written to %s", report.dataset_mean, json_path)
     return 0
 
@@ -243,7 +213,10 @@ def load_manifest(path) -> tuple[list[dict], RegistrationConfig, str | None]:
     ids = [p["pair_id"] for p in pairs]
     if len(set(ids)) != len(ids):
         raise ValueError("manifest pair ids are not unique")
-    return pairs, cfg, data.get("output_dir")
+    output_dir = data.get("output_dir")
+    if not isinstance(output_dir, (str, type(None))):
+        raise ValueError(f"manifest output_dir must be a string, got {output_dir!r}")
+    return pairs, cfg, output_dir
 
 
 def _run_batch_pair(pair: dict, cfg: RegistrationConfig):
@@ -280,13 +253,9 @@ def cmd_batch(args) -> int:
 
     if not results:
         raise ValueError("every pair failed; no report to write")
-    ordered_ids = sorted(results)
-    report = evaluation.build_report(
-        [results[pid] for pid in ordered_ids], skipped_pairs=sorted(failures)
-    )
-    json_path, csv_path = _report_paths(str(out_dir / "report.json"))
-    evaluation.write_report_json(report, json_path)
-    evaluation.write_report_csv(report, csv_path)
+    scored = [results[pid] for pid in sorted(results)]
+    report = evaluation.build_report(scored, skipped_pairs=sorted(failures))
+    _write_report(report, out_dir / "report.json")
     logger.info(
         "batch done: %d pairs scored, %d skipped, dataset mean JC %.2f",
         len(results), len(failures), report.dataset_mean,
@@ -307,47 +276,25 @@ def _parse_triple(spec: str, cast=float):
     return tuple(cast(p) for p in parts)
 
 
+# synth.make_pair parameters set by same-named flags, defaulting as make_pair
+# does, and recorded in the meta file
+SYNTH_PARAMS = ("amplitude", "period", "num_blobs", "min_radius", "max_radius", "noise_sigma")
+
+
 def cmd_synth(args) -> int:
     dims = _parse_triple(args.dims, int)
     if min(dims) < 1:
         raise ValueError(f"bad dims {dims}")
-    case = synth.make_pair(
-        args.kind,
-        dims,
-        seed=args.seed,
-        translation=_parse_triple(args.translation),
-        amplitude=args.amplitude,
-        period=args.period,
-        num_blobs=args.num_blobs,
-        min_radius=args.min_radius,
-        max_radius=args.max_radius,
-        noise_sigma=args.noise_sigma,
-    )
+    params = {"translation": _parse_triple(args.translation)}
+    params.update((name, getattr(args, name)) for name in SYNTH_PARAMS)
+    case = synth.make_pair(args.kind, dims, seed=args.seed, **params)
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    if args.kind == "blobs":
-        save_volume(case["labels"], f"{prefix}_labels")
-        written = ["labels"]
-    else:
-        save_volume(case["fixed"], f"{prefix}_fixed")
-        save_volume(case["moving"], f"{prefix}_moving")
-        save_volume(case["fixed_labels"], f"{prefix}_fixed_labels")
-        save_volume(case["moving_labels"], f"{prefix}_moving_labels")
-        save_volume(case["field"], f"{prefix}_field")
-        written = ["fixed", "moving", "fixed_labels", "moving_labels", "field"]
-    meta = {
-        "kind": args.kind,
-        "dims": list(dims),
-        "seed": args.seed,
-        "translation": list(_parse_triple(args.translation)),
-        "amplitude": args.amplitude,
-        "period": args.period,
-        "num_blobs": args.num_blobs,
-        "min_radius": args.min_radius,
-        "max_radius": args.max_radius,
-        "noise_sigma": args.noise_sigma,
-        "written": written,
-    }
+    pair_parts = ["fixed", "moving", "fixed_labels", "moving_labels", "field"]
+    written = ["labels"] if args.kind == "blobs" else pair_parts
+    for name in written:
+        save_volume(case[name], f"{prefix}_{name}")
+    meta = {"kind": args.kind, "dims": list(dims), "seed": args.seed, **params, "written": written}
     Path(f"{prefix}_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     logger.info("synth case '%s' written under %s_*", args.kind, prefix)
     return 0
@@ -373,15 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--feature", choices=FEATURE_KINDS)
     p_reg.add_argument("--levels", help="override schedule: factor:q:lmax:radius:alpha[,...]")
     p_reg.add_argument("--q", type=float)
-    p_reg.add_argument("--lmax", type=float)
+    p_reg.add_argument("--lmax", dest="l_max", type=float, metavar="LMAX")
     p_reg.add_argument("--alpha", type=float)
     p_reg.add_argument("--patch-radius", type=int)
-    p_reg.add_argument("--memory-budget", type=int, metavar="MB")
-    p_reg.add_argument("--standardize", action="store_true")
+    p_reg.add_argument("--memory-budget", dest="memory_budget_mb", type=int, metavar="MB")
+    p_reg.add_argument("--standardize", action="store_true", default=None)
     p_reg.add_argument("--standardize-reference")
     p_reg.add_argument("--external-fixed")
     p_reg.add_argument("--external-moving")
-    p_reg.add_argument("--zscore-external", action="store_true")
+    p_reg.add_argument("--zscore-external", action="store_true", default=None)
     p_reg.set_defaults(func=cmd_register)
 
     p_feat = sub.add_parser("features", help="compute or ingest a feature volume")
@@ -414,12 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--seed", type=int, required=True)
     p_synth.add_argument("--out-prefix", required=True)
     p_synth.add_argument("--translation", default="2,0,0")
-    p_synth.add_argument("--amplitude", type=float, default=3.0)
-    p_synth.add_argument("--period", type=float, default=32.0)
-    p_synth.add_argument("--num-blobs", type=int, default=24)
-    p_synth.add_argument("--min-radius", type=float, default=3.0)
-    p_synth.add_argument("--max-radius", type=float, default=6.0)
-    p_synth.add_argument("--noise-sigma", type=float, default=2.5)
+    synth_defaults = inspect.signature(synth.make_pair).parameters
+    for name in SYNTH_PARAMS:
+        default = synth_defaults[name].default
+        p_synth.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     p_synth.set_defaults(func=cmd_synth)
     return parser
 
@@ -429,7 +374,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s: %(message)s")
     try:
         return args.func(args)
-    except (VolumeError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (VolumeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,7 +22,7 @@ voxels.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -169,7 +169,6 @@ class SscParams:
 
     patch_radius: int = 1
     noise_floor: float = 1e-6
-    channel_count: int = field(default=12, init=False)
 
     def __post_init__(self):
         if self.patch_radius < 0:

@@ -38,6 +38,7 @@ from voxelreg.volume import (
     VolumeHeader,
     downsample,
     downsample_features,
+    load_volume,
     upsample_field,
     warp_features,
     warp_scalar,
@@ -292,8 +293,6 @@ def register(
 
     reference = None
     if cfg.standardize_reference:
-        from voxelreg.volume import load_volume
-
         reference = load_volume(cfg.standardize_reference, kind="scalar")
 
     field: DisplacementField | None = None

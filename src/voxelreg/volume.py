@@ -23,6 +23,7 @@ coordinates with a clamped nearest-voxel lookup.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import ClassVar, Sequence
@@ -66,7 +67,11 @@ class VolumeHeader:
     dtype: str = "float32"
 
     def __post_init__(self):
+        counts = (*self.dims, self.channels)
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in counts):
+            raise ValueError(f"dims and channels must be integers, got {self.dims!r}, {self.channels!r}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "channels", int(self.channels))
         object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
         if len(self.dims) != 3 or any(d < 1 for d in self.dims):
             raise ValueError(f"dims must be three positive integers, got {self.dims}")
@@ -94,7 +99,7 @@ class VolumeHeader:
             return cls(
                 dims=tuple(d["dims"]),
                 spacing=tuple(d.get("spacing", (1.0, 1.0, 1.0))),
-                channels=int(d.get("channels", 1)),
+                channels=d.get("channels", 1),
                 dtype=str(d["dtype"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -133,6 +138,8 @@ class Volume:
         return self.header.dims
 
     def _cast(self, data) -> np.ndarray:
+        if self.header.dtype != "float32":
+            raise ValueError(f"{type(self).__name__} requires dtype float32, got {self.header.dtype}")
         return np.asarray(data, dtype=np.float32)
 
     def _check_payload(self, data: np.ndarray):

@@ -1,5 +1,6 @@
 """End-to-end CLI tests via subprocess: exit codes, files, reports."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,8 +9,16 @@ import sys
 import numpy as np
 import pytest
 
-from voxelreg.cli import enumerate_pairs, load_manifest
+from voxelreg.cli import (
+    CONFIG_FLAGS,
+    LEVEL_FLAGS,
+    _config_from_args,
+    build_parser,
+    enumerate_pairs,
+    load_manifest,
+)
 from voxelreg.features import normalize_intensity
+from voxelreg.pipeline import LevelParams, RegistrationConfig
 from voxelreg.volume import load_field, load_volume, save_volume
 from voxelreg.synth import make_pair, smooth_random_volume
 
@@ -97,6 +106,70 @@ def test_synth_bad_dims_fails(tmp_path):
 # ---------------------------------------------------------------------------
 # register
 # ---------------------------------------------------------------------------
+
+REGISTER_ARGS = ["register", "--fixed", "f", "--moving", "m", "--out-field", "o"]
+FLAG_CONFIG = {
+    "feature": "edge",
+    "memory_budget_mb": 32,
+    "levels": [{"factor": 1, "q": 1.0, "l_max": 2.0, "patch_radius": 1, "alpha": 4.0,
+                "smooth_sigma": 3.0}],
+}
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        ([], {}),
+        (["--q", "0.5"], {"q": [0.5, 0.5]}),
+        (["--lmax", "4"], {"l_max": [4.0, 4.0]}),
+        (["--alpha", "0.25"], {"alpha": [0.25, 0.25], "smooth_sigma": [0.5, 0.5]}),
+        (["--config", "CFG", "--alpha", "0.25"], {"alpha": [0.25], "smooth_sigma": [0.5]}),
+        (["--patch-radius", "0"], {"patch_radius": [0, 0]}),
+        (["--memory-budget", "64"], {"memory_budget_mb": 64}),
+        (["--standardize"], {"standardize": True}),
+        (["--standardize-reference", "ref"], {"standardize": True, "standardize_reference": "ref"}),
+        (["--external-fixed", "ef", "--external-moving", "em"],
+         {"external_fixed": "ef", "external_moving": "em"}),
+        (["--zscore-external"], {"zscore_external": True}),
+        (["--feature", "intensity"], {"feature": "intensity"}),
+        (["--feature", "external", "--external-fixed", "ef", "--external-moving", "em",
+          "--zscore-external"],
+         {"feature": "external", "external_fixed": "ef", "external_moving": "em",
+          "zscore_external": True}),
+        (["--config", "CFG"], {}),
+        (["--config", "CFG", "--feature", "ssc", "--memory-budget", "8", "--patch-radius", "2"],
+         {"feature": "ssc", "memory_budget_mb": 8, "patch_radius": [2]}),
+        (["--levels", "2:2:4:1:1,1:1:2:1:1", "--q", "0.5"],
+         {"levels": [
+             {"factor": 2, "q": 0.5, "l_max": 4.0, "patch_radius": 1, "alpha": 1.0, "smooth_sigma": 1.0},
+             {"factor": 1, "q": 0.5, "l_max": 2.0, "patch_radius": 1, "alpha": 1.0, "smooth_sigma": 1.0},
+         ]}),
+    ],
+)
+def test_register_flags_override_config_fields(tmp_path, flags, expected):
+    """Each register flag sets exactly its config field, over defaults, --config or --levels."""
+    (tmp_path / "cfg.json").write_text(json.dumps(FLAG_CONFIG))
+    flags = [str(tmp_path / "cfg.json") if f == "CFG" else f for f in flags]
+    cfg = _config_from_args(build_parser().parse_args(REGISTER_ARGS + flags))
+
+    base = RegistrationConfig.from_dict(FLAG_CONFIG if "--config" in flags else {})
+    want = base.to_dict()
+    level_names = {f.name for f in dataclasses.fields(LevelParams)}
+    for name, value in expected.items():
+        if name in level_names:
+            for level, level_value in zip(want["levels"], value, strict=True):
+                level[name] = level_value
+        else:
+            want[name] = value
+    assert cfg.to_dict() == want
+
+
+def test_register_flag_names_are_config_fields():
+    dests = set(vars(build_parser().parse_args(REGISTER_ARGS)))
+    for names, cls in ((CONFIG_FLAGS, RegistrationConfig), (LEVEL_FLAGS, LevelParams)):
+        assert set(names) <= {f.name for f in dataclasses.fields(cls)}
+        assert set(names) <= dests
+
 
 def test_register_self_gives_zero_field(tmp_path):
     vol = smooth_random_volume((16, 16, 16), seed=11)
@@ -426,6 +499,7 @@ def test_batch_manifest_parse_failure_errors(tmp_path):
         ({"volumes": [{"id": True, "image": "a", "labels": "b"}]},
          "field 'id' must be a string or an integer, got True"),
         ({"volumes": [{"id": 1, "image": "a", "labels": None}]}, "field 'labels' must be a string"),
+        ({"pairs": [], "output_dir": 5}, "manifest output_dir must be a string, got 5"),
     ],
 )
 def test_batch_manifest_bad_shape_is_one_line_error(tmp_path, manifest, needle):

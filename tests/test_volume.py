@@ -70,6 +70,23 @@ def test_header_rejects_bad_fields():
         VolumeHeader((2, 2, 2), dtype="float64")
 
 
+def test_header_counts_must_be_integers():
+    h = VolumeHeader((np.int64(2), 1, 1), channels=np.int32(3))
+    assert json.loads(json.dumps(h.to_dict()))["dims"] == [2, 1, 1] and h.channels == 3
+    for dims, channels in (((2.9, 1, 1), 1), ((2, 1, 1), 1.7), ((2, 1, 1), True), ((True, 1, 1), 1)):
+        with pytest.raises(ValueError, match="dims and channels must be integers"):
+            VolumeHeader(dims, channels=channels)
+
+
+@pytest.mark.parametrize("cls, channels", [(ScalarVolume, 1), (FeatureVolume, 2), (DisplacementField, 3)])
+def test_float_volumes_reject_integer_header_dtype(cls, channels):
+    # an integer header dtype would make save_volume truncate the float payload
+    header = VolumeHeader((2, 1, 1), channels=channels, dtype="uint8")
+    data = np.full(header.shape_zyx + ((channels,) if channels > 1 else ()), 0.7)
+    with pytest.raises(ValueError, match=f"{cls.__name__} requires dtype float32, got uint8"):
+        cls(header, data)
+
+
 def test_header_roundtrips_via_dict():
     h = VolumeHeader((4, 5, 6), spacing=(0.7, 1.25, 3.0), channels=12, dtype="float32")
     assert VolumeHeader.from_dict(h.to_dict()) == h
@@ -124,6 +141,17 @@ def test_missing_and_garbled_sidecar(tmp_path):
         load_volume(stem)
     stem.with_suffix(".json").write_text(json.dumps({"dims": [0, 1, 1], "dtype": "float32"}))
     with pytest.raises(SidecarError, match="bad.json"):
+        load_volume(stem)
+
+
+@pytest.mark.parametrize(
+    "counts", [{"channels": 1.7}, {"channels": True}, {"dims": [2.9, 1, 1]}, {"dims": [2, 1, 1.0]}]
+)
+def test_sidecar_non_integer_counts_are_sidecar_errors(tmp_path, counts):
+    stem = tmp_path / "counts"
+    stem.with_suffix(".json").write_text(json.dumps({"dims": [2, 1, 1], "dtype": "float32", **counts}))
+    np.zeros(2, dtype="<f4").tofile(stem.with_suffix(".raw"))
+    with pytest.raises(SidecarError, match="counts.json.*must be integers"):
         load_volume(stem)
 
 
