@@ -13,6 +13,7 @@ import dataclasses
 import inspect
 import json
 import logging
+import os
 import sys
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -43,7 +44,7 @@ logger = logging.getLogger("voxelreg")
 
 # register flags whose argparse dest is the RegistrationConfig / LevelParams
 # field they override; a level flag applies to every level
-CONFIG_FLAGS = ("feature", "memory_budget_mb", "standardize", "standardize_reference",
+CONFIG_FLAGS = ("feature", "memory_budget_mb", "workers", "standardize", "standardize_reference",
                 "external_fixed", "external_moving", "zscore_external")
 LEVEL_FLAGS = ("q", "l_max", "alpha", "patch_radius")
 # the --levels fields: the first five of LevelParams, in spec order, with their types
@@ -231,6 +232,11 @@ def _run_batch_pair(pair: dict, cfg: RegistrationConfig):
 
 def cmd_batch(args) -> int:
     pairs, cfg, output_dir = load_manifest(args.manifest)
+    jobs = max(1, args.jobs)
+    # pairs x search threads stay within the CPUs; the cap lowers, never raises
+    max_workers = max(1, (os.cpu_count() or 1) // jobs)
+    if cfg.worker_count() > max_workers:
+        cfg = dataclasses.replace(cfg, workers=max_workers)
     out_dir = Path(args.out_dir or output_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -243,7 +249,7 @@ def cmd_batch(args) -> int:
         except (VolumeError, ValueError, OSError, MemoryError) as exc:
             return pair["pair_id"], None, str(exc) or type(exc).__name__
 
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         for pair_id, result, error in pool.map(run_one, pairs):
             if error is None:
                 results[pair_id] = result
@@ -324,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--alpha", type=float)
     p_reg.add_argument("--patch-radius", type=int)
     p_reg.add_argument("--memory-budget", dest="memory_budget_mb", type=int, metavar="MB")
+    p_reg.add_argument("--workers", type=int, help="search threads (default: min(2, CPU count))")
     p_reg.add_argument("--standardize", action="store_true", default=None)
     p_reg.add_argument("--standardize-reference")
     p_reg.add_argument("--external-fixed")

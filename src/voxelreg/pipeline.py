@@ -13,9 +13,11 @@ composition, adequate for the small, bounded increments searched here.
 The cost volume for one level can reach gigabytes, so it is never
 materialized whole: ``chunked_dsv_execution`` walks displacement
 candidates in tie-break priority order in budget-sized batches, keeping a
-running per-voxel (best cost, best candidate) pair. Its output is
-bit-identical to building, aggregating, smoothing and arg-minimizing the
-full cost volume.
+running per-voxel (best cost, best candidate) pair. Worker threads each
+walk one contiguous slice of that order (the SAD ufuncs and the ``ndimage``
+filters release the interpreter lock) and their bests are merged in slice
+order. Its output is bit-identical to building, aggregating, smoothing and
+arg-minimizing the full cost volume, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import json
 import math
 import numbers
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dataclass_field, fields
 from typing import Sequence
 
@@ -48,6 +51,11 @@ from voxelreg.volume import (
 FEATURE_KINDS = (*feat.DESCRIPTORS, "external")
 DEFAULT_MEMORY_BUDGET_MB = 1024
 MEMORY_BUDGET_ENV = "REG_MEMORY_BUDGET_MB"
+
+
+def default_workers() -> int:
+    """Search threads when none are set: two, or one on a single-CPU machine."""
+    return min(2, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -114,7 +122,9 @@ class RegistrationConfig:
     ``standardize_reference`` names a volume, remaps both onto that
     reference; a reference requires ``standardize``). External features
     are supplied as raw+JSON paths, one per image. Paths are strings or
-    None, the two flags bools, and the budget an integer or None.
+    None, the two flags bools, the budget an integer or None, and
+    ``workers`` (search threads; None means ``default_workers()``) a
+    positive integer or None.
     """
 
     feature: str = "ssc"
@@ -125,6 +135,7 @@ class RegistrationConfig:
     standardize: bool = False
     standardize_reference: str | None = None
     memory_budget_mb: int | None = None
+    workers: int | None = None
 
     def __post_init__(self):
         if not isinstance(self.levels, Sequence) or not all(
@@ -141,6 +152,9 @@ class RegistrationConfig:
         mb = self.memory_budget_mb
         if mb is not None and (isinstance(mb, bool) or not isinstance(mb, numbers.Integral)):
             raise ValueError(f"config memory_budget_mb must be an integer, got {mb!r}")
+        w = self.workers
+        if w is not None and (isinstance(w, bool) or not isinstance(w, numbers.Integral) or w < 1):
+            raise ValueError(f"config workers must be a positive integer, got {w!r}")
         if self.standardize_reference and not self.standardize:
             raise ValueError("config standardize_reference requires standardize")
         if self.feature not in FEATURE_KINDS:
@@ -172,6 +186,9 @@ class RegistrationConfig:
             raise ValueError("memory budget must be positive")
         return int(mb) * 1024 * 1024
 
+    def worker_count(self) -> int:
+        return default_workers() if self.workers is None else int(self.workers)
+
     def to_dict(self) -> dict:
         return {**asdict(self), "levels": [lv.to_dict() for lv in self.levels]}
 
@@ -200,6 +217,13 @@ def compose_fields(coarse_up: DisplacementField, increment: DisplacementField) -
     return DisplacementField(coarse_up.header, data)
 
 
+def _keep_better(cost, label, best_cost, best_label, improved):
+    """Where ``cost`` is strictly below ``best_cost``, take it and ``label``."""
+    np.less(cost, best_cost, out=improved)
+    np.copyto(best_cost, cost, where=improved)
+    np.copyto(best_label, label, where=improved)
+
+
 def chunked_dsv_execution(
     f_fixed: FeatureVolume,
     f_moving: FeatureVolume,
@@ -207,6 +231,7 @@ def chunked_dsv_execution(
     patch_radius: int,
     smooth_sigma: float,
     memory_budget_bytes: int,
+    workers: int | None = None,
 ) -> DisplacementField:
     """Winner field without materializing the full cost volume.
 
@@ -216,9 +241,18 @@ def chunked_dsv_execution(
     whole batch at once. A strict-less-than merge of each map, in priority
     order, against the running best preserves the tie-break, making the
     result bit-identical to the unchunked build/aggregate/regularize/
-    winner-takes-all path. The budget sizes the batch only; a level also
-    holds float64 channel-first copies of both feature volumes (the moving
-    one padded by ceil(l_max) voxels per side) and the running best maps.
+    winner-takes-all path.
+
+    ``workers`` threads (None means ``default_workers()``; never more than
+    the candidates, nor than the cost maps the budget holds) each run that
+    loop over one contiguous slice of the priority order, with 1/W of the
+    budget and running best maps of their own. The slices' bests are then
+    merged in slice order with the same strict less-than, so the earliest
+    slice wins ties as the serial scan does and every worker count gives
+    the same field. The budget sizes the batches only; a level also holds
+    float64 channel-first copies of both feature volumes (the moving one
+    padded by ceil(l_max) voxels per side) and, per worker, a best cost,
+    best label and merge mask the size of the level (17 B per voxel).
     """
     nz, ny, nx = f_fixed.data.shape[:3]
     map_bytes = nz * ny * nx * 8
@@ -227,28 +261,45 @@ def chunked_dsv_execution(
         raise ValueError(
             f"memory budget {memory_budget_bytes} B is smaller than one cost map ({map_bytes} B)"
         )
+    workers = default_workers() if workers is None else workers
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    n_workers = min(workers, disp.count, batch_size)
 
     fixed64, moving64 = regcore._level_arrays(f_fixed, f_moving, disp)
-    order = disp.priority_order()
+    slices = np.array_split(disp.priority_order(), n_workers)
 
-    best_cost = np.full((nz, ny, nx), np.inf, dtype=np.float64)
-    best_label = np.zeros((nz, ny, nx), dtype=np.intp)
-    improved = np.empty((nz, ny, nx), dtype=bool)
-    buffer = np.empty((min(batch_size, disp.count), nz, ny, nx), dtype=np.float64)
-    for start in range(0, disp.count, batch_size):
-        labels = order[start : start + batch_size]
-        batch = buffer[: len(labels)]
-        for bi, li in enumerate(labels):
-            regcore._label_cost_map(fixed64, moving64, disp.displacements[li], out=batch[bi])
-        if patch_radius > 0:
-            regcore._box_sum_map(batch, patch_radius)
-        if smooth_sigma > 0:
-            regcore._smooth_map(batch, smooth_sigma)
-        for cost_map, li in zip(batch, labels):
-            np.less(cost_map, best_cost, out=improved)
-            np.copyto(best_cost, cost_map, where=improved)
-            np.copyto(best_label, li, where=improved)
-    best_disp = disp.displacements[best_label].astype(np.float32)
+    # every worker's arrays are allocated here, in the calling thread: the
+    # same blocks allocated inside the worker threads raised peak RSS by up
+    # to a fifth, and by a different amount from run to run
+    per_worker = min(batch_size // n_workers, len(slices[0]))
+    buffer = np.empty((n_workers, per_worker, nz, ny, nx), dtype=np.float64)
+    best_cost = np.full((n_workers, nz, ny, nx), np.inf, dtype=np.float64)
+    best_label = np.zeros((n_workers, nz, ny, nx), dtype=np.intp)
+    improved = np.empty((n_workers, nz, ny, nx), dtype=bool)
+
+    def search(w):
+        labels = slices[w]
+        for start in range(0, len(labels), per_worker):
+            batch_labels = labels[start : start + per_worker]
+            batch = buffer[w, : len(batch_labels)]
+            for bi, li in enumerate(batch_labels):
+                regcore._label_cost_map(fixed64, moving64, disp.displacements[li], out=batch[bi])
+            if patch_radius > 0:
+                regcore._box_sum_map(batch, patch_radius)
+            if smooth_sigma > 0:
+                regcore._smooth_map(batch, smooth_sigma)
+            for cost_map, li in zip(batch, batch_labels):
+                _keep_better(cost_map, li, best_cost[w], best_label[w], improved[w])
+
+    if n_workers == 1:
+        search(0)
+    else:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            list(pool.map(search, range(n_workers)))  # re-raises a worker's exception
+        for w in range(1, n_workers):
+            _keep_better(best_cost[w], best_label[w], best_cost[0], best_label[0], improved[0])
+    best_disp = disp.displacements[best_label[0]].astype(np.float32)
 
     header = VolumeHeader(f_fixed.dims, channels=3, dtype="float32")
     return DisplacementField(header, best_disp)
@@ -282,6 +333,7 @@ def register(
         raise ValueError(f"fixed dims {fixed.dims} != moving dims {moving.dims}")
     level_dims = [_check_level_dims(fixed.dims, level) for level in cfg.levels]
     budget = cfg.budget_bytes()
+    workers = cfg.worker_count()
 
     ext_fixed = ext_moving = None
     if cfg.feature == "external":
@@ -320,7 +372,7 @@ def register(
 
         ds = regcore.build_displacement_set(level.q, level.l_max)
         increment = chunked_dsv_execution(
-            f_fix, f_mov, ds, level.patch_radius, level.smooth_sigma, budget
+            f_fix, f_mov, ds, level.patch_radius, level.smooth_sigma, budget, workers
         )
         field = compose_fields(field, increment)
 

@@ -23,6 +23,7 @@ coordinates with a clamped nearest-voxel lookup.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -72,11 +73,15 @@ class VolumeHeader:
             raise ValueError(f"dims and channels must be integers, got {self.dims!r}, {self.channels!r}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "channels", int(self.channels))
-        object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
         if len(self.dims) != 3 or any(d < 1 for d in self.dims):
             raise ValueError(f"dims must be three positive integers, got {self.dims}")
-        if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
-            raise ValueError(f"spacing must be three positive reals, got {self.spacing}")
+        spacing = tuple(self.spacing)
+        if len(spacing) != 3 or not all(
+            isinstance(s, numbers.Real) and not isinstance(s, bool) and math.isfinite(s) and s > 0
+            for s in spacing
+        ):
+            raise ValueError(f"spacing must be three finite positive reals, got {self.spacing!r}")
+        object.__setattr__(self, "spacing", tuple(float(s) for s in spacing))
         if self.channels < 1:
             raise ValueError(f"channels must be >= 1, got {self.channels}")
         if self.dtype not in DTYPES:

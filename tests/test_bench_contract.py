@@ -9,6 +9,7 @@ layer as missing; this test makes the suite fail instead.
 
 import json
 import sys
+import threading
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -60,3 +61,21 @@ def test_every_traced_target_exists_and_is_called(tmp_path):
     assert tr.missing == set()
     assert {s.name for s in tr.spans} == {t[2] for t in tracer.TARGETS}
     assert not any(s.attrs.get("error") for s in tr.spans)
+
+
+def test_threaded_search_keeps_every_search_span():
+    # two workers whatever the CPU count: the cost-kernel spans then come
+    # from worker threads, and each must still be recorded
+    case = make_pair("translation", (12, 12, 12), 3, translation=(1.0, 0.0, 0.0),
+                     num_blobs=3, min_radius=2.0, max_radius=3.0)
+    cfg = RegistrationConfig(feature="ssc", levels=TWO_LEVELS, workers=2)
+    with tracer.Tracer(MODULES) as tr:
+        pipeline.register(case["fixed"], case["moving"], cfg)
+
+    assert tr.missing == set()
+    assert not any(s.attrs.get("error") for s in tr.spans)
+    main = threading.get_ident()
+    for name in ("regcore.sad", "regcore.box", "regcore.gauss"):
+        threads = {s.thread for s in tr.spans if s.name == name}
+        assert len(threads) == 2 and main not in threads, name
+    assert {s.name for s in tr.spans} == {t[2] for t in tracer.TARGETS if t[0] in ("pipeline", "regcore")}

@@ -144,6 +144,8 @@ FLAG_CONFIG = {
              {"factor": 2, "q": 0.5, "l_max": 4.0, "patch_radius": 1, "alpha": 1.0, "smooth_sigma": 1.0},
              {"factor": 1, "q": 0.5, "l_max": 2.0, "patch_radius": 1, "alpha": 1.0, "smooth_sigma": 1.0},
          ]}),
+        (["--workers", "3"], {"workers": 3}),
+        (["--config", "CFG", "--workers", "1"], {"workers": 1}),
     ],
 )
 def test_register_flags_override_config_fields(tmp_path, flags, expected):
@@ -255,6 +257,11 @@ def test_register_with_config_file(tmp_path):
         ({"standardize": "false"}, "config standardize must be true or false, got 'false'"),
         ({"zscore_external": "false"}, "config zscore_external must be true or false"),
         ({"standardize_reference": "ref"}, "config standardize_reference requires standardize"),
+        ({"workers": 0}, "config workers must be a positive integer, got 0"),
+        ({"workers": -2}, "config workers must be a positive integer, got -2"),
+        ({"workers": True}, "config workers must be a positive integer, got True"),
+        ({"workers": 1.5}, "config workers must be a positive integer, got 1.5"),
+        ({"workers": "2"}, "config workers must be a positive integer, got '2'"),
     ],
 )
 def test_register_bad_config_is_one_line_error(tmp_path, cfg, needle):
@@ -573,6 +580,37 @@ def test_batch_skips_pair_that_runs_out_of_memory(tmp_path, monkeypatch, caplog)
     assert [p["fixed"] for p in report["pairs"]] == [pairs[0]["fixed"]]
     assert report["skipped_pairs"] == ["p1"]
     assert "pair p1 failed and was excluded: MemoryError" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "cpus, jobs, workers, expected",
+    [
+        (2, 2, None, 1),  # the default of two threads is capped to one per pair
+        (2, 1, None, None),  # one job keeps the default
+        (1, 1, None, None),
+        (8, 2, 6, 4),  # an explicit count is capped
+        (8, 2, 1, 1),  # but never raised
+        (2, 4, 3, 1),
+    ],
+)
+def test_batch_caps_jobs_times_workers_at_cpu_count(tmp_path, monkeypatch, cpus, jobs, workers, expected):
+    from voxelreg import cli
+    from voxelreg.volume import zero_field
+
+    p = write_pair_files(tmp_path, seed=29, name="c")
+    p.pop("unregistered_jc")
+    config = {"feature": "intensity", "workers": workers}
+    manifest = batch_manifest(tmp_path, [{"pair_id": "p0", **p}], config, tmp_path / "out")
+    seen = []
+
+    def register(fixed, moving, cfg):
+        seen.append(cfg.workers)
+        return zero_field(fixed.dims), moving
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "register", register)
+    assert cli.main(["batch", str(manifest), "--jobs", str(jobs)]) == 0
+    assert seen == [expected]
 
 
 # ---------------------------------------------------------------------------

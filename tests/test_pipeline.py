@@ -210,6 +210,34 @@ def test_chunked_budget_below_one_map_errors():
         chunked_dsv_execution(f_fixed, f_moving, ds, 0, 0.0, 100)
 
 
+def integer_feature_pair(seed, n=8, channels=2):
+    from voxelreg.volume import FeatureVolume
+
+    rng = np.random.default_rng(seed)
+    return tuple(
+        FeatureVolume(VolumeHeader((n, n, n), channels=channels),
+                      rng.integers(0, 3, (n, n, n, channels)).astype(np.float32))
+        for _ in range(2)
+    )
+
+
+@pytest.mark.parametrize("radius, sigma", [(0, 0.0), (1, 1.0)])
+def test_chunked_worker_counts_bit_identical(radius, sigma):
+    # integer-valued features tie often, so the slice merge decides many voxels;
+    # q = 0.5 puts fractional (8-corner) candidates in every slice
+    ds = regcore.build_displacement_set(0.5, 1.0)  # 125 labels
+    map_bytes = 8 * 8 * 8 * 8
+    for seed in (70, 71, 72):
+        f_fixed, f_moving = integer_feature_pair(seed)
+        want = unchunked_field(f_fixed, f_moving, ds, radius, sigma)
+        for budget in (map_bytes, 2 * map_bytes, 7 * map_bytes, 1 << 30):
+            for workers in (1, 2, 3, 5):
+                got = chunked_dsv_execution(f_fixed, f_moving, ds, radius, sigma, budget, workers)
+                assert np.array_equal(
+                    got.data.view(np.uint32), want.data.view(np.uint32)
+                ), (seed, budget, workers)
+
+
 def test_chunked_preserves_tiebreak_on_constant_features():
     # constant features tie every candidate; the zero displacement must win
     from voxelreg.volume import FeatureVolume

@@ -155,6 +155,20 @@ def test_sidecar_non_integer_counts_are_sidecar_errors(tmp_path, counts):
         load_volume(stem)
 
 
+@pytest.mark.parametrize(
+    "spacing",
+    [["2", True, 1], [True, 1, 1], [1, float("nan"), 1], [1, 1, float("inf")], [1, 1], [1, -2, 1]],
+)
+def test_sidecar_bad_spacing_is_sidecar_error(tmp_path, spacing):
+    stem = tmp_path / "spacing"
+    stem.with_suffix(".json").write_text(
+        json.dumps({"dims": [2, 1, 1], "spacing": spacing, "dtype": "float32"})
+    )
+    np.zeros(2, dtype="<f4").tofile(stem.with_suffix(".raw"))
+    with pytest.raises(SidecarError, match="spacing.json.*spacing must be three finite positive reals"):
+        load_volume(stem)
+
+
 def test_nan_payload_is_reported(tmp_path):
     stem = tmp_path / "nan"
     stem.with_suffix(".json").write_text(
