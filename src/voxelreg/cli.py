@@ -44,7 +44,7 @@ logger = logging.getLogger("voxelreg")
 
 # register flags whose argparse dest is the RegistrationConfig / LevelParams
 # field they override; a level flag applies to every level
-CONFIG_FLAGS = ("feature", "memory_budget_mb", "workers", "standardize", "standardize_reference",
+CONFIG_FLAGS = ("feature", "memory_budget_mb", "standardize", "standardize_reference",
                 "external_fixed", "external_moving", "zscore_external")
 LEVEL_FLAGS = ("q", "l_max", "alpha", "patch_radius")
 # the --levels fields: the first five of LevelParams, in spec order, with their types
@@ -230,10 +230,18 @@ def _run_batch_pair(pair: dict, cfg: RegistrationConfig):
     return evaluation.pair_result(pair["fixed"], pair["moving"], fixed_labels, warped)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def cmd_batch(args) -> int:
     pairs, cfg, output_dir = load_manifest(args.manifest)
-    jobs = max(1, args.jobs)
-    # pairs x search threads stay within the CPUs; the cap lowers, never raises
+    jobs = max(1, min(args.jobs, len(pairs)))
+    # pairs run at once x search threads stay within the CPUs; the cap
+    # lowers, never raises
     max_workers = max(1, (os.cpu_count() or 1) // jobs)
     if cfg.worker_count() > max_workers:
         cfg = dataclasses.replace(cfg, workers=max_workers)
@@ -330,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--alpha", type=float)
     p_reg.add_argument("--patch-radius", type=int)
     p_reg.add_argument("--memory-budget", dest="memory_budget_mb", type=int, metavar="MB")
-    p_reg.add_argument("--workers", type=int, help="search threads (default: min(2, CPU count))")
     p_reg.add_argument("--standardize", action="store_true", default=None)
     p_reg.add_argument("--standardize-reference")
     p_reg.add_argument("--external-fixed")
@@ -358,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_batch = sub.add_parser("batch", help="register and evaluate every manifest pair")
     p_batch.add_argument("manifest")
-    p_batch.add_argument("--jobs", type=int, default=1)
+    p_batch.add_argument("--jobs", type=_positive_int, default=1)
     p_batch.add_argument("--out-dir")
     p_batch.set_defaults(func=cmd_batch)
 

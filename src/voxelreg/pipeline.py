@@ -53,11 +53,6 @@ DEFAULT_MEMORY_BUDGET_MB = 1024
 MEMORY_BUDGET_ENV = "REG_MEMORY_BUDGET_MB"
 
 
-def default_workers() -> int:
-    """Search threads when none are set: two, or one on a single-CPU machine."""
-    return min(2, os.cpu_count() or 1)
-
-
 @dataclass(frozen=True)
 class LevelParams:
     """Search parameters for one resolution level."""
@@ -123,8 +118,8 @@ class RegistrationConfig:
     reference; a reference requires ``standardize``). External features
     are supplied as raw+JSON paths, one per image. Paths are strings or
     None, the two flags bools, the budget an integer or None, and
-    ``workers`` (search threads; None means ``default_workers()``) a
-    positive integer or None.
+    ``workers`` (search threads; None means two, or one on a single-CPU
+    machine) a positive integer or None.
     """
 
     feature: str = "ssc"
@@ -187,7 +182,7 @@ class RegistrationConfig:
         return int(mb) * 1024 * 1024
 
     def worker_count(self) -> int:
-        return default_workers() if self.workers is None else int(self.workers)
+        return min(2, os.cpu_count() or 1) if self.workers is None else self.workers
 
     def to_dict(self) -> dict:
         return {**asdict(self), "levels": [lv.to_dict() for lv in self.levels]}
@@ -231,7 +226,7 @@ def chunked_dsv_execution(
     patch_radius: int,
     smooth_sigma: float,
     memory_budget_bytes: int,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> DisplacementField:
     """Winner field without materializing the full cost volume.
 
@@ -243,10 +238,10 @@ def chunked_dsv_execution(
     result bit-identical to the unchunked build/aggregate/regularize/
     winner-takes-all path.
 
-    ``workers`` threads (None means ``default_workers()``; never more than
-    the candidates, nor than the cost maps the budget holds) each run that
-    loop over one contiguous slice of the priority order, with 1/W of the
-    budget and running best maps of their own. The slices' bests are then
+    ``workers`` threads (never more than the candidates, nor than the cost
+    maps the budget holds) each run that loop over one contiguous slice of
+    the priority order, with 1/W of the budget and running best maps of
+    their own. The slices' bests are then
     merged in slice order with the same strict less-than, so the earliest
     slice wins ties as the serial scan does and every worker count gives
     the same field. The budget sizes the batches only; a level also holds
@@ -261,9 +256,6 @@ def chunked_dsv_execution(
         raise ValueError(
             f"memory budget {memory_budget_bytes} B is smaller than one cost map ({map_bytes} B)"
         )
-    workers = default_workers() if workers is None else workers
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     n_workers = min(workers, disp.count, batch_size)
 
     fixed64, moving64 = regcore._level_arrays(f_fixed, f_moving, disp)

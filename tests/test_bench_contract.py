@@ -65,7 +65,8 @@ def test_every_traced_target_exists_and_is_called(tmp_path):
 
 def test_threaded_search_keeps_every_search_span():
     # two workers whatever the CPU count: the cost-kernel spans then come
-    # from worker threads, and each must still be recorded
+    # from worker threads (each level's pool starts its own), and each must
+    # still be recorded
     case = make_pair("translation", (12, 12, 12), 3, translation=(1.0, 0.0, 0.0),
                      num_blobs=3, min_radius=2.0, max_radius=3.0)
     cfg = RegistrationConfig(feature="ssc", levels=TWO_LEVELS, workers=2)
@@ -77,5 +78,5 @@ def test_threaded_search_keeps_every_search_span():
     main = threading.get_ident()
     for name in ("regcore.sad", "regcore.box", "regcore.gauss"):
         threads = {s.thread for s in tr.spans if s.name == name}
-        assert len(threads) == 2 and main not in threads, name
+        assert len(threads) >= 2 and main not in threads, name
     assert {s.name for s in tr.spans} == {t[2] for t in tracer.TARGETS if t[0] in ("pipeline", "regcore")}

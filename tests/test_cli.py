@@ -144,8 +144,6 @@ FLAG_CONFIG = {
              {"factor": 2, "q": 0.5, "l_max": 4.0, "patch_radius": 1, "alpha": 1.0, "smooth_sigma": 1.0},
              {"factor": 1, "q": 0.5, "l_max": 2.0, "patch_radius": 1, "alpha": 1.0, "smooth_sigma": 1.0},
          ]}),
-        (["--workers", "3"], {"workers": 3}),
-        (["--config", "CFG", "--workers", "1"], {"workers": 1}),
     ],
 )
 def test_register_flags_override_config_fields(tmp_path, flags, expected):
@@ -582,25 +580,36 @@ def test_batch_skips_pair_that_runs_out_of_memory(tmp_path, monkeypatch, caplog)
     assert "pair p1 failed and was excluded: MemoryError" in caplog.text
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_batch_jobs_must_be_positive_integer(tmp_path, jobs):
+    res = run_cli("batch", tmp_path / "manifest.json", "--jobs", jobs)
+    assert res.returncode == 2
+    assert "--jobs" in res.stderr
+
+
 @pytest.mark.parametrize(
-    "cpus, jobs, workers, expected",
+    "cpus, jobs, n_pairs, workers, expected",
     [
-        (2, 2, None, 1),  # the default of two threads is capped to one per pair
-        (2, 1, None, None),  # one job keeps the default
-        (1, 1, None, None),
-        (8, 2, 6, 4),  # an explicit count is capped
-        (8, 2, 1, 1),  # but never raised
-        (2, 4, 3, 1),
+        (2, 2, 2, None, 1),  # the default of two threads is capped to one per pair
+        (2, 1, 2, None, None),  # one job keeps the default
+        (1, 1, 2, None, None),
+        (8, 2, 2, 6, 4),  # an explicit count is capped
+        (8, 2, 2, 1, 1),  # but never raised
+        (2, 4, 4, 3, 1),
+        (4, 4, 1, None, None),  # only pairs that can run at once count
+        (4, 4, 2, 3, 2),
     ],
 )
-def test_batch_caps_jobs_times_workers_at_cpu_count(tmp_path, monkeypatch, cpus, jobs, workers, expected):
+def test_batch_caps_jobs_times_workers_at_cpu_count(tmp_path, monkeypatch, cpus, jobs, n_pairs,
+                                                    workers, expected):
     from voxelreg import cli
     from voxelreg.volume import zero_field
 
     p = write_pair_files(tmp_path, seed=29, name="c")
     p.pop("unregistered_jc")
     config = {"feature": "intensity", "workers": workers}
-    manifest = batch_manifest(tmp_path, [{"pair_id": "p0", **p}], config, tmp_path / "out")
+    pairs = [{"pair_id": f"p{i}", **p} for i in range(n_pairs)]
+    manifest = batch_manifest(tmp_path, pairs, config, tmp_path / "out")
     seen = []
 
     def register(fixed, moving, cfg):
@@ -610,7 +619,7 @@ def test_batch_caps_jobs_times_workers_at_cpu_count(tmp_path, monkeypatch, cpus,
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(cli, "register", register)
     assert cli.main(["batch", str(manifest), "--jobs", str(jobs)]) == 0
-    assert seen == [expected]
+    assert seen == [expected] * n_pairs
 
 
 # ---------------------------------------------------------------------------
