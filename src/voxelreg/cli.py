@@ -217,6 +217,8 @@ def load_manifest(path) -> tuple[list[dict], RegistrationConfig, str | None]:
     output_dir = data.get("output_dir")
     if not isinstance(output_dir, (str, type(None))):
         raise ValueError(f"manifest output_dir must be a string, got {output_dir!r}")
+    if not pairs:
+        raise ValueError(f"manifest {path} has no pairs")
     return pairs, cfg, output_dir
 
 

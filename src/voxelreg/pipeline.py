@@ -247,7 +247,10 @@ def chunked_dsv_execution(
     the same field. The budget sizes the batches only; a level also holds
     float64 channel-first copies of both feature volumes (the moving one
     padded by ceil(l_max) voxels per side) and, per worker, a best cost,
-    best label and merge mask the size of the level (17 B per voxel).
+    best label and merge mask the size of the level (17 B per voxel) and
+    the SAD kernel's scratch (``regcore._sad_scratch``): k cost maps on
+    integer-only levels, 2k with fractional candidates, at most 1 MiB
+    unless k = 1. All of these are allocated here, in the calling thread.
     """
     nz, ny, nx = f_fixed.data.shape[:3]
     map_bytes = nz * ny * nx * 8
@@ -269,6 +272,7 @@ def chunked_dsv_execution(
     best_cost = np.full((n_workers, nz, ny, nx), np.inf, dtype=np.float64)
     best_label = np.zeros((n_workers, nz, ny, nx), dtype=np.intp)
     improved = np.empty((n_workers, nz, ny, nx), dtype=bool)
+    scratch = regcore._sad_scratch((nz, ny, nx), fixed64.shape[3], disp.fractional, n_workers)
 
     def search(w):
         labels = slices[w]
@@ -276,7 +280,9 @@ def chunked_dsv_execution(
             batch_labels = labels[start : start + per_worker]
             batch = buffer[w, : len(batch_labels)]
             for bi, li in enumerate(batch_labels):
-                regcore._label_cost_map(fixed64, moving64, disp.displacements[li], out=batch[bi])
+                regcore._label_cost_map(
+                    fixed64, moving64, disp.displacements[li], out=batch[bi], scratch=scratch[w]
+                )
             if patch_radius > 0:
                 regcore._box_sum_map(batch, patch_radius)
             if smooth_sigma > 0:
@@ -339,13 +345,15 @@ def register(
     if cfg.standardize_reference:
         reference = load_volume(cfg.standardize_reference, kind="scalar")
 
-    field: DisplacementField | None = None
     for i, level in enumerate(cfg.levels):
         fixed_l = downsample(fixed, level.factor)
         moving_l = downsample(moving, level.factor)
-        if field is None:
+        if i == 0:
+            # warping by the zero field returns the volume bit for bit
             field = zero_field(fixed_l.dims, fixed_l.header.spacing)
-        warped_l = warp_scalar(moving_l, field)
+            warped_l = moving_l
+        else:
+            warped_l = warp_scalar(moving_l, field)
 
         if cfg.standardize:
             if reference is not None:
@@ -357,7 +365,9 @@ def register(
 
         if cfg.feature == "external":
             f_fix = downsample_features(ext_fixed, level.factor)
-            f_mov = warp_features(downsample_features(ext_moving, level.factor), field)
+            f_mov = downsample_features(ext_moving, level.factor)
+            if i > 0:
+                f_mov = warp_features(f_mov, field)
         else:
             f_fix = _featurize(fixed_l, cfg.feature)
             f_mov = _featurize(warped_l, cfg.feature)

@@ -14,12 +14,17 @@ Per level, both feature volumes are copied once to float64, channel-first
 (C, z, y, x), the moving one edge-padded by ceil(l_max) voxels, so every
 candidate shift (and trilinear corner) is a slice and edge padding gives
 the border clamping of a shifted lookup. ``_label_cost_map`` serves both
-``build_dsv`` and ``pipeline``'s chunked search; box-sum and Gaussian
-filters run in place on whole (labels, z, y, x) batches.
+``build_dsv`` and ``pipeline``'s chunked search. It computes SAD over
+groups of channels, one subtract and one abs per (k, z, y, x) window, so
+a candidate costs a few large array operations, not a few per channel
+(many short calls stall concurrent search threads on the interpreter
+lock). Box-sum and Gaussian filters run in place on whole
+(labels, z, y, x) batches.
 
 All operations are pure functions over immutable inputs and are
 bit-deterministic: the cost volume is label-major (one contiguous 3-D map
-per candidate), SAD accumulates channel by channel in channel order, and
+per candidate), SAD accumulates channel by channel in channel order
+whatever the group size, and
 argmin ties resolve by smallest L1 displacement, then lexicographic
 (dz, dy, dx), so the zero displacement always wins a tie against any
 other candidate.
@@ -65,6 +70,11 @@ class DisplacementSet:
     @property
     def count(self) -> int:
         return self.displacements.shape[0]
+
+    @property
+    def fractional(self) -> bool:
+        """Whether some candidate has a non-integer component."""
+        return bool((self.displacements % 1).any())
 
     def priority_order(self) -> np.ndarray:
         """Label indices sorted by the tie-break rule: L1 norm, then (dz, dy, dx)."""
@@ -142,16 +152,39 @@ def _level_arrays(f_fixed: FeatureVolume, f_moving: FeatureVolume, disp: Displac
     return np.moveaxis(fixed, 0, -1), np.moveaxis(moving, 0, -1)
 
 
-def _label_cost_map(fixed64: np.ndarray, moving64: np.ndarray, d: np.ndarray, out=None) -> np.ndarray:
+def _sad_scratch(dims, channels: int, fractional: bool, workers=None) -> np.ndarray:
+    """Uninitialized scratch for ``_label_cost_map``: (blocks, k, z, y, x) float64.
+
+    Integer shifts need one block of k maps; fractional shifts a second one
+    for the corner products. k, the channels per SAD group, is as many as
+    keep the blocks within 1 MiB (2**17 float64 values), but at least 1 and
+    at most ``channels``. With ``workers``, one scratch per worker, stacked
+    on a leading axis.
+    """
+    blocks = 1 + bool(fractional)
+    k = max(1, min(channels, 2**17 // (blocks * math.prod(dims))))
+    lead = () if workers is None else (workers,)
+    return np.empty(lead + (blocks, k) + tuple(dims), dtype=np.float64)
+
+
+def _label_cost_map(
+    fixed64: np.ndarray, moving64: np.ndarray, d: np.ndarray, out=None, scratch=None
+) -> np.ndarray:
     """Per-voxel SAD between fixed(x) and moving(x + d), shape (z, y, x), into ``out``.
 
     Both inputs are (z, y, x, C) views as ``_level_arrays`` returns them;
     the moving pad is read off the shape difference. Integer displacements
     are direct lookups (bit-exact); fractional ones blend the 8 integer
     corners with trilinear weights, each channel independently.
+
+    Channels are taken k at a time, k read off ``scratch`` (as
+    ``_sad_scratch`` makes it; allocated here when not given), so each
+    group costs one subtract and one abs over a (k, z, y, x) window. The
+    first group is reduced into ``out`` along the channel axis, later ones
+    are added to it row by row: the sum runs in channel order either way.
     """
     fixed, moving = np.moveaxis(fixed64, -1, 0), np.moveaxis(moving64, -1, 0)
-    dims = fixed.shape[1:]
+    channels, dims = fixed.shape[0], fixed.shape[1:]
     pad = (moving.shape[1] - dims[0]) // 2
     shift = (float(d[2]), float(d[1]), float(d[0]))
     base = [math.floor(v) for v in shift]
@@ -165,17 +198,25 @@ def _label_cost_map(fixed64: np.ndarray, moving64: np.ndarray, d: np.ndarray, ou
             corners.append((w, window))
 
     out = np.empty(dims) if out is None else out
-    diff, sample = np.empty(dims), np.empty(dims)
-    for c in range(fixed.shape[0]):
-        shifted = moving[c][corners[0][1]]
+    if scratch is None:
+        scratch = _sad_scratch(dims, channels, len(corners) > 1)
+    k = scratch.shape[1]
+    for c0 in range(0, channels, k):
+        group = slice(c0, min(c0 + k, channels))
+        n = group.stop - c0
+        # a lone first channel goes straight into out, with no extra pass
+        rows = out[None] if c0 == 0 and n == 1 else scratch[0, :n]
+        shifted = moving[(group,) + corners[0][1]]
         if len(corners) > 1:
-            shifted = np.multiply(shifted, corners[0][0], out=sample)
+            shifted = np.multiply(shifted, corners[0][0], out=scratch[1, :n])
             for w, window in corners[1:]:
-                shifted += np.multiply(moving[c][window], w, out=diff)
-        acc = out if c == 0 else diff
-        np.abs(np.subtract(fixed[c], shifted, out=acc), out=acc)
-        if c > 0:
-            out += diff
+                shifted += np.multiply(moving[(group,) + window], w, out=rows)
+        np.abs(np.subtract(fixed[group], shifted, out=rows), out=rows)
+        if c0 > 0:
+            for row in rows:
+                out += row
+        elif n > 1:
+            np.add.reduce(rows, axis=0, out=out)
     return out
 
 
@@ -183,8 +224,9 @@ def build_dsv(f_fixed: FeatureVolume, f_moving: FeatureVolume, disp: Displacemen
     """Dense cost volume: costs[d][x] = SAD(fixed(x), moving(x + d))."""
     fixed64, moving64 = _level_arrays(f_fixed, f_moving, disp)
     costs = np.empty((disp.count,) + fixed64.shape[:3], dtype=np.float64)
+    scratch = _sad_scratch(fixed64.shape[:3], fixed64.shape[3], disp.fractional)
     for li in range(disp.count):
-        _label_cost_map(fixed64, moving64, disp.displacements[li], out=costs[li])
+        _label_cost_map(fixed64, moving64, disp.displacements[li], out=costs[li], scratch=scratch)
     return CostVolume(dims=f_fixed.dims, costs=costs)
 
 
@@ -212,14 +254,20 @@ def aggregate_costs(dsv: CostVolume, patch_radius: int) -> CostVolume:
 
 
 def _smooth_map(costs: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian-smooth every map of a (labels, z, y, x) batch in place, clamped at 0."""
+    """Gaussian-smooth every map of a (labels, z, y, x) batch in place.
+
+    The weights are positive and the maps non-negative (SAD, or a box sum
+    clamped at 0), so the result is non-negative without a clamp.
+    """
     ndimage.gaussian_filter(costs, sigma=(0.0, sigma, sigma, sigma), mode="nearest", output=costs)
-    np.maximum(costs, 0.0, out=costs)
     return costs
 
 
 def regularize_dsv(dsv: CostVolume, smooth_sigma: float) -> CostVolume:
-    """Gaussian-smooth each candidate's cost map; sigma 0 is the identity."""
+    """Gaussian-smooth each candidate's cost map; sigma 0 is the identity.
+
+    Costs stay non-negative: the Gaussian weights are positive.
+    """
     if smooth_sigma < 0:
         raise ValueError("smooth_sigma must be >= 0")
     if smooth_sigma == 0:

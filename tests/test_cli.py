@@ -505,12 +505,21 @@ def test_batch_manifest_parse_failure_errors(tmp_path):
          "field 'id' must be a string or an integer, got True"),
         ({"volumes": [{"id": 1, "image": "a", "labels": None}]}, "field 'labels' must be a string"),
         ({"pairs": [], "output_dir": 5}, "manifest output_dir must be a string, got 5"),
+        ({"pairs": []}, "has no pairs"),
     ],
 )
 def test_batch_manifest_bad_shape_is_one_line_error(tmp_path, manifest, needle):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(manifest))
     assert_one_line_error(run_cli("batch", path), needle)
+
+
+def test_batch_manifest_without_pairs_creates_no_output_dir(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"volumes": [{"id": 1, "image": "a", "labels": "b"}]}))
+    assert_one_line_error(run_cli("batch", path, "--out-dir", tmp_path / "out"),
+                          f"manifest {path} has no pairs")
+    assert not (tmp_path / "out").exists()
 
 
 def test_batch_rejects_duplicate_pair_ids(tmp_path):

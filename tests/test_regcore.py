@@ -1,5 +1,7 @@
 """Displacement-search core tests against naive loop oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -49,6 +51,12 @@ def test_displacement_set_trivial():
     ds = build_displacement_set(1.0, 0.0)
     assert ds.count == 1
     assert ds.displacements.tolist() == [[0.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("q, l_max, fractional", [(1.0, 2.0, False), (2.0, 4.0, False),
+                                                  (0.5, 1.0, True), (1.5, 3.0, True)])
+def test_displacement_set_fractional(q, l_max, fractional):
+    assert build_displacement_set(q, l_max).fractional is fractional
 
 
 def test_displacement_set_rejects_non_multiple():
@@ -508,3 +516,75 @@ def test_batch_filters_in_place_equal_per_map_filters():
     assert np.array_equal(out, want_box)
     assert regcore._smooth_map(out, 1.3) is out
     assert np.array_equal(out, want_smooth)
+
+
+def channel_order_sad_oracle(fixed, moving, d):
+    """SAD of (z, y, x, C) float64 arrays at shift d, one channel at a time
+    in channel order; each channel blends only the corners of nonzero
+    trilinear weight, in (z, y, x) corner order."""
+    dx, dy, dz = (float(v) for v in d)
+    bx, by, bz = (int(np.floor(v)) for v in (dx, dy, dz))
+    fx, fy, fz = dx - bx, dy - by, dz - bz
+    corners = []
+    for cz, wz in ((0, 1.0 - fz), (1, fz)):
+        for cy, wy in ((0, 1.0 - fy), (1, fy)):
+            for cx, wx in ((0, 1.0 - fx), (1, fx)):
+                w = 1.0 * wz * wy * wx
+                if w != 0.0:
+                    corners.append((w, shift_clamped_oracle(moving, bz + cz, by + cy, bx + cx)))
+    total = np.zeros(fixed.shape[:3])
+    for c in range(fixed.shape[3]):
+        if len(corners) == 1:
+            sample = corners[0][1][..., c]
+        else:
+            sample = corners[0][0] * corners[0][1][..., c]
+            for w, shifted in corners[1:]:
+                sample = sample + w * shifted[..., c]
+        total = total + np.abs(fixed[..., c] - sample) if c else np.abs(fixed[..., c] - sample)
+    return total
+
+
+@pytest.mark.parametrize("k", [1, 5, 12])  # k = 5 groups 12 channels as 5, 5, 2
+@pytest.mark.parametrize("q", [1.0, 0.5])
+def test_grouped_sad_equals_channel_order_loop(k, q):
+    rng = np.random.default_rng(62)
+    f_fixed = make_features(rng.standard_normal((6, 7, 8, 12)))
+    f_moving = make_features(rng.standard_normal((6, 7, 8, 12)))
+    ds = build_displacement_set(q, 1.0)
+    fixed64, moving64 = regcore._level_arrays(f_fixed, f_moving, ds)
+    fixed, moving = (f.data.astype(np.float64) for f in (f_fixed, f_moving))
+    scratch = np.empty((2, k, 6, 7, 8))
+    for d in ds.displacements:
+        out = np.empty((6, 7, 8))
+        assert regcore._label_cost_map(fixed64, moving64, d, out=out, scratch=scratch) is out
+        assert np.array_equal(out, channel_order_sad_oracle(fixed, moving, d)), d
+
+
+@pytest.mark.parametrize("side, k, k_fractional", [(18, 12, 11), (24, 9, 4), (32, 4, 2),
+                                                   (36, 2, 1), (64, 1, 1)])
+def test_sad_scratch_fills_at_most_one_mib(side, k, k_fractional):
+    dims = (side, side, side)
+    assert regcore._sad_scratch(dims, 12, False).shape == (1, k) + dims
+    assert regcore._sad_scratch(dims, 12, True, 3).shape == (3, 2, k_fractional) + dims
+    assert regcore._sad_scratch(dims, 1, False).shape == (1, 1) + dims
+
+
+def test_label_cost_map_with_scratch_allocates_less_than_a_map():
+    # 24^3: a map (108 KiB) outgrows the 64 KiB buffer numpy takes for a
+    # ufunc over a strided window; the scratch groups 12 channels as 4, 4, 4
+    rng = np.random.default_rng(63)
+    f_fixed = make_features(rng.standard_normal((24, 24, 24, 12)))
+    f_moving = make_features(rng.standard_normal((24, 24, 24, 12)))
+    ds = build_displacement_set(0.5, 1.0)
+    fixed64, moving64 = regcore._level_arrays(f_fixed, f_moving, ds)
+    out = np.empty((24, 24, 24))
+    scratch = regcore._sad_scratch(out.shape, 12, True)
+    assert scratch.shape[:2] == (2, 4)
+    for d in ([0.5, -0.5, 1.0], [1.0, 0.0, -1.0]):
+        tracemalloc.start()
+        try:
+            regcore._label_cost_map(fixed64, moving64, np.array(d), out=out, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes, d
