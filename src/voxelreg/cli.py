@@ -13,7 +13,6 @@ import dataclasses
 import inspect
 import json
 import logging
-import os
 import sys
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -26,6 +25,7 @@ from voxelreg.pipeline import (
     LevelParams,
     RegistrationConfig,
     register,
+    usable_cpus,
 )
 from voxelreg.volume import (
     VolumeError,
@@ -242,9 +242,9 @@ def _positive_int(text: str) -> int:
 def cmd_batch(args) -> int:
     pairs, cfg, output_dir = load_manifest(args.manifest)
     jobs = max(1, min(args.jobs, len(pairs)))
-    # pairs run at once x search threads stay within the CPUs; the cap
+    # pairs run at once x search threads stay within the usable CPUs; the cap
     # lowers, never raises
-    max_workers = max(1, (os.cpu_count() or 1) // jobs)
+    max_workers = max(1, usable_cpus() // jobs)
     if cfg.worker_count() > max_workers:
         cfg = dataclasses.replace(cfg, workers=max_workers)
     out_dir = Path(args.out_dir or output_dir or ".")
@@ -392,6 +392,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (VolumeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

@@ -14,10 +14,11 @@ The cost volume for one level can reach gigabytes, so it is never
 materialized whole: ``chunked_dsv_execution`` walks displacement
 candidates in tie-break priority order in budget-sized batches, keeping a
 running per-voxel (best cost, best candidate) pair. Worker threads each
-walk one contiguous slice of that order (the SAD ufuncs and the ``ndimage``
-filters release the interpreter lock) and their bests are merged in slice
-order. Its output is bit-identical to building, aggregating, smoothing and
-arg-minimizing the full cost volume, whatever the worker count.
+walk one contiguous slice of that order (the SAD ufuncs and the filters'
+matrix products release the interpreter lock) and their bests are merged
+in slice order. Its output is bit-identical to building, aggregating,
+smoothing and arg-minimizing the full cost volume, whatever the worker
+count.
 """
 
 from __future__ import annotations
@@ -51,6 +52,14 @@ from voxelreg.volume import (
 FEATURE_KINDS = (*feat.DESCRIPTORS, "external")
 DEFAULT_MEMORY_BUDGET_MB = 1024
 MEMORY_BUDGET_ENV = "REG_MEMORY_BUDGET_MB"
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (``taskset`` narrows it), else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -118,8 +127,8 @@ class RegistrationConfig:
     reference; a reference requires ``standardize``). External features
     are supplied as raw+JSON paths, one per image. Paths are strings or
     None, the two flags bools, the budget an integer or None, and
-    ``workers`` (search threads; None means two, or one on a single-CPU
-    machine) a positive integer or None.
+    ``workers`` (search threads; None means two, or one when the process
+    may use a single CPU) a positive integer or None.
     """
 
     feature: str = "ssc"
@@ -182,7 +191,7 @@ class RegistrationConfig:
         return int(mb) * 1024 * 1024
 
     def worker_count(self) -> int:
-        return min(2, os.cpu_count() or 1) if self.workers is None else self.workers
+        return min(2, usable_cpus()) if self.workers is None else self.workers
 
     def to_dict(self) -> dict:
         return {**asdict(self), "levels": [lv.to_dict() for lv in self.levels]}
@@ -251,6 +260,8 @@ def chunked_dsv_execution(
     the SAD kernel's scratch (``regcore._sad_scratch``): k cost maps on
     integer-only levels, 2k with fractional candidates, at most 1 MiB
     unless k = 1. All of these are allocated here, in the calling thread.
+    The box-sum and Gaussian filters reuse the worker's SAD scratch, free
+    once its batch is scored, so they need no memory beyond it.
     """
     nz, ny, nx = f_fixed.data.shape[:3]
     map_bytes = nz * ny * nx * 8
@@ -284,9 +295,9 @@ def chunked_dsv_execution(
                     fixed64, moving64, disp.displacements[li], out=batch[bi], scratch=scratch[w]
                 )
             if patch_radius > 0:
-                regcore._box_sum_map(batch, patch_radius)
+                regcore._box_sum_map(batch, patch_radius, scratch[w])
             if smooth_sigma > 0:
-                regcore._smooth_map(batch, smooth_sigma)
+                regcore._smooth_map(batch, smooth_sigma, scratch[w])
             for cost_map, li in zip(batch, batch_labels):
                 _keep_better(cost_map, li, best_cost[w], best_label[w], improved[w])
 

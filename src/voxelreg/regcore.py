@@ -18,20 +18,26 @@ the border clamping of a shifted lookup. ``_label_cost_map`` serves both
 groups of channels, one subtract and one abs per (k, z, y, x) window, so
 a candidate costs a few large array operations, not a few per channel
 (many short calls stall concurrent search threads on the interpreter
-lock). Box-sum and Gaussian filters run in place on whole
-(labels, z, y, x) batches.
+lock). Box-sum and Gaussian filters run in place on (labels, z, y, x)
+batches. Each is one (n, n) operator matrix per axis with the edge
+clamping folded in, built once per axis length and radius or sigma, and
+applied as stacked matrix products over a few maps at a time, each 2-D
+product small enough that BLAS runs it on the calling thread.
 
 All operations are pure functions over immutable inputs and are
 bit-deterministic: the cost volume is label-major (one contiguous 3-D map
 per candidate), SAD accumulates channel by channel in channel order
-whatever the group size, and
-argmin ties resolve by smallest L1 displacement, then lexicographic
-(dz, dy, dx), so the zero displacement always wins a tie against any
-other candidate.
+whatever the group size, a filtered map's bits depend only on the map
+and the grid, not on its batch or position (and maps that agree on an
+output voxel's window agree on its bits, so exact ties survive
+filtering), and argmin ties resolve by smallest L1 displacement, then
+lexicographic (dz, dy, dx), so the zero displacement always wins a tie
+against any other candidate.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -230,14 +236,115 @@ def build_dsv(f_fixed: FeatureVolume, f_moving: FeatureVolume, disp: Displacemen
     return CostVolume(dims=f_fixed.dims, costs=costs)
 
 
-def _box_sum_map(costs: np.ndarray, radius: int) -> np.ndarray:
-    """Box-sum every map of a (labels, z, y, x) batch in place, clamped at 0."""
-    size = 2 * radius + 1
-    ndimage.uniform_filter(costs, size=(1, size, size, size), mode="nearest", output=costs)
-    costs *= float(size**3)
-    # rolling sums can leave tiny negative residues on all-zero maps
-    np.maximum(costs, 0.0, out=costs)
+# Largest 2-D product, in multiply-adds, that the filters hand to BLAS:
+# OpenBLAS runs a product up to this size on the calling thread, so filters
+# on concurrent search threads start no BLAS threads to compete with them
+# (one large product per pass ran slower end to end than scipy's filters).
+_MAX_PRODUCT = 2**18
+
+
+@dataclass(frozen=True)
+class _AxisOperator:
+    """One axis of a filter as an (n, n) matrix, edge clamping folded in.
+
+    ``rows`` is the matrix, ``cols`` its transpose (both C-contiguous and
+    read-only), ``reach`` the largest |column - row| of a nonzero entry.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    reach: int
+
+
+def _clamped_operator(n: int, taps: np.ndarray) -> _AxisOperator:
+    """Correlation with ``taps`` along an n-voxel axis, edge-clamped:
+    m[i, clamp(i + k - R)] += taps[k], R = len(taps) // 2."""
+    reach = len(taps) // 2
+    rows = np.repeat(np.arange(n), len(taps))
+    cols = np.clip(rows + np.tile(np.arange(len(taps)) - reach, n), 0, n - 1)
+    m = np.zeros((n, n))
+    np.add.at(m, (rows, cols), np.tile(taps, n))
+    t = np.ascontiguousarray(m.T)
+    m.setflags(write=False)
+    t.setflags(write=False)
+    return _AxisOperator(m, t, reach)
+
+
+# a registration uses a few axis lengths per level; the bound keeps a long
+# batch over many grids from holding every matrix it ever built
+@functools.lru_cache(maxsize=16)
+def _box_operator(n: int, radius: int) -> _AxisOperator:
+    # integer window counts: the sums need no rescaling
+    return _clamped_operator(n, np.ones(2 * radius + 1))
+
+
+@functools.lru_cache(maxsize=16)
+def _gauss_operator(n: int, sigma: float) -> _AxisOperator:
+    # scipy's own taps (truncation and normalization), read off an impulse
+    radius = int(4.0 * sigma + 0.5)
+    impulse = np.zeros(2 * radius + 1)
+    impulse[radius] = 1.0
+    return _clamped_operator(n, ndimage.gaussian_filter1d(impulse, sigma, mode="constant"))
+
+
+@functools.lru_cache(maxsize=64)
+def _row_tiles(n: int, m: int, reach: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(i0, i1, b0, b1) per tile: output rows [i0, i1) of an n-row operator
+    applied to (n, m) slices, and the input band [b0, b1) they read.
+
+    One tile when the dense product fits ``_MAX_PRODUCT``; otherwise T rows
+    per tile, T the largest with T * min(n, T + 2 * reach) * m within it.
+    """
+    if n * n * m <= _MAX_PRODUCT:
+        return ((0, n, 0, n),)
+    t = 1
+    while (t + 1) * min(n, t + 1 + 2 * reach) * m <= _MAX_PRODUCT:
+        t += 1
+    return tuple(
+        (i0, min(i0 + t, n), max(0, i0 - reach), min(n, i0 + t + reach)) for i0 in range(0, n, t)
+    )
+
+
+def _left_product(op: _AxisOperator, src: np.ndarray, dst: np.ndarray):
+    """dst[..., i, :] = sum_j op[i, j] * src[..., j, :]: one (n, m) product per
+    leading index, band-tiled along n."""
+    n, m = src.shape[-2:]
+    for i0, i1, b0, b1 in _row_tiles(n, m, op.reach):
+        np.matmul(op.rows[i0:i1, b0:b1], src[..., b0:b1, :], out=dst[..., i0:i1, :])
+
+
+def _filter_maps(costs: np.ndarray, ops, scratch) -> np.ndarray:
+    """Apply the (z, y, x) axis operators ``ops`` to every map of a
+    (labels, z, y, x) batch in place, x first, as many maps at a time as
+    ``scratch`` holds whole."""
+    op_z, op_y, op_x = ops
+    dims = costs.shape[1:]
+    if scratch is None:
+        scratch = np.empty(dims)
+    buf = scratch.reshape((-1,) + dims)
+    nx = dims[2]
+    for start in range(0, len(costs), len(buf)):
+        maps = costs[start : start + len(buf)]
+        tmp = buf[: len(maps)]
+        # x: (y, x) @ (x, x) per (map, z), band-tiled along output columns
+        for i0, i1, b0, b1 in _row_tiles(nx, dims[1], op_x.reach):
+            np.matmul(maps[..., b0:b1], op_x.cols[b0:b1, i0:i1], out=tmp[..., i0:i1])
+        _left_product(op_y, tmp, maps)  # (y, y) @ (y, x) per (map, z)
+        # (z, z) @ (z, x) per (map, y), through transposed views, no copy
+        _left_product(op_z, maps.transpose(0, 2, 1, 3), tmp.transpose(0, 2, 1, 3))
+        np.copyto(maps, tmp)
     return costs
+
+
+def _box_sum_map(costs: np.ndarray, radius: int, scratch=None) -> np.ndarray:
+    """Box-sum every map of a (labels, z, y, x) batch in place.
+
+    ``scratch`` (any contiguous float64 array of one or more whole maps, such
+    as the SAD kernel's) holds the intermediate passes; without it one map is
+    allocated.
+    """
+    ops = [_box_operator(n, radius) for n in costs.shape[1:]]
+    return _filter_maps(costs, ops, scratch)
 
 
 def aggregate_costs(dsv: CostVolume, patch_radius: int) -> CostVolume:
@@ -253,14 +360,14 @@ def aggregate_costs(dsv: CostVolume, patch_radius: int) -> CostVolume:
     return CostVolume(dims=dsv.dims, costs=_box_sum_map(dsv.costs.copy(), patch_radius))
 
 
-def _smooth_map(costs: np.ndarray, sigma: float) -> np.ndarray:
+def _smooth_map(costs: np.ndarray, sigma: float, scratch=None) -> np.ndarray:
     """Gaussian-smooth every map of a (labels, z, y, x) batch in place.
 
-    The weights are positive and the maps non-negative (SAD, or a box sum
-    clamped at 0), so the result is non-negative without a clamp.
+    ``scratch`` as for ``_box_sum_map``. The weights are non-negative and
+    so are the maps (SAD, or a box sum of SAD), so the result is too.
     """
-    ndimage.gaussian_filter(costs, sigma=(0.0, sigma, sigma, sigma), mode="nearest", output=costs)
-    return costs
+    ops = [_gauss_operator(n, float(sigma)) for n in costs.shape[1:]]
+    return _filter_maps(costs, ops, scratch)
 
 
 def regularize_dsv(dsv: CostVolume, smooth_sigma: float) -> CostVolume:

@@ -273,6 +273,26 @@ def test_register_bad_config_is_one_line_error(tmp_path, cfg, needle):
     assert_one_line_error(res, needle)
 
 
+@pytest.mark.parametrize("message, line", [
+    ("cannot allocate 8.0 GiB", "error: out of memory: cannot allocate 8.0 GiB"),
+    ("", "error: out of memory"),
+])
+def test_register_out_of_memory_is_one_line_error(tmp_path, monkeypatch, capsys, message, line):
+    from voxelreg import cli
+
+    vol = smooth_random_volume((12, 12, 12), seed=12)
+    save_volume(vol, tmp_path / "vol")
+
+    def register(fixed, moving, cfg):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "register", register)
+    code = cli.main(["register", "--fixed", str(tmp_path / "vol"), "--moving", str(tmp_path / "vol"),
+                     "--out-field", str(tmp_path / "field")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
 def test_register_bad_budget_env_is_one_line_error(tmp_path):
     vol = smooth_random_volume((12, 12, 12), seed=12)
     save_volume(vol, tmp_path / "vol")
@@ -626,6 +646,7 @@ def test_batch_caps_jobs_times_workers_at_cpu_count(tmp_path, monkeypatch, cpus,
         return zero_field(fixed.dims), moving
 
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(cli, "register", register)
     assert cli.main(["batch", str(manifest), "--jobs", str(jobs)]) == 0
     assert seen == [expected] * n_pairs

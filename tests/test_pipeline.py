@@ -1,5 +1,7 @@
 """Multi-resolution driver and chunked-execution tests."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from voxelreg.pipeline import (
     chunked_dsv_execution,
     compose_fields,
     register,
+    usable_cpus,
 )
 from voxelreg.synth import make_pair, smooth_random_volume
 from voxelreg.volume import (
@@ -105,6 +108,23 @@ def test_config_from_dict_rejects_unknown_keys():
 def test_config_external_requires_paths():
     with pytest.raises(ValueError):
         RegistrationConfig(feature="external")
+
+
+@pytest.mark.parametrize("allowed, workers", [({0}, 1), ({1, 3}, 2), (set(range(8)), 2)])
+def test_worker_count_reads_the_affinity_mask(monkeypatch, allowed, workers):
+    # under taskset -c 0 the machine may have many CPUs, the process one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: allowed, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert usable_cpus() == len(allowed)
+    assert RegistrationConfig().worker_count() == workers
+    assert RegistrationConfig(workers=3).worker_count() == 3
+
+
+@pytest.mark.parametrize("cpus, expected", [(6, 6), (None, 1)])
+def test_usable_cpus_without_affinity_is_the_cpu_count(monkeypatch, cpus, expected):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert usable_cpus() == expected
 
 
 def test_config_roundtrips_via_dict():
@@ -208,6 +228,22 @@ def test_chunked_budget_below_one_map_errors():
     ds = regcore.build_displacement_set(1.0, 1.0)
     with pytest.raises(ValueError):
         chunked_dsv_execution(f_fixed, f_moving, ds, 0, 0.0, 100)
+
+
+@pytest.mark.parametrize("seed", [65, 66])
+def test_clamped_border_ties_resolve_to_the_smaller_shift(seed):
+    # on the last x plane, every candidate with dx >= r reads the clamped
+    # moving edge across the whole (2r + 1)^3 window, so its box sum equals
+    # that of dx = r, same dy and dz, exactly; the tie rule picks dx = r
+    case = make_pair("translation", (24, 24, 24), seed=seed, translation=(3.0, 0.0, 0.0),
+                     noise_sigma=1.2)
+    f_fixed, f_moving = (normalize_intensity(case[k]) for k in ("fixed", "moving"))
+    radius = 2
+    ds = regcore.build_displacement_set(1.0, 4.0)
+    field = chunked_dsv_execution(f_fixed, f_moving, ds, radius, 0.0, 1 << 30, 2)
+    last_plane_dx = field.data[:, :, -1, 0]
+    assert (last_plane_dx <= radius).all()
+    assert (field.data[6:-6, 6:-6, 6:-6] == np.float32([3, 0, 0])).all()
 
 
 def integer_feature_pair(seed, n=8, channels=2):

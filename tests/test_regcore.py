@@ -1,5 +1,6 @@
 """Displacement-search core tests against naive loop oracles."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -502,20 +503,122 @@ def test_label_cost_map_matches_clamped_gather_oracle(channels, q):
         assert np.abs(got - want).max() < 1e-12, d
 
 
+def assert_matches_scipy(batch, box, smooth, radius, sigma):
+    """``box`` and ``smooth`` (box, then Gaussian, of ``batch``) apply the
+    operators of scipy's edge-clamped filters, up to rounding."""
+    size = 2 * radius + 1
+    want_box = np.stack([ndimage.uniform_filter(m, size, mode="nearest") * size**3 for m in batch])
+    np.testing.assert_allclose(box, want_box, rtol=1e-13, atol=0)
+    want_smooth = np.stack([ndimage.gaussian_filter(m, sigma, mode="nearest") for m in box])
+    np.testing.assert_allclose(smooth, want_smooth, rtol=1e-13, atol=0)
+
+
+def filter_each_map(batch, radius, sigma):
+    """Box then Gaussian, one map at a time, each with a fresh scratch."""
+    out = []
+    for m in batch:
+        one = m[None].copy()
+        regcore._box_sum_map(one, radius)
+        out.append(regcore._smooth_map(one, sigma)[0])
+    return np.stack(out)
+
+
 def test_batch_filters_in_place_equal_per_map_filters():
     rng = np.random.default_rng(61)
-    batch = rng.uniform(0, 5, size=(4, 7, 9, 11))
-    want_box = np.stack(
-        [np.maximum(ndimage.uniform_filter(m, size=5, mode="nearest") * 125.0, 0.0) for m in batch]
-    )
-    want_smooth = np.stack(
-        [np.maximum(ndimage.gaussian_filter(m, sigma=1.3, mode="nearest"), 0.0) for m in want_box]
-    )
+    for shape in ((7, 9, 11), (13, 3, 17)):
+        batch = rng.uniform(0, 5, size=(4,) + shape)
+        want = filter_each_map(batch, 2, 1.3)
+        for maps in (1, 2, 3, 4):  # scratch of 1, 2, 3 maps and of the whole batch
+            scratch = np.empty((maps,) + shape)
+            out = batch.copy()
+            assert regcore._box_sum_map(out, 2, scratch) is out
+            box = out.copy()
+            assert regcore._smooth_map(out, 1.3, scratch) is out
+            assert np.array_equal(out, want), (shape, maps)
+        assert_matches_scipy(batch, box, out, 2, 1.3)
+
+
+@pytest.mark.parametrize("n, radius", [(1, 2), (3, 2), (7, 1), (9, 3)])
+def test_box_operator_holds_clamped_window_counts(n, radius):
+    op = regcore._box_operator(n, radius)
+    want = np.zeros((n, n))
+    for i in range(n):
+        for k in range(-radius, radius + 1):
+            want[i, min(max(i + k, 0), n - 1)] += 1
+    assert np.array_equal(op.rows, want)
+    assert np.array_equal(op.cols, want.T)
+    assert (op.rows.sum(axis=1) == 2 * radius + 1).all()
+
+
+@pytest.mark.parametrize("n, sigma", [(1, 1.0), (5, 1.3), (24, 2**0.5), (70, 2.0)])
+def test_gauss_operator_rows_sum_to_one(n, sigma):
+    op = regcore._gauss_operator(n, sigma)
+    assert np.abs(op.rows.sum(axis=1) - 1.0).max() <= 1e-15
+    assert (op.rows >= 0).all()
+    assert op.reach == int(4.0 * sigma + 0.5)
+
+
+def test_filters_keep_zero_maps_zero_and_never_go_negative():
+    rng = np.random.default_rng(64)
+    batch = rng.uniform(0, 1, size=(3, 9, 8, 7)) ** 8  # many values near 0
+    batch[1] = 0.0
+    regcore._box_sum_map(batch, 2)
+    assert (batch[1] == 0.0).all() and (batch >= 0.0).all()
+    regcore._smooth_map(batch, 1.7)
+    assert (batch[1] == 0.0).all() and (batch >= 0.0).all()
+
+
+# (z, y, x) passes of (z, x), (y, x) and (x, y) slices: a pass is tiled
+# when its dense product n * n * m exceeds 2**18 multiply-adds
+@pytest.mark.parametrize("shape, tiled", [((70, 5, 64), [True, False, False]),
+                                          ((5, 60, 80), [False, True, True])])
+def test_long_axes_are_band_tiled(shape, tiled):
+    nz, ny, nx = shape
+    reach = regcore._gauss_operator(nz, 1.3).reach
+    slices = ((nz, nx), (ny, nx), (nx, ny))
+    tiles = [regcore._row_tiles(n, m, reach) for n, m in slices]
+    assert [len(t) > 1 for t in tiles] == tiled
+    for t, (n, m) in zip(tiles, slices):
+        assert [i0 for i0, *_ in t] + [n] == [0] + [i1 for _, i1, *_ in t]
+        assert all((i1 - i0) * (b1 - b0) * m <= 2**18 for i0, i1, b0, b1 in t)
+    assert len(regcore._row_tiles(64, 64, 2)) == 1
+
+    rng = np.random.default_rng(65)
+    batch = rng.uniform(0, 5, size=(3,) + shape)
     out = batch.copy()
-    assert regcore._box_sum_map(out, 2) is out
-    assert np.array_equal(out, want_box)
-    assert regcore._smooth_map(out, 1.3) is out
-    assert np.array_equal(out, want_smooth)
+    regcore._box_sum_map(out, 2, np.empty((2,) + shape))
+    box = out.copy()
+    regcore._smooth_map(out, 1.3, np.empty((2,) + shape))
+    assert np.array_equal(out, filter_each_map(batch, 2, 1.3))
+    assert_matches_scipy(batch, box, out, 2, 1.3)
+
+
+def test_concurrent_filters_give_the_bits_of_one_thread():
+    rng = np.random.default_rng(66)
+    batch = rng.uniform(0, 5, size=(8, 24, 20, 22))
+    want = batch.copy()
+    regcore._box_sum_map(want, 2, np.empty((3,) + batch.shape[1:]))
+    regcore._smooth_map(want, 2**0.5, np.empty((3,) + batch.shape[1:]))
+    for _ in range(3):
+        out = batch.copy()
+        start = threading.Barrier(2)
+
+        def work(half):
+            part = out[half * 4 : half * 4 + 4]
+            scratch = np.empty((2,) + batch.shape[1:])
+            start.wait()
+            for _ in range(5):  # overlap the two threads' products
+                part[:] = batch[half * 4 : half * 4 + 4]
+                regcore._box_sum_map(part, 2, scratch)
+                regcore._smooth_map(part, 2**0.5, scratch)
+
+        threads = [threading.Thread(target=work, args=(h,)) for h in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert np.array_equal(out, want)
 
 
 def channel_order_sad_oracle(fixed, moving, d):
