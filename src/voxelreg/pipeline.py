@@ -12,13 +12,15 @@ composition, adequate for the small, bounded increments searched here.
 
 The cost volume for one level can reach gigabytes, so it is never
 materialized whole: ``chunked_dsv_execution`` walks displacement
-candidates in tie-break priority order in budget-sized batches, keeping a
-running per-voxel (best cost, best candidate) pair. Worker threads each
-walk one contiguous slice of that order (the SAD ufuncs and the filters'
-matrix products release the interpreter lock) and their bests are merged
-in slice order. Its output is bit-identical to building, aggregating,
-smoothing and arg-minimizing the full cost volume, whatever the worker
-count.
+candidates in tie-break priority order in small batches, keeping a
+running per-voxel (best cost, best candidate) pair. A batch holds as many
+cost maps as the SAD kernel's scratch (about 1 MiB, at least one map),
+never more than the memory budget allows, so the budget is a cap and not
+the working size. Worker threads each walk one contiguous slice of that
+order (the SAD ufuncs and the filters' matrix products release the
+interpreter lock) and their bests are merged in slice order. Its output
+is bit-identical to building, aggregating, smoothing and arg-minimizing
+the full cost volume, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ class RegistrationConfig:
     ``standardize_reference`` names a volume, remaps both onto that
     reference; a reference requires ``standardize``). External features
     are supplied as raw+JSON paths, one per image. Paths are strings or
-    None, the two flags bools, the budget an integer or None, and
+    None, the two flags bools, the budget a positive integer or None, and
     ``workers`` (search threads; None means two, or one when the process
     may use a single CPU) a positive integer or None.
     """
@@ -156,6 +158,8 @@ class RegistrationConfig:
         mb = self.memory_budget_mb
         if mb is not None and (isinstance(mb, bool) or not isinstance(mb, numbers.Integral)):
             raise ValueError(f"config memory_budget_mb must be an integer, got {mb!r}")
+        if mb is not None and mb < 1:
+            raise ValueError(f"config memory_budget_mb must be positive, got {mb!r}")
         w = self.workers
         if w is not None and (isinstance(w, bool) or not isinstance(w, numbers.Integral) or w < 1):
             raise ValueError(f"config workers must be a positive integer, got {w!r}")
@@ -239,38 +243,41 @@ def chunked_dsv_execution(
 ) -> DisplacementField:
     """Winner field without materializing the full cost volume.
 
-    Candidates are processed in tie-break priority order in batches sized
-    so the batched cost maps (float64) fit the budget; each batch is filled
-    by the per-label kernel of ``regcore.build_dsv`` and filtered in place,
-    whole batch at once. A strict-less-than merge of each map, in priority
-    order, against the running best preserves the tie-break, making the
-    result bit-identical to the unchunked build/aggregate/regularize/
-    winner-takes-all path.
+    Candidates are processed in tie-break priority order in small batches;
+    each batch is filled by the per-label kernel of ``regcore.build_dsv``
+    and filtered in place. A strict-less-than merge of each map, in
+    priority order, against the running best preserves the tie-break,
+    making the result bit-identical to the unchunked build/aggregate/
+    regularize/winner-takes-all path.
 
     ``workers`` threads (never more than the candidates, nor than the cost
     maps the budget holds) each run that loop over one contiguous slice of
-    the priority order, with 1/W of the budget and running best maps of
-    their own. The slices' bests are then
-    merged in slice order with the same strict less-than, so the earliest
-    slice wins ties as the serial scan does and every worker count gives
-    the same field. The budget sizes the batches only; a level also holds
-    float64 channel-first copies of both feature volumes (the moving one
-    padded by ceil(l_max) voxels per side) and, per worker, a best cost,
-    best label and merge mask the size of the level (17 B per voxel) and
-    the SAD kernel's scratch (``regcore._sad_scratch``): k cost maps on
-    integer-only levels, 2k with fractional candidates, at most 1 MiB
-    unless k = 1. All of these are allocated here, in the calling thread.
-    The box-sum and Gaussian filters reuse the worker's SAD scratch, free
-    once its batch is scored, so they need no memory beyond it.
+    the priority order, with running best maps of their own. The slices'
+    bests are then merged in slice order with the same strict less-than,
+    so the earliest slice wins ties as the serial scan does and every
+    worker count gives the same field.
+
+    A worker's batch holds as many float64 cost maps as its SAD scratch
+    (``regcore._sad_scratch``: k maps on integer-only levels, 2k with
+    fractional candidates, at most 1 MiB unless k = 1), so the box-sum and
+    Gaussian filters take each batch in one pass over that scratch, free
+    once the batch is scored. A filtered map's bits do not depend on its
+    batch, so the batch size never changes the field. The budget caps the
+    batch at 1/W of it each, and is otherwise not the working size. A level
+    holds float64 channel-first copies of both feature volumes (the moving
+    one padded by ceil(l_max) voxels per side) and, per worker, the scratch,
+    the batch and a best cost, best label (int32) and merge mask the size
+    of the level (13 B per voxel). All of these are allocated here, in the
+    calling thread.
     """
     nz, ny, nx = f_fixed.data.shape[:3]
     map_bytes = nz * ny * nx * 8
-    batch_size = int(memory_budget_bytes // map_bytes)
-    if batch_size < 1:
+    budget_maps = int(memory_budget_bytes // map_bytes)
+    if budget_maps < 1:
         raise ValueError(
             f"memory budget {memory_budget_bytes} B is smaller than one cost map ({map_bytes} B)"
         )
-    n_workers = min(workers, disp.count, batch_size)
+    n_workers = min(workers, disp.count, budget_maps)
 
     fixed64, moving64 = regcore._level_arrays(f_fixed, f_moving, disp)
     slices = np.array_split(disp.priority_order(), n_workers)
@@ -278,12 +285,13 @@ def chunked_dsv_execution(
     # every worker's arrays are allocated here, in the calling thread: the
     # same blocks allocated inside the worker threads raised peak RSS by up
     # to a fifth, and by a different amount from run to run
-    per_worker = min(batch_size // n_workers, len(slices[0]))
+    scratch = regcore._sad_scratch((nz, ny, nx), fixed64.shape[3], disp.fractional, n_workers)
+    group = scratch.shape[1] * scratch.shape[2]  # the maps one filter pass takes
+    per_worker = min(budget_maps // n_workers, group, len(slices[0]))
     buffer = np.empty((n_workers, per_worker, nz, ny, nx), dtype=np.float64)
     best_cost = np.full((n_workers, nz, ny, nx), np.inf, dtype=np.float64)
-    best_label = np.zeros((n_workers, nz, ny, nx), dtype=np.intp)
+    best_label = np.zeros((n_workers, nz, ny, nx), dtype=np.int32)
     improved = np.empty((n_workers, nz, ny, nx), dtype=bool)
-    scratch = regcore._sad_scratch((nz, ny, nx), fixed64.shape[3], disp.fractional, n_workers)
 
     def search(w):
         labels = slices[w]

@@ -165,7 +165,8 @@ def _sad_scratch(dims, channels: int, fractional: bool, workers=None) -> np.ndar
     for the corner products. k, the channels per SAD group, is as many as
     keep the blocks within 1 MiB (2**17 float64 values), but at least 1 and
     at most ``channels``. With ``workers``, one scratch per worker, stacked
-    on a leading axis.
+    on a leading axis. The filters reuse it once a batch is scored, so
+    ``pipeline``'s chunked search sizes its batches to its blocks x k maps.
     """
     blocks = 1 + bool(fractional)
     k = max(1, min(channels, 2**17 // (blocks * math.prod(dims))))

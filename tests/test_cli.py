@@ -260,6 +260,8 @@ def test_register_with_config_file(tmp_path):
         ({"workers": True}, "config workers must be a positive integer, got True"),
         ({"workers": 1.5}, "config workers must be a positive integer, got 1.5"),
         ({"workers": "2"}, "config workers must be a positive integer, got '2'"),
+        ({"memory_budget_mb": 0}, "config memory_budget_mb must be positive, got 0"),
+        ({"memory_budget_mb": -64}, "config memory_budget_mb must be positive, got -64"),
     ],
 )
 def test_register_bad_config_is_one_line_error(tmp_path, cfg, needle):
@@ -526,6 +528,10 @@ def test_batch_manifest_parse_failure_errors(tmp_path):
         ({"volumes": [{"id": 1, "image": "a", "labels": None}]}, "field 'labels' must be a string"),
         ({"pairs": [], "output_dir": 5}, "manifest output_dir must be a string, got 5"),
         ({"pairs": []}, "has no pairs"),
+        # a bad budget fails the manifest once, not every pair in turn
+        ({"config": {"memory_budget_mb": 0}, "pairs": [{"pair_id": "p", "fixed": "f",
+          "moving": "m", "fixed_labels": "fl", "moving_labels": "ml"}]},
+         "config memory_budget_mb must be positive, got 0"),
     ],
 )
 def test_batch_manifest_bad_shape_is_one_line_error(tmp_path, manifest, needle):

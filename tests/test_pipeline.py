@@ -1,6 +1,7 @@
 """Multi-resolution driver and chunked-execution tests."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,6 +273,29 @@ def test_chunked_worker_counts_bit_identical(radius, sigma):
                 assert np.array_equal(
                     got.data.view(np.uint32), want.data.view(np.uint32)
                 ), (seed, budget, workers)
+
+
+def test_chunked_peak_memory_does_not_grow_with_the_budget():
+    # 24^3, 12 channels, 729 labels, two workers: a worker's batch is its SAD
+    # scratch (9 maps), so the budget caps the batch but never sizes it
+    n, channels, workers = 24, 12, 2
+    f_fixed, f_moving = random_feature_pair(64, n=n, channels=channels)
+    ds = regcore.build_displacement_set(1.0, 4.0)
+    voxels = n**3
+    features = 8 * channels * (voxels + (n + 2 * 4) ** 3)  # fixed + padded moving copy
+    scratch = regcore._sad_scratch((n, n, n), channels, False).nbytes  # = one batch
+    bound = features + workers * (scratch + scratch + 13 * voxels)
+    slack = 1 << 20  # the returned field, its float64 lookup, operators, labels
+    peaks = []
+    for budget_mb in (16, 1024):
+        tracemalloc.start()
+        try:
+            chunked_dsv_execution(f_fixed, f_moving, ds, 2, 1.0, budget_mb << 20, workers)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[0] - peaks[1]) <= slack // 2, peaks
+    assert max(peaks) <= bound + slack, (peaks, bound)
 
 
 def test_chunked_preserves_tiebreak_on_constant_features():
