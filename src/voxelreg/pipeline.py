@@ -257,21 +257,22 @@ def chunked_dsv_execution(
     so the earliest slice wins ties as the serial scan does and every
     worker count gives the same field.
 
-    A worker's batch holds as many float64 cost maps as its SAD scratch
+    The search runs in float32 (``regcore.SEARCH_DTYPE``). A worker's batch
+    holds as many float32 cost maps as its SAD scratch
     (``regcore._sad_scratch``: k maps on integer-only levels, 2k with
     fractional candidates, at most 1 MiB unless k = 1), so the box-sum and
     Gaussian filters take each batch in one pass over that scratch, free
     once the batch is scored. A filtered map's bits do not depend on its
-    batch, so the batch size never changes the field. The budget caps the
-    batch at 1/W of it each, and is otherwise not the working size. A level
-    holds float64 channel-first copies of both feature volumes (the moving
-    one padded by ceil(l_max) voxels per side) and, per worker, the scratch,
-    the batch and a best cost, best label (int32) and merge mask the size
-    of the level (13 B per voxel). All of these are allocated here, in the
-    calling thread.
+    batch, so the batch size never changes the field. The budget, counted
+    in float32 maps, caps the batch at 1/W of it each, and is otherwise not
+    the working size. A level holds float32 channel-first copies of both
+    feature volumes (the moving one padded by ceil(l_max) voxels per side)
+    and, per worker, the scratch, the batch and a float32 best cost, an
+    int32 best label and a merge mask the size of the level (9 B per
+    voxel). All of these are allocated here, in the calling thread.
     """
     nz, ny, nx = f_fixed.data.shape[:3]
-    map_bytes = nz * ny * nx * 8
+    map_bytes = nz * ny * nx * regcore.SEARCH_DTYPE.itemsize
     budget_maps = int(memory_budget_bytes // map_bytes)
     if budget_maps < 1:
         raise ValueError(
@@ -279,17 +280,17 @@ def chunked_dsv_execution(
         )
     n_workers = min(workers, disp.count, budget_maps)
 
-    fixed64, moving64 = regcore._level_arrays(f_fixed, f_moving, disp)
+    fixed, moving = regcore._level_arrays(f_fixed, f_moving, disp)
     slices = np.array_split(disp.priority_order(), n_workers)
 
     # every worker's arrays are allocated here, in the calling thread: the
     # same blocks allocated inside the worker threads raised peak RSS by up
     # to a fifth, and by a different amount from run to run
-    scratch = regcore._sad_scratch((nz, ny, nx), fixed64.shape[3], disp.fractional, n_workers)
+    scratch = regcore._sad_scratch((nz, ny, nx), fixed.shape[3], disp.fractional, n_workers)
     group = scratch.shape[1] * scratch.shape[2]  # the maps one filter pass takes
     per_worker = min(budget_maps // n_workers, group, len(slices[0]))
-    buffer = np.empty((n_workers, per_worker, nz, ny, nx), dtype=np.float64)
-    best_cost = np.full((n_workers, nz, ny, nx), np.inf, dtype=np.float64)
+    buffer = np.empty((n_workers, per_worker, nz, ny, nx), dtype=regcore.SEARCH_DTYPE)
+    best_cost = np.full((n_workers, nz, ny, nx), np.inf, dtype=regcore.SEARCH_DTYPE)
     best_label = np.zeros((n_workers, nz, ny, nx), dtype=np.int32)
     improved = np.empty((n_workers, nz, ny, nx), dtype=bool)
 
@@ -300,7 +301,7 @@ def chunked_dsv_execution(
             batch = buffer[w, : len(batch_labels)]
             for bi, li in enumerate(batch_labels):
                 regcore._label_cost_map(
-                    fixed64, moving64, disp.displacements[li], out=batch[bi], scratch=scratch[w]
+                    fixed, moving, disp.displacements[li], out=batch[bi], scratch=scratch[w]
                 )
             if patch_radius > 0:
                 regcore._box_sum_map(batch, patch_radius, scratch[w])

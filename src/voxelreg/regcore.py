@@ -10,19 +10,23 @@ patch (``aggregate_costs``) and by Gaussian-smoothing each candidate's
 cost map (``regularize_dsv``) before the per-voxel argmin
 (``winner_takes_all``).
 
-Per level, both feature volumes are copied once to float64, channel-first
+The search runs in float32 (``SEARCH_DTYPE``), the features' own dtype:
+per level, both feature volumes are copied once to float32, channel-first
 (C, z, y, x), the moving one edge-padded by ceil(l_max) voxels, so every
 candidate shift (and trilinear corner) is a slice and edge padding gives
-the border clamping of a shifted lookup. ``_label_cost_map`` serves both
-``build_dsv`` and ``pipeline``'s chunked search. It computes SAD over
-groups of channels, one subtract and one abs per (k, z, y, x) window, so
-a candidate costs a few large array operations, not a few per channel
-(many short calls stall concurrent search threads on the interpreter
-lock). Box-sum and Gaussian filters run in place on (labels, z, y, x)
+the border clamping of a shifted lookup. Cost maps, the SAD scratch and
+the cost volume are float32 as well, which halves the bytes both hot
+kernels move. ``_label_cost_map`` serves both ``build_dsv`` and
+``pipeline``'s chunked search. It computes SAD over groups of channels,
+one subtract and one abs per (k, z, y, x) window, so a candidate costs a
+few large array operations, not a few per channel (many short calls stall
+concurrent search threads on the interpreter lock). Box-sum and Gaussian filters run in place on (labels, z, y, x)
 batches. Each is one (n, n) operator matrix per axis with the edge
-clamping folded in, built once per axis length and radius or sigma, and
-applied as stacked matrix products over a few maps at a time, each 2-D
-product small enough that BLAS runs it on the calling thread.
+clamping folded in, built once in float64 per axis length and radius or
+sigma, and applied as stacked matrix products over a few maps at a time,
+each 2-D product small enough that BLAS runs it on the calling thread.
+Float32 maps are multiplied by a float32 copy of each operator, so the
+products run in float32; float64 maps still get the float64 operators.
 
 All operations are pure functions over immutable inputs and are
 bit-deterministic: the cost volume is label-major (one contiguous 3-D map
@@ -52,6 +56,9 @@ from voxelreg.volume import (
     _trilinear_zyx,
     _warp_coords,
 )
+
+# dtype of the per-level feature copies, cost maps, SAD scratch and cost volume
+SEARCH_DTYPE = np.dtype(np.float32)
 
 
 @dataclass(frozen=True)
@@ -113,15 +120,15 @@ def build_displacement_set(q: float, l_max: float) -> DisplacementSet:
 class CostVolume:
     """Per-voxel, per-candidate similarity costs, label-major.
 
-    ``costs`` has shape (label_count, z, y, x), float64, all entries
-    finite and non-negative.
+    ``costs`` has shape (label_count, z, y, x), float32 (``SEARCH_DTYPE``;
+    other dtypes are converted), all entries finite and non-negative.
     """
 
     dims: tuple[int, int, int]  # (x, y, z) of the fixed grid
     costs: np.ndarray
 
     def __post_init__(self):
-        costs = np.asarray(self.costs, dtype=np.float64)
+        costs = np.asarray(self.costs, dtype=SEARCH_DTYPE)
         expected = (costs.shape[0], self.dims[2], self.dims[1], self.dims[0])
         if costs.shape != expected:
             raise ValueError(f"costs shape {costs.shape} != expected {expected}")
@@ -145,33 +152,49 @@ def _check_feature_pair(f_fixed: FeatureVolume, f_moving: FeatureVolume):
 
 
 def _level_arrays(f_fixed: FeatureVolume, f_moving: FeatureVolume, disp: DisplacementSet):
-    """Float64 (z, y, x, C) views of channel-first copies of both volumes.
+    """Float32 (z, y, x, C) views of channel-first copies of both volumes.
 
     The moving copy is edge-padded by ceil(max |d|), the reach of the
-    farthest trilinear corner.
+    farthest trilinear corner. It is allocated once at its padded shape:
+    the interior is copied in, then each axis's two faces replicate the
+    edge planes, z, y, x in turn, as ``np.pad(mode="edge")`` does.
     """
     _check_feature_pair(f_fixed, f_moving)
     pad = math.ceil(np.abs(disp.displacements).max(initial=0.0))
-    fixed = np.ascontiguousarray(np.moveaxis(f_fixed.data, -1, 0), dtype=np.float64)
-    moving = np.moveaxis(f_moving.data, -1, 0).astype(np.float64)
-    moving = np.pad(moving, [(0, 0)] + [(pad, pad)] * 3, mode="edge")
+    fixed = np.ascontiguousarray(np.moveaxis(f_fixed.data, -1, 0), dtype=SEARCH_DTYPE)
+    src = np.moveaxis(f_moving.data, -1, 0)
+    moving = np.empty(src.shape[:1] + tuple(n + 2 * pad for n in src.shape[1:]), SEARCH_DTYPE)
+    moving[(slice(None),) + tuple(slice(pad, pad + n) for n in src.shape[1:])] = src
+    for axis, n in enumerate(src.shape[1:], start=1):
+        # the earlier axes are padded already, so the faces span their pads;
+        # each edge plane is copied out once, as numpy would otherwise copy
+        # it for every face plane (the two overlap in memory bounds)
+        face = np.moveaxis(moving, axis, 0)
+        face[:pad] = face[pad].copy()
+        face[pad + n :] = face[pad + n - 1].copy()
     return np.moveaxis(fixed, 0, -1), np.moveaxis(moving, 0, -1)
 
 
+# bytes of one SAD scratch, unless a single map per block is larger
+_SCRATCH_BYTES = 2**20
+
+
 def _sad_scratch(dims, channels: int, fractional: bool, workers=None) -> np.ndarray:
-    """Uninitialized scratch for ``_label_cost_map``: (blocks, k, z, y, x) float64.
+    """Uninitialized scratch for ``_label_cost_map``: (blocks, k, z, y, x) float32.
 
     Integer shifts need one block of k maps; fractional shifts a second one
     for the corner products. k, the channels per SAD group, is as many as
-    keep the blocks within 1 MiB (2**17 float64 values), but at least 1 and
-    at most ``channels``. With ``workers``, one scratch per worker, stacked
-    on a leading axis. The filters reuse it once a batch is scored, so
-    ``pipeline``'s chunked search sizes its batches to its blocks x k maps.
+    keep the blocks within 1 MiB (2**20 bytes, 2**18 float32 values), but at
+    least 1 and at most ``channels``. With ``workers``, one scratch per
+    worker, stacked on a leading axis. The filters reuse it once a batch is
+    scored, so ``pipeline``'s chunked search sizes its batches to its
+    blocks x k maps.
     """
     blocks = 1 + bool(fractional)
-    k = max(1, min(channels, 2**17 // (blocks * math.prod(dims))))
+    values = _SCRATCH_BYTES // SEARCH_DTYPE.itemsize
+    k = max(1, min(channels, values // (blocks * math.prod(dims))))
     lead = () if workers is None else (workers,)
-    return np.empty(lead + (blocks, k) + tuple(dims), dtype=np.float64)
+    return np.empty(lead + (blocks, k) + tuple(dims), dtype=SEARCH_DTYPE)
 
 
 def _label_cost_map(
@@ -179,10 +202,12 @@ def _label_cost_map(
 ) -> np.ndarray:
     """Per-voxel SAD between fixed(x) and moving(x + d), shape (z, y, x), into ``out``.
 
-    Both inputs are (z, y, x, C) views as ``_level_arrays`` returns them;
-    the moving pad is read off the shape difference. Integer displacements
-    are direct lookups (bit-exact); fractional ones blend the 8 integer
-    corners with trilinear weights, each channel independently.
+    Both inputs are (z, y, x, C) views as ``_level_arrays`` returns them
+    (float32; the names predate that, and the benchmark's tracer binds them);
+    the moving pad is read off the shape difference. ``out`` defaults to a
+    new map of their dtype. Integer displacements are direct lookups
+    (bit-exact); fractional ones blend the 8 integer corners with trilinear
+    weights, each channel independently.
 
     Channels are taken k at a time, k read off ``scratch`` (as
     ``_sad_scratch`` makes it; allocated here when not given), so each
@@ -204,7 +229,7 @@ def _label_cost_map(
             window = tuple(slice(pad + b + c, pad + b + c + n) for b, c, n in zip(base, offset, dims))
             corners.append((w, window))
 
-    out = np.empty(dims) if out is None else out
+    out = np.empty(dims, fixed.dtype) if out is None else out
     if scratch is None:
         scratch = _sad_scratch(dims, channels, len(corners) > 1)
     k = scratch.shape[1]
@@ -229,11 +254,11 @@ def _label_cost_map(
 
 def build_dsv(f_fixed: FeatureVolume, f_moving: FeatureVolume, disp: DisplacementSet) -> CostVolume:
     """Dense cost volume: costs[d][x] = SAD(fixed(x), moving(x + d))."""
-    fixed64, moving64 = _level_arrays(f_fixed, f_moving, disp)
-    costs = np.empty((disp.count,) + fixed64.shape[:3], dtype=np.float64)
-    scratch = _sad_scratch(fixed64.shape[:3], fixed64.shape[3], disp.fractional)
+    fixed, moving = _level_arrays(f_fixed, f_moving, disp)
+    costs = np.empty((disp.count,) + fixed.shape[:3], dtype=SEARCH_DTYPE)
+    scratch = _sad_scratch(fixed.shape[:3], fixed.shape[3], disp.fractional)
     for li in range(disp.count):
-        _label_cost_map(fixed64, moving64, disp.displacements[li], out=costs[li], scratch=scratch)
+        _label_cost_map(fixed, moving, disp.displacements[li], out=costs[li], scratch=scratch)
     return CostVolume(dims=f_fixed.dims, costs=costs)
 
 
@@ -248,13 +273,22 @@ _MAX_PRODUCT = 2**18
 class _AxisOperator:
     """One axis of a filter as an (n, n) matrix, edge clamping folded in.
 
-    ``rows`` is the matrix, ``cols`` its transpose (both C-contiguous and
-    read-only), ``reach`` the largest |column - row| of a nonzero entry.
+    ``rows`` is the float64 matrix, ``cols`` its transpose (both
+    C-contiguous and read-only), ``reach`` the largest |column - row| of a
+    nonzero entry. ``rows32`` and ``cols32`` are their float32 roundings.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     reach: int
+    rows32: np.ndarray
+    cols32: np.ndarray
+
+    def matrices(self, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) for maps of ``dtype``: the float32 copies for float32
+        maps, so their products run in float32 (a float64 operator would make
+        ``np.matmul`` compute in float64 and cast back), else the originals."""
+        return (self.rows32, self.cols32) if dtype == np.float32 else (self.rows, self.cols)
 
 
 def _clamped_operator(n: int, taps: np.ndarray) -> _AxisOperator:
@@ -266,9 +300,10 @@ def _clamped_operator(n: int, taps: np.ndarray) -> _AxisOperator:
     m = np.zeros((n, n))
     np.add.at(m, (rows, cols), np.tile(taps, n))
     t = np.ascontiguousarray(m.T)
-    m.setflags(write=False)
-    t.setflags(write=False)
-    return _AxisOperator(m, t, reach)
+    m32, t32 = m.astype(np.float32), t.astype(np.float32)
+    for a in (m, t, m32, t32):
+        a.setflags(write=False)
+    return _AxisOperator(m, t, reach, m32, t32)
 
 
 # a registration uses a few axis lengths per level; the bound keeps a long
@@ -306,22 +341,24 @@ def _row_tiles(n: int, m: int, reach: int) -> tuple[tuple[int, int, int, int], .
     )
 
 
-def _left_product(op: _AxisOperator, src: np.ndarray, dst: np.ndarray):
-    """dst[..., i, :] = sum_j op[i, j] * src[..., j, :]: one (n, m) product per
-    leading index, band-tiled along n."""
+def _left_product(rows: np.ndarray, reach: int, src: np.ndarray, dst: np.ndarray):
+    """dst[..., i, :] = sum_j rows[i, j] * src[..., j, :]: one (n, m) product
+    per leading index, band-tiled along n."""
     n, m = src.shape[-2:]
-    for i0, i1, b0, b1 in _row_tiles(n, m, op.reach):
-        np.matmul(op.rows[i0:i1, b0:b1], src[..., b0:b1, :], out=dst[..., i0:i1, :])
+    for i0, i1, b0, b1 in _row_tiles(n, m, reach):
+        np.matmul(rows[i0:i1, b0:b1], src[..., b0:b1, :], out=dst[..., i0:i1, :])
 
 
 def _filter_maps(costs: np.ndarray, ops, scratch) -> np.ndarray:
     """Apply the (z, y, x) axis operators ``ops`` to every map of a
     (labels, z, y, x) batch in place, x first, as many maps at a time as
-    ``scratch`` holds whole."""
+    ``scratch`` (of the maps' dtype) holds whole. The operators' matrices
+    are taken in the maps' dtype (``_AxisOperator.matrices``)."""
     op_z, op_y, op_x = ops
+    (rows_z, _), (rows_y, _), (_, cols_x) = (op.matrices(costs.dtype) for op in ops)
     dims = costs.shape[1:]
     if scratch is None:
-        scratch = np.empty(dims)
+        scratch = np.empty(dims, costs.dtype)
     buf = scratch.reshape((-1,) + dims)
     nx = dims[2]
     for start in range(0, len(costs), len(buf)):
@@ -329,10 +366,10 @@ def _filter_maps(costs: np.ndarray, ops, scratch) -> np.ndarray:
         tmp = buf[: len(maps)]
         # x: (y, x) @ (x, x) per (map, z), band-tiled along output columns
         for i0, i1, b0, b1 in _row_tiles(nx, dims[1], op_x.reach):
-            np.matmul(maps[..., b0:b1], op_x.cols[b0:b1, i0:i1], out=tmp[..., i0:i1])
-        _left_product(op_y, tmp, maps)  # (y, y) @ (y, x) per (map, z)
+            np.matmul(maps[..., b0:b1], cols_x[b0:b1, i0:i1], out=tmp[..., i0:i1])
+        _left_product(rows_y, op_y.reach, tmp, maps)  # (y, y) @ (y, x) per (map, z)
         # (z, z) @ (z, x) per (map, y), through transposed views, no copy
-        _left_product(op_z, maps.transpose(0, 2, 1, 3), tmp.transpose(0, 2, 1, 3))
+        _left_product(rows_z, op_z.reach, maps.transpose(0, 2, 1, 3), tmp.transpose(0, 2, 1, 3))
         np.copyto(maps, tmp)
     return costs
 
@@ -340,9 +377,9 @@ def _filter_maps(costs: np.ndarray, ops, scratch) -> np.ndarray:
 def _box_sum_map(costs: np.ndarray, radius: int, scratch=None) -> np.ndarray:
     """Box-sum every map of a (labels, z, y, x) batch in place.
 
-    ``scratch`` (any contiguous float64 array of one or more whole maps, such
-    as the SAD kernel's) holds the intermediate passes; without it one map is
-    allocated.
+    ``scratch`` (any contiguous array of one or more whole maps in the
+    batch's dtype, such as the SAD kernel's) holds the intermediate passes;
+    without it one map is allocated.
     """
     ops = [_box_operator(n, radius) for n in costs.shape[1:]]
     return _filter_maps(costs, ops, scratch)

@@ -177,7 +177,7 @@ def test_criterion_03_dsv_bruteforce_equivalence():
 def test_criterion_04_chunked_equivalence():
     ds = regcore.build_displacement_set(1.0, 2.0)  # 125 labels
     n = 10
-    map_bytes = n * n * n * 8
+    map_bytes = n * n * n * regcore.SEARCH_DTYPE.itemsize  # one cost map
     budgets = [map_bytes, 7 * map_bytes, 1 << 30]
     for trial in range(20):
         f_fixed, f_moving = smooth_feature_pair(3000 + trial, n=n)

@@ -218,7 +218,7 @@ def test_chunked_small_budget_bit_identical():
     f_fixed, f_moving = random_feature_pair(62)
     ds = regcore.build_displacement_set(1.0, 1.0)  # 27 labels
     want = unchunked_field(f_fixed, f_moving, ds, 1, 0.8)
-    map_bytes = 8 * 8 * 8 * 8
+    map_bytes = 8 * 8 * 8 * regcore.SEARCH_DTYPE.itemsize
     budget = 6 * map_bytes  # forces ceil(27 / 6) = 5 batches
     got = chunked_dsv_execution(f_fixed, f_moving, ds, 1, 0.8, budget)
     assert np.array_equal(got.data, want.data)
@@ -227,8 +227,31 @@ def test_chunked_small_budget_bit_identical():
 def test_chunked_budget_below_one_map_errors():
     f_fixed, f_moving = random_feature_pair(63)
     ds = regcore.build_displacement_set(1.0, 1.0)
-    with pytest.raises(ValueError):
-        chunked_dsv_execution(f_fixed, f_moving, ds, 0, 0.0, 100)
+    map_bytes = 8**3 * regcore.SEARCH_DTYPE.itemsize  # one float32 cost map
+    for budget in (100, map_bytes - 1):
+        with pytest.raises(ValueError, match=f"one cost map \\({map_bytes} B\\)"):
+            chunked_dsv_execution(f_fixed, f_moving, ds, 0, 0.0, budget)
+
+
+def test_chunked_one_map_budget_runs_on_one_thread(monkeypatch):
+    # a budget of one float32 cost map searches on the calling thread whatever
+    # the worker count; two maps start the pool
+    import voxelreg.pipeline as pipeline
+
+    f_fixed, f_moving = random_feature_pair(63)
+    ds = regcore.build_displacement_set(1.0, 1.0)
+    map_bytes = 8**3 * regcore.SEARCH_DTYPE.itemsize
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("started a thread pool")
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", NoPool)
+    want = unchunked_field(f_fixed, f_moving, ds, 1, 1.0)
+    got = chunked_dsv_execution(f_fixed, f_moving, ds, 1, 1.0, map_bytes, 3)
+    assert np.array_equal(got.data, want.data)
+    with pytest.raises(AssertionError, match="thread pool"):
+        chunked_dsv_execution(f_fixed, f_moving, ds, 1, 1.0, 2 * map_bytes, 3)
 
 
 @pytest.mark.parametrize("seed", [65, 66])
@@ -263,7 +286,7 @@ def test_chunked_worker_counts_bit_identical(radius, sigma):
     # integer-valued features tie often, so the slice merge decides many voxels;
     # q = 0.5 puts fractional (8-corner) candidates in every slice
     ds = regcore.build_displacement_set(0.5, 1.0)  # 125 labels
-    map_bytes = 8 * 8 * 8 * 8
+    map_bytes = 8 * 8 * 8 * regcore.SEARCH_DTYPE.itemsize  # one map: one worker
     for seed in (70, 71, 72):
         f_fixed, f_moving = integer_feature_pair(seed)
         want = unchunked_field(f_fixed, f_moving, ds, radius, sigma)
@@ -277,14 +300,15 @@ def test_chunked_worker_counts_bit_identical(radius, sigma):
 
 def test_chunked_peak_memory_does_not_grow_with_the_budget():
     # 24^3, 12 channels, 729 labels, two workers: a worker's batch is its SAD
-    # scratch (9 maps), so the budget caps the batch but never sizes it
+    # scratch (12 maps), so the budget caps the batch but never sizes it
     n, channels, workers = 24, 12, 2
     f_fixed, f_moving = random_feature_pair(64, n=n, channels=channels)
     ds = regcore.build_displacement_set(1.0, 4.0)
     voxels = n**3
-    features = 8 * channels * (voxels + (n + 2 * 4) ** 3)  # fixed + padded moving copy
+    features = 4 * channels * (voxels + (n + 2 * 4) ** 3)  # float32 fixed + padded moving copy
     scratch = regcore._sad_scratch((n, n, n), channels, False).nbytes  # = one batch
-    bound = features + workers * (scratch + scratch + 13 * voxels)
+    # per worker: float32 best cost, int32 best label and bool mask, 9 B per voxel
+    bound = features + workers * (scratch + scratch + 9 * voxels)
     slack = 1 << 20  # the returned field, its float64 lookup, operators, labels
     peaks = []
     for budget_mb in (16, 1024):
@@ -305,7 +329,8 @@ def test_chunked_preserves_tiebreak_on_constant_features():
     data = np.full((6, 6, 6, 2), 0.5, dtype=np.float32)
     fv = FeatureVolume(VolumeHeader((6, 6, 6), channels=2), data)
     ds = regcore.build_displacement_set(1.0, 2.0)
-    got = chunked_dsv_execution(fv, fv, ds, 1, 1.0, 40 * 6 * 6 * 6 * 8)
+    budget = 40 * 6 * 6 * 6 * regcore.SEARCH_DTYPE.itemsize  # 40 cost maps
+    got = chunked_dsv_execution(fv, fv, ds, 1, 1.0, budget)
     assert np.all(got.data == 0.0)
 
 

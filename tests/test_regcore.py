@@ -93,18 +93,20 @@ def test_priority_order_puts_zero_first():
 # ---------------------------------------------------------------------------
 
 def test_dsv_sad_accumulates_in_channel_order():
-    # at d = 0 every cost must equal a scalar left-to-right loop over the
-    # channels exactly, not just to rounding
+    # at d = 0 every cost must equal a scalar left-to-right float32 loop over
+    # the channels exactly, not just to rounding
     rng = np.random.default_rng(40)
     f_fixed = make_features(rng.standard_normal((5, 7, 9, 12)))
     f_moving = make_features(rng.standard_normal((5, 7, 9, 12)))
     ds = build_displacement_set(1.0, 1.0)
     zero_label = int(np.where((ds.displacements == 0).all(axis=1))[0][0])
     got = build_dsv(f_fixed, f_moving, ds).costs[zero_label]
+    assert got.dtype == np.float32
     for z, y, x in np.ndindex(5, 7, 9):
-        want = 0.0
+        want = np.float32(0.0)
         for c in range(12):
-            want += abs(float(f_fixed.data[z, y, x, c]) - float(f_moving.data[z, y, x, c]))
+            want = want + abs(f_fixed.data[z, y, x, c] - f_moving.data[z, y, x, c])
+        assert want.dtype == np.float32
         assert got[z, y, x] == want, (z, y, x)
 
 
@@ -470,11 +472,12 @@ def shift_clamped_oracle(data, dz, dy, dx):
 
 
 def sample_shifted_oracle(moving, d):
-    """moving(x + d) for d = (dx, dy, dz): blend of the 8 clamped integer corners."""
+    """moving(x + d) for d = (dx, dy, dz): blend of the 8 clamped integer
+    corners, in (z, y, x) corner order and in the dtype of ``moving``."""
     dx, dy, dz = (float(v) for v in d)
     bx, by, bz = (int(np.floor(v)) for v in (dx, dy, dz))
     fx, fy, fz = dx - bx, dy - by, dz - bz
-    out = np.zeros(moving.shape, dtype=np.float64)
+    out = np.zeros(moving.shape, dtype=moving.dtype)
     for cz, wz in ((0, 1.0 - fz), (1, fz)):
         for cy, wy in ((0, 1.0 - fy), (1, fy)):
             for cx, wx in ((0, 1.0 - fx), (1, fx)):
@@ -486,21 +489,26 @@ def sample_shifted_oracle(moving, d):
 @pytest.mark.parametrize("q", [1.0, 0.5])
 def test_label_cost_map_matches_clamped_gather_oracle(channels, q):
     # non-cubic dims so that any mix-up of axes shows; at q=1 every shift
-    # with |d| = l_max along some axis reaches each face of the padding
+    # with |d| = l_max along some axis reaches each face of the padding.
+    # The oracle gathers, blends and sums in float32, channel by channel in
+    # channel order, as the kernel does, so the two agree exactly.
     rng = np.random.default_rng(60 + channels)
     f_fixed = make_features(rng.standard_normal((7, 9, 11, channels)))
     f_moving = make_features(rng.standard_normal((7, 9, 11, channels)))
     ds = build_displacement_set(q, 2.0 if q == 1.0 else 1.0)
     assert ds.count == 125
-    fixed64, moving64 = regcore._level_arrays(f_fixed, f_moving, ds)
-    for arr in (fixed64, moving64):  # views of channel-first storage
+    fixed32, moving32 = regcore._level_arrays(f_fixed, f_moving, ds)
+    for arr in (fixed32, moving32):  # float32 views of channel-first storage
+        assert arr.dtype == np.float32
         assert np.moveaxis(arr, -1, 0).flags.c_contiguous
-    moving_oracle = f_moving.data.astype(np.float64)
     for d in ds.displacements:
-        got = regcore._label_cost_map(fixed64, moving64, d)
-        want = np.abs(f_fixed.data - sample_shifted_oracle(moving_oracle, d)).sum(axis=-1)
-        assert got.shape == (7, 9, 11)
-        assert np.abs(got - want).max() < 1e-12, d
+        got = regcore._label_cost_map(fixed32, moving32, d)
+        diff = np.abs(f_fixed.data - sample_shifted_oracle(f_moving.data, d))
+        want = diff[..., 0]
+        for c in range(1, channels):
+            want = want + diff[..., c]
+        assert got.shape == (7, 9, 11) and got.dtype == np.float32
+        assert np.array_equal(got, want), d
 
 
 def assert_matches_scipy(batch, box, smooth, radius, sigma):
@@ -622,9 +630,9 @@ def test_concurrent_filters_give_the_bits_of_one_thread():
 
 
 def channel_order_sad_oracle(fixed, moving, d):
-    """SAD of (z, y, x, C) float64 arrays at shift d, one channel at a time
-    in channel order; each channel blends only the corners of nonzero
-    trilinear weight, in (z, y, x) corner order."""
+    """SAD of (z, y, x, C) arrays at shift d in their dtype (float32 for the
+    search), one channel at a time in channel order; each channel blends only
+    the corners of nonzero trilinear weight, in (z, y, x) corner order."""
     dx, dy, dz = (float(v) for v in d)
     bx, by, bz = (int(np.floor(v)) for v in (dx, dy, dz))
     fx, fy, fz = dx - bx, dy - by, dz - bz
@@ -635,7 +643,6 @@ def channel_order_sad_oracle(fixed, moving, d):
                 w = 1.0 * wz * wy * wx
                 if w != 0.0:
                     corners.append((w, shift_clamped_oracle(moving, bz + cz, by + cy, bx + cx)))
-    total = np.zeros(fixed.shape[:3])
     for c in range(fixed.shape[3]):
         if len(corners) == 1:
             sample = corners[0][1][..., c]
@@ -654,40 +661,150 @@ def test_grouped_sad_equals_channel_order_loop(k, q):
     f_fixed = make_features(rng.standard_normal((6, 7, 8, 12)))
     f_moving = make_features(rng.standard_normal((6, 7, 8, 12)))
     ds = build_displacement_set(q, 1.0)
-    fixed64, moving64 = regcore._level_arrays(f_fixed, f_moving, ds)
-    fixed, moving = (f.data.astype(np.float64) for f in (f_fixed, f_moving))
-    scratch = np.empty((2, k, 6, 7, 8))
+    fixed32, moving32 = regcore._level_arrays(f_fixed, f_moving, ds)
+    scratch = np.empty((2, k, 6, 7, 8), np.float32)
     for d in ds.displacements:
-        out = np.empty((6, 7, 8))
-        assert regcore._label_cost_map(fixed64, moving64, d, out=out, scratch=scratch) is out
-        assert np.array_equal(out, channel_order_sad_oracle(fixed, moving, d)), d
+        out = np.empty((6, 7, 8), np.float32)
+        assert regcore._label_cost_map(fixed32, moving32, d, out=out, scratch=scratch) is out
+        want = channel_order_sad_oracle(f_fixed.data, f_moving.data, d)
+        assert want.dtype == np.float32
+        assert np.array_equal(out, want), d
 
 
-@pytest.mark.parametrize("side, k, k_fractional", [(18, 12, 11), (24, 9, 4), (32, 4, 2),
-                                                   (36, 2, 1), (64, 1, 1)])
+@pytest.mark.parametrize("side, k, k_fractional", [(18, 12, 12), (24, 12, 9), (32, 8, 4),
+                                                   (36, 5, 2), (64, 1, 1)])
 def test_sad_scratch_fills_at_most_one_mib(side, k, k_fractional):
     dims = (side, side, side)
-    assert regcore._sad_scratch(dims, 12, False).shape == (1, k) + dims
-    assert regcore._sad_scratch(dims, 12, True, 3).shape == (3, 2, k_fractional) + dims
+    whole = regcore._sad_scratch(dims, 12, False)
+    per_worker = regcore._sad_scratch(dims, 12, True, 3)
+    assert whole.shape == (1, k) + dims
+    assert per_worker.shape == (3, 2, k_fractional) + dims
     assert regcore._sad_scratch(dims, 1, False).shape == (1, 1) + dims
+    for scratch in (whole, per_worker[0]):
+        blocks, group = scratch.shape[:2]
+        assert scratch.dtype == np.float32
+        # at most 2**20 bytes, unless one map per block is already more;
+        # one more channel per group would pass 2**20, unless all 12 fit
+        assert scratch.nbytes <= 2**20 or group == 1
+        assert group == 12 or scratch.nbytes * (group + 1) // group > 2**20
 
 
 def test_label_cost_map_with_scratch_allocates_less_than_a_map():
-    # 24^3: a map (108 KiB) outgrows the 64 KiB buffer numpy takes for a
-    # ufunc over a strided window; the scratch groups 12 channels as 4, 4, 4
+    # 32^3: a float32 map (128 KiB) outgrows the 64 KiB buffer numpy takes
+    # for a ufunc over a strided window; the scratch groups 12 channels as
+    # 4, 4, 4
     rng = np.random.default_rng(63)
-    f_fixed = make_features(rng.standard_normal((24, 24, 24, 12)))
-    f_moving = make_features(rng.standard_normal((24, 24, 24, 12)))
+    f_fixed = make_features(rng.standard_normal((32, 32, 32, 12)))
+    f_moving = make_features(rng.standard_normal((32, 32, 32, 12)))
     ds = build_displacement_set(0.5, 1.0)
-    fixed64, moving64 = regcore._level_arrays(f_fixed, f_moving, ds)
-    out = np.empty((24, 24, 24))
+    fixed32, moving32 = regcore._level_arrays(f_fixed, f_moving, ds)
+    out = np.empty((32, 32, 32), np.float32)
     scratch = regcore._sad_scratch(out.shape, 12, True)
     assert scratch.shape[:2] == (2, 4)
     for d in ([0.5, -0.5, 1.0], [1.0, 0.0, -1.0]):
         tracemalloc.start()
         try:
-            regcore._label_cost_map(fixed64, moving64, np.array(d), out=out, scratch=scratch)
+            regcore._label_cost_map(fixed32, moving32, np.array(d), out=out, scratch=scratch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < out.nbytes, d
+
+
+# ---------------------------------------------------------------------------
+# Float32 level copies and filters
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q, l_max", [(1.0, 0.0), (1.0, 2.0), (0.5, 1.5), (1.0, 4.0)])
+def test_level_arrays_equal_a_cast_and_np_pad(q, l_max):
+    # pads of 0, 2, 2 and 4 voxels on non-cubic dims; at l_max = 4 the pad is
+    # wider than the 3-voxel z axis
+    rng = np.random.default_rng(67)
+    f_fixed = make_features(rng.standard_normal((3, 6, 5, 4)))
+    f_moving = make_features(rng.standard_normal((3, 6, 5, 4)))
+    ds = build_displacement_set(q, l_max)
+    fixed, moving = regcore._level_arrays(f_fixed, f_moving, ds)
+    pad = int(np.ceil(l_max))
+    want = np.pad(f_moving.data, [(pad, pad)] * 3 + [(0, 0)], mode="edge")
+    assert fixed.dtype == moving.dtype == np.float32
+    assert np.array_equal(fixed, f_fixed.data)
+    assert moving.shape == want.shape
+    assert np.array_equal(moving.view(np.uint32), want.view(np.uint32))
+
+
+def test_level_arrays_peak_is_their_two_outputs():
+    # 24^3 x 12 with a 4-voxel pad: the copies take 0.6 MiB + 1.5 MiB, and the
+    # padded moving copy is made once, with no second copy of the volume
+    rng = np.random.default_rng(68)
+    f_fixed = make_features(rng.standard_normal((24, 24, 24, 12)))
+    f_moving = make_features(rng.standard_normal((24, 24, 24, 12)))
+    ds = build_displacement_set(1.0, 4.0)
+    plane = 12 * 32 * 32 * 4  # one edge plane of the padded copy, copied out per face
+    slack = plane + (4 << 10)
+    tracemalloc.start()
+    try:
+        fixed, moving = regcore._level_arrays(f_fixed, f_moving, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= fixed.nbytes + moving.nbytes + slack, (peak, fixed.nbytes + moving.nbytes)
+
+
+def filter_float32(batch, scratch_maps):
+    """Box (radius 2) then Gaussian (sigma 1.3) of a float32 batch in place,
+    through a float32 scratch of ``scratch_maps`` maps."""
+    scratch = np.empty((scratch_maps,) + batch.shape[1:], np.float32)
+    regcore._box_sum_map(batch, 2, scratch)
+    return regcore._smooth_map(batch, 1.3, scratch)
+
+
+@pytest.mark.parametrize("shape", [(7, 9, 11), (70, 5, 64)])  # the second is band-tiled
+def test_float32_filters_give_per_map_bits_and_stay_float32(shape):
+    rng = np.random.default_rng(69)
+    batch = rng.uniform(0, 5, size=(4,) + shape).astype(np.float32)
+    want = np.stack([filter_float32(m[None].copy(), 1)[0] for m in batch])
+    assert want.dtype == np.float32
+    for maps in (1, 2, 3, 4):
+        out = batch.copy()
+        assert filter_float32(out, maps) is out
+        assert out.dtype == np.float32
+        assert np.array_equal(out, want), (shape, maps)
+    # without a scratch, one float32 map is allocated
+    out = batch.copy()
+    regcore._box_sum_map(out, 2)
+    assert out.dtype == np.float32
+    assert np.array_equal(regcore._smooth_map(out, 1.3), want)
+
+
+def test_float32_filters_match_the_float64_operators():
+    # float32 operators and products against the float64 path on the same
+    # (float32-valued) maps: every output is a non-negative weighted sum, so
+    # its rounding stays within a small multiple of eps32 relative (2.2 eps32
+    # on these maps); 64 eps32 is far below any real filter error
+    rng = np.random.default_rng(70)
+    batch = rng.uniform(0, 5, size=(3, 13, 10, 17)).astype(np.float32)
+    batch[1] **= 8  # a wide dynamic range
+    got = filter_float32(batch.copy(), 2)
+    want = batch.astype(np.float64)
+    regcore._box_sum_map(want, 2)
+    regcore._smooth_map(want, 1.3)
+    np.testing.assert_allclose(got, want, rtol=64 * np.finfo(np.float32).eps, atol=0)
+
+
+def test_float32_filters_allocate_no_float64_map():
+    # a float64 operator times a float32 map would make np.matmul compute in
+    # float64 and cast back through a temporary of the product's size
+    rng = np.random.default_rng(71)
+    shape = (32, 32, 32)  # one float32 map is 128 KiB, a float64 one 256 KiB
+    batch = rng.uniform(0, 5, size=(2,) + shape).astype(np.float32)
+    scratch = np.empty((2,) + shape, np.float32)
+    filter_float32(batch.copy(), 2)  # operators built and cached outside the trace
+    tracemalloc.start()
+    try:
+        regcore._box_sum_map(batch, 2, scratch)
+        regcore._smooth_map(batch, 1.3, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.dtype == np.float32
+    assert peak < batch[0].nbytes, peak
