@@ -76,6 +76,8 @@ class PairResult:
     mean: float
 
     def __post_init__(self):
+        if not self.per_structure:
+            raise ValueError(f"pair {self.fixed_id} -> {self.moving_id} has no scored structures")
         for label, jc in self.per_structure.items():
             if not (0.0 <= jc <= 100.0):
                 raise ValueError(f"JC for label {label} out of [0, 100]: {jc}")

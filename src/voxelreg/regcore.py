@@ -19,14 +19,23 @@ the cost volume are float32 as well, which halves the bytes both hot
 kernels move. ``_label_cost_map`` serves both ``build_dsv`` and
 ``pipeline``'s chunked search. It computes SAD over groups of channels,
 one subtract and one abs per (k, z, y, x) window, so a candidate costs a
-few large array operations, not a few per channel (many short calls stall
-concurrent search threads on the interpreter lock). Box-sum and Gaussian filters run in place on (labels, z, y, x)
-batches. Each is one (n, n) operator matrix per axis with the edge
-clamping folded in, built once in float64 per axis length and radius or
-sigma, and applied as stacked matrix products over a few maps at a time,
-each 2-D product small enough that BLAS runs it on the calling thread.
-Float32 maps are multiplied by a float32 copy of each operator, so the
-products run in float32; float64 maps still get the float64 operators.
+few large array operations, not a few per channel. Box-sum and Gaussian
+filters run in place on (labels, z, y, x) batches. Each is one (n, n)
+operator matrix per axis with the edge clamping folded in, built in
+float64 from the axis length and radius or sigma, and applied as stacked
+matrix products over a few maps at a time, each 2-D product small enough
+that BLAS runs it on the calling thread. Float32 maps are multiplied by a
+float32 copy of each operator, so the products run in float32; float64
+maps still get the float64 operators.
+
+The chunked search's threads share one interpreter lock, which numpy
+releases only inside its array loops, so any Python work between array
+calls runs on one thread at a time. That work is cached: a candidate's
+corner weights and window index tuples per (shift, pad, dims)
+(``_corners``), a filter's matrices and band tiles per (operator,
+parameter, dims, dtype) (``_filter_plan``). A cached candidate or batch
+then costs only its array calls. The caches hold exactly what the
+uncached code computed, so no bit changes.
 
 All operations are pure functions over immutable inputs and are
 bit-deterministic: the cost volume is label-major (one contiguous 3-D map
@@ -197,6 +206,33 @@ def _sad_scratch(dims, channels: int, fractional: bool, workers=None) -> np.ndar
     return np.empty(lead + (blocks, k) + tuple(dims), dtype=SEARCH_DTYPE)
 
 
+_EVERY_CHANNEL = (slice(None),)  # shared by every cached index tuple
+
+
+# A level asks for each of its candidates once per registration, from every
+# search thread. The bound holds the default schedule's 729 + 125 candidates
+# (under 0.7 KB each for an integer shift), so repeated registrations on one
+# grid hit as well, while an LRU scan over more candidates than it holds
+# only misses, at the uncached cost.
+@functools.lru_cache(maxsize=2048)
+def _corners(shift: tuple, pad: int, dims: tuple) -> tuple:
+    """(weight, index) of each trilinear corner of ``shift`` = (dx, dy, dz)
+    with a nonzero weight, in (z, y, x) corner order: ``index`` is the full
+    (C, z, y, x) slice tuple of the corner's window in a channel-first moving
+    copy padded by ``pad`` voxels around ``dims`` (z, y, x)."""
+    zyx = shift[::-1]
+    base = [math.floor(v) for v in zyx]
+    corners = []
+    for offset in itertools.product((0, 1), repeat=3):
+        w = 1.0
+        for v, b, c in zip(zyx, base, offset):
+            w *= (v - b) if c else 1.0 - (v - b)
+        if w != 0.0:
+            window = tuple(slice(pad + b + c, pad + b + c + n) for b, c, n in zip(base, offset, dims))
+            corners.append((w, _EVERY_CHANNEL + window))
+    return tuple(corners)
+
+
 def _label_cost_map(
     fixed64: np.ndarray, moving64: np.ndarray, d: np.ndarray, out=None, scratch=None
 ) -> np.ndarray:
@@ -204,10 +240,12 @@ def _label_cost_map(
 
     Both inputs are (z, y, x, C) views as ``_level_arrays`` returns them
     (float32; the names predate that, and the benchmark's tracer binds them);
-    the moving pad is read off the shape difference. ``out`` defaults to a
-    new map of their dtype. Integer displacements are direct lookups
-    (bit-exact); fractional ones blend the 8 integer corners with trilinear
-    weights, each channel independently.
+    the moving pad is read off the shape difference. ``d`` is an array
+    (dx, dy, dz). ``out`` defaults to a new map of the inputs' dtype. Integer
+    displacements are direct lookups (bit-exact); fractional ones blend the 8
+    integer corners with trilinear weights, each channel independently. The
+    corners' weights and windows come from ``_corners``, so a cached
+    candidate costs only its array operations.
 
     Channels are taken k at a time, k read off ``scratch`` (as
     ``_sad_scratch`` makes it; allocated here when not given), so each
@@ -215,35 +253,25 @@ def _label_cost_map(
     first group is reduced into ``out`` along the channel axis, later ones
     are added to it row by row: the sum runs in channel order either way.
     """
-    fixed, moving = np.moveaxis(fixed64, -1, 0), np.moveaxis(moving64, -1, 0)
+    fixed, moving = fixed64.transpose(3, 0, 1, 2), moving64.transpose(3, 0, 1, 2)
     channels, dims = fixed.shape[0], fixed.shape[1:]
-    pad = (moving.shape[1] - dims[0]) // 2
-    shift = (float(d[2]), float(d[1]), float(d[0]))
-    base = [math.floor(v) for v in shift]
-    corners = []  # (weight, window) of every corner with a nonzero weight
-    for offset in itertools.product((0, 1), repeat=3):
-        w = 1.0
-        for v, b, c in zip(shift, base, offset):
-            w *= (v - b) if c else 1.0 - (v - b)
-        if w != 0.0:
-            window = tuple(slice(pad + b + c, pad + b + c + n) for b, c, n in zip(base, offset, dims))
-            corners.append((w, window))
+    (w0, first), *rest = _corners(tuple(d.tolist()), (moving.shape[1] - dims[0]) // 2, dims)
 
     out = np.empty(dims, fixed.dtype) if out is None else out
     if scratch is None:
-        scratch = _sad_scratch(dims, channels, len(corners) > 1)
+        scratch = _sad_scratch(dims, channels, bool(rest))
     k = scratch.shape[1]
     for c0 in range(0, channels, k):
-        group = slice(c0, min(c0 + k, channels))
-        n = group.stop - c0
+        n = min(k, channels - c0)
+        fixed_g, moving_g = fixed[c0 : c0 + n], moving[c0 : c0 + n]
         # a lone first channel goes straight into out, with no extra pass
         rows = out[None] if c0 == 0 and n == 1 else scratch[0, :n]
-        shifted = moving[(group,) + corners[0][1]]
-        if len(corners) > 1:
-            shifted = np.multiply(shifted, corners[0][0], out=scratch[1, :n])
-            for w, window in corners[1:]:
-                shifted += np.multiply(moving[(group,) + window], w, out=rows)
-        np.abs(np.subtract(fixed[group], shifted, out=rows), out=rows)
+        shifted = moving_g[first]
+        if rest:
+            shifted = np.multiply(shifted, w0, out=scratch[1, :n])
+            for w, index in rest:
+                shifted += np.multiply(moving_g[index], w, out=rows)
+        np.abs(np.subtract(fixed_g, shifted, out=rows), out=rows)
         if c0 > 0:
             for row in rows:
                 out += row
@@ -271,24 +299,15 @@ _MAX_PRODUCT = 2**18
 
 @dataclass(frozen=True)
 class _AxisOperator:
-    """One axis of a filter as an (n, n) matrix, edge clamping folded in.
+    """One axis of a filter as an (n, n) float64 matrix, edge clamping folded in.
 
-    ``rows`` is the float64 matrix, ``cols`` its transpose (both
-    C-contiguous and read-only), ``reach`` the largest |column - row| of a
-    nonzero entry. ``rows32`` and ``cols32`` are their float32 roundings.
+    ``rows`` is the matrix, ``cols`` its transpose (both C-contiguous and
+    read-only), ``reach`` the largest |column - row| of a nonzero entry.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     reach: int
-    rows32: np.ndarray
-    cols32: np.ndarray
-
-    def matrices(self, dtype) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, cols) for maps of ``dtype``: the float32 copies for float32
-        maps, so their products run in float32 (a float64 operator would make
-        ``np.matmul`` compute in float64 and cast back), else the originals."""
-        return (self.rows32, self.cols32) if dtype == np.float32 else (self.rows, self.cols)
 
 
 def _clamped_operator(n: int, taps: np.ndarray) -> _AxisOperator:
@@ -300,21 +319,16 @@ def _clamped_operator(n: int, taps: np.ndarray) -> _AxisOperator:
     m = np.zeros((n, n))
     np.add.at(m, (rows, cols), np.tile(taps, n))
     t = np.ascontiguousarray(m.T)
-    m32, t32 = m.astype(np.float32), t.astype(np.float32)
-    for a in (m, t, m32, t32):
+    for a in (m, t):
         a.setflags(write=False)
-    return _AxisOperator(m, t, reach, m32, t32)
+    return _AxisOperator(m, t, reach)
 
 
-# a registration uses a few axis lengths per level; the bound keeps a long
-# batch over many grids from holding every matrix it ever built
-@functools.lru_cache(maxsize=16)
 def _box_operator(n: int, radius: int) -> _AxisOperator:
     # integer window counts: the sums need no rescaling
     return _clamped_operator(n, np.ones(2 * radius + 1))
 
 
-@functools.lru_cache(maxsize=16)
 def _gauss_operator(n: int, sigma: float) -> _AxisOperator:
     # scipy's own taps (truncation and normalization), read off an impulse
     radius = int(4.0 * sigma + 0.5)
@@ -323,7 +337,6 @@ def _gauss_operator(n: int, sigma: float) -> _AxisOperator:
     return _clamped_operator(n, ndimage.gaussian_filter1d(impulse, sigma, mode="constant"))
 
 
-@functools.lru_cache(maxsize=64)
 def _row_tiles(n: int, m: int, reach: int) -> tuple[tuple[int, int, int, int], ...]:
     """(i0, i1, b0, b1) per tile: output rows [i0, i1) of an n-row operator
     applied to (n, m) slices, and the input band [b0, b1) they read.
@@ -341,35 +354,65 @@ def _row_tiles(n: int, m: int, reach: int) -> tuple[tuple[int, int, int, int], .
     )
 
 
-def _left_product(rows: np.ndarray, reach: int, src: np.ndarray, dst: np.ndarray):
-    """dst[..., i, :] = sum_j rows[i, j] * src[..., j, :]: one (n, m) product
-    per leading index, band-tiled along n."""
-    n, m = src.shape[-2:]
-    for i0, i1, b0, b1 in _row_tiles(n, m, reach):
-        np.matmul(rows[i0:i1, b0:b1], src[..., b0:b1, :], out=dst[..., i0:i1, :])
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
-def _filter_maps(costs: np.ndarray, ops, scratch) -> np.ndarray:
-    """Apply the (z, y, x) axis operators ``ops`` to every map of a
-    (labels, z, y, x) batch in place, x first, as many maps at a time as
-    ``scratch`` (of the maps' dtype) holds whole. The operators' matrices
-    are taken in the maps' dtype (``_AxisOperator.matrices``)."""
-    op_z, op_y, op_x = ops
-    (rows_z, _), (rows_y, _), (_, cols_x) = (op.matrices(costs.dtype) for op in ops)
+# a registration uses one plan per filter stage and level grid; the bound
+# keeps a long batch over many grids from holding every plan it ever built
+@functools.lru_cache(maxsize=16)
+def _filter_plan(operator, param, dims: tuple, dtype: np.dtype) -> tuple:
+    """The products of one filter over (labels, *dims) batches of ``dtype``.
+
+    ``operator(n, param)`` gives each axis's ``_AxisOperator``. Returns the
+    x, y and z passes, each a tuple of (matrix, source, target) per band
+    tile (``_row_tiles``): the matrix is the tile cut from the operator in
+    ``dtype`` (a float64 operator would make ``np.matmul`` compute float32
+    maps in float64 and cast back), source and target index the maps for
+    the x pass (maps @ matrix) and the y pass (matrix @ maps), and the
+    (labels, y, z, x) transposed maps for the z pass.
+    """
+    nz, ny, nx = dims
+    op_z, op_y, op_x = (operator(n, param) for n in dims)
+    cols_x = _read_only(op_x.cols.astype(dtype))
+    x = tuple(
+        (cols_x[b0:b1, i0:i1], (..., slice(b0, b1)), (..., slice(i0, i1)))
+        for i0, i1, b0, b1 in _row_tiles(nx, ny, op_x.reach)
+    )
+
+    def left(op, n):  # (n, n) @ (n, x) products along the second-last axis
+        rows = _read_only(op.rows.astype(dtype))
+        return tuple(
+            (rows[i0:i1, b0:b1], (..., slice(b0, b1), slice(None)),
+             (..., slice(i0, i1), slice(None)))
+            for i0, i1, b0, b1 in _row_tiles(n, nx, op.reach)
+        )
+
+    return x, left(op_y, ny), left(op_z, nz)
+
+
+def _filter_maps(costs: np.ndarray, plan, scratch) -> np.ndarray:
+    """Apply a ``_filter_plan`` to every map of a (labels, z, y, x) batch in
+    place, x first, as many maps at a time as ``scratch`` (of the maps'
+    dtype) holds whole."""
+    x, y, z = plan
     dims = costs.shape[1:]
     if scratch is None:
         scratch = np.empty(dims, costs.dtype)
     buf = scratch.reshape((-1,) + dims)
-    nx = dims[2]
     for start in range(0, len(costs), len(buf)):
         maps = costs[start : start + len(buf)]
         tmp = buf[: len(maps)]
-        # x: (y, x) @ (x, x) per (map, z), band-tiled along output columns
-        for i0, i1, b0, b1 in _row_tiles(nx, dims[1], op_x.reach):
-            np.matmul(maps[..., b0:b1], cols_x[b0:b1, i0:i1], out=tmp[..., i0:i1])
-        _left_product(rows_y, op_y.reach, tmp, maps)  # (y, y) @ (y, x) per (map, z)
-        # (z, z) @ (z, x) per (map, y), through transposed views, no copy
-        _left_product(rows_z, op_z.reach, maps.transpose(0, 2, 1, 3), tmp.transpose(0, 2, 1, 3))
+        # x: (y, x) @ (x, x) per (map, z); y: (y, y) @ (y, x) per (map, z)
+        for matrix, src, dst in x:
+            np.matmul(maps[src], matrix, out=tmp[dst])
+        for matrix, src, dst in y:
+            np.matmul(matrix, tmp[src], out=maps[dst])
+        # z: (z, z) @ (z, x) per (map, y), through transposed views, no copy
+        maps_t, tmp_t = maps.transpose(0, 2, 1, 3), tmp.transpose(0, 2, 1, 3)
+        for matrix, src, dst in z:
+            np.matmul(matrix, maps_t[src], out=tmp_t[dst])
         np.copyto(maps, tmp)
     return costs
 
@@ -381,8 +424,8 @@ def _box_sum_map(costs: np.ndarray, radius: int, scratch=None) -> np.ndarray:
     batch's dtype, such as the SAD kernel's) holds the intermediate passes;
     without it one map is allocated.
     """
-    ops = [_box_operator(n, radius) for n in costs.shape[1:]]
-    return _filter_maps(costs, ops, scratch)
+    plan = _filter_plan(_box_operator, radius, costs.shape[1:], costs.dtype)
+    return _filter_maps(costs, plan, scratch)
 
 
 def aggregate_costs(dsv: CostVolume, patch_radius: int) -> CostVolume:
@@ -404,8 +447,8 @@ def _smooth_map(costs: np.ndarray, sigma: float, scratch=None) -> np.ndarray:
     ``scratch`` as for ``_box_sum_map``. The weights are non-negative and
     so are the maps (SAD, or a box sum of SAD), so the result is too.
     """
-    ops = [_gauss_operator(n, float(sigma)) for n in costs.shape[1:]]
-    return _filter_maps(costs, ops, scratch)
+    plan = _filter_plan(_gauss_operator, float(sigma), costs.shape[1:], costs.dtype)
+    return _filter_maps(costs, plan, scratch)
 
 
 def regularize_dsv(dsv: CostVolume, smooth_sigma: float) -> CostVolume:

@@ -181,6 +181,12 @@ def test_pair_result_validates_mean():
         PairResult("a", "b", {1: 140.0}, 140.0)
 
 
+def test_pair_result_without_structures_is_a_value_error():
+    # the mean of no structures is undefined: a one-line error, not a division by zero
+    with pytest.raises(ValueError, match="^pair a -> b has no scored structures$"):
+        PairResult("a", "b", {}, 0.0)
+
+
 def test_report_json_schema(tmp_path):
     labels = blob_labels((16, 16, 16), 4, seed=85)
     pr = pair_result("f1", "m1", labels, labels)

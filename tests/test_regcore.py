@@ -711,6 +711,43 @@ def test_label_cost_map_with_scratch_allocates_less_than_a_map():
         assert peak < out.nbytes, d
 
 
+def test_corner_cache_keeps_levels_of_other_pad_and_dims_apart():
+    # one shift asked for in turn on four levels that differ in pad (l_max 1
+    # or 2) and dims (6 x 7 x 8 or 8 x 8 x 8): a cached window keyed without
+    # either would read the wrong voxels, or fail on the shape
+    rng = np.random.default_rng(72)
+    regcore._corners.cache_clear()
+    levels = []
+    for shape in ((6, 7, 8), (8, 8, 8)):
+        f_fixed = make_features(rng.standard_normal(shape + (3,)))
+        f_moving = make_features(rng.standard_normal(shape + (3,)))
+        for l_max in (1.0, 2.0):
+            arrays = regcore._level_arrays(f_fixed, f_moving, build_displacement_set(0.5, l_max))
+            levels.append((f_fixed.data, f_moving.data, arrays))
+    for d in ([1.0, -1.0, 0.0], [0.5, 0.0, 1.0], [-0.5, 0.5, -1.0], [-0.5, -0.5, -0.5]):
+        for _ in range(2):
+            for fixed, moving, (fixed32, moving32) in levels:
+                got = regcore._label_cost_map(fixed32, moving32, np.array(d))
+                want = channel_order_sad_oracle(fixed, moving, d)
+                assert np.array_equal(got, want), (d, fixed.shape, moving32.shape)
+
+
+def test_repeated_candidate_and_filter_hit_their_caches():
+    rng = np.random.default_rng(73)
+    f = make_features(rng.standard_normal((5, 6, 7, 2)))
+    fixed32, moving32 = regcore._level_arrays(f, f, build_displacement_set(1.0, 1.0))
+    d = np.array([1.0, 0.0, -1.0])
+    regcore._label_cost_map(fixed32, moving32, d)
+    hits = regcore._corners.cache_info().hits
+    regcore._label_cost_map(fixed32, moving32, d)
+    assert regcore._corners.cache_info().hits == hits + 1
+    batch = rng.uniform(0, 5, size=(2, 5, 6, 7)).astype(np.float32)
+    regcore._smooth_map(batch, 1.3)
+    hits = regcore._filter_plan.cache_info().hits
+    regcore._smooth_map(batch, 1.3)
+    assert regcore._filter_plan.cache_info().hits == hits + 1
+
+
 # ---------------------------------------------------------------------------
 # Float32 level copies and filters
 # ---------------------------------------------------------------------------
@@ -808,3 +845,25 @@ def test_float32_filters_allocate_no_float64_map():
         tracemalloc.stop()
     assert batch.dtype == np.float32
     assert peak < batch[0].nbytes, peak
+
+
+def test_filter_plans_of_either_dtype_keep_cold_cache_bits():
+    # a plan cached for one dtype must not serve the other: float32 Gaussian
+    # weights are roundings of the float64 ones
+    rng = np.random.default_rng(74)
+    maps = rng.uniform(0, 5, size=(3, 9, 10, 11))
+
+    def filtered(dtype):
+        batch = maps.astype(dtype)
+        regcore._box_sum_map(batch, 2)
+        return regcore._smooth_map(batch, 1.3)
+
+    want = {}
+    for dtype in (np.float32, np.float64):
+        regcore._filter_plan.cache_clear()
+        want[dtype] = filtered(dtype)
+    for _ in range(2):
+        for dtype in (np.float32, np.float64):
+            got = filtered(dtype)
+            assert got.dtype == dtype
+            assert np.array_equal(got, want[dtype]), dtype
