@@ -299,8 +299,6 @@ SYNTH_PARAMS = ("amplitude", "period", "num_blobs", "min_radius", "max_radius", 
 
 def cmd_synth(args) -> int:
     dims = _parse_triple(args.dims, int)
-    if min(dims) < 1:
-        raise ValueError(f"bad dims {dims}")
     params = {"translation": _parse_triple(args.translation)}
     params.update((name, getattr(args, name)) for name in SYNTH_PARAMS)
     case = synth.make_pair(args.kind, dims, seed=args.seed, **params)

@@ -92,8 +92,6 @@ class JcReport:
 
     pairs: tuple[PairResult, ...]
     dataset_mean: float
-    schema: int = REPORT_SCHEMA
-    n_policy: str = N_POLICY
     skipped_pairs: tuple[str, ...] = field(default_factory=tuple)
 
 
@@ -113,7 +111,7 @@ def pair_result(fixed_id, moving_id, fixed_labels, warped_labels, label_list=Non
 
 def report_to_dict(report: JcReport) -> dict:
     out = {
-        "schema": report.schema,
+        "schema": REPORT_SCHEMA,
         "pairs": [
             {
                 "fixed": p.fixed_id,
@@ -124,7 +122,7 @@ def report_to_dict(report: JcReport) -> dict:
             for p in report.pairs
         ],
         "dataset_mean": report.dataset_mean,
-        "N_policy": report.n_policy,
+        "N_policy": N_POLICY,
     }
     if report.skipped_pairs:
         out["skipped_pairs"] = list(report.skipped_pairs)

@@ -21,8 +21,8 @@ voxels.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -30,17 +30,12 @@ from scipy import ndimage
 from voxelreg.volume import (
     FeatureVolume,
     ScalarVolume,
-    VolumeHeader,
     load_volume,
 )
 
 
 class DegenerateInputWarning(UserWarning):
     """Raised as a warning when an input has no usable intensity spread."""
-
-
-def _feature_header(vol_header: VolumeHeader, channels: int) -> VolumeHeader:
-    return VolumeHeader(vol_header.dims, vol_header.spacing, channels, "float32")
 
 
 # ---------------------------------------------------------------------------
@@ -65,76 +60,39 @@ def normalize_intensity(vol: ScalarVolume, p_low: float = 1.0, p_high: float = 9
         out = np.full(data.shape, 0.5, dtype=np.float32)
     else:
         out = np.clip((data - lo) / (hi - lo), 0.0, 1.0).astype(np.float32)
-    return FeatureVolume(_feature_header(vol.header, 1), out[..., np.newaxis])
-
-
-@dataclass(frozen=True)
-class StandardizationMap:
-    """Piecewise-linear intensity map between two decile landmark sets.
-
-    Both landmark arrays hold the 0th..100th percentiles in steps of 10
-    (11 values) and must be non-decreasing. Outside the landmark range
-    the end segments are extended linearly, so mapping a volume onto its
-    own landmarks is the identity.
-    """
-
-    source_landmarks: np.ndarray
-    target_landmarks: np.ndarray
-
-    def __post_init__(self):
-        src = np.asarray(self.source_landmarks, dtype=np.float64)
-        dst = np.asarray(self.target_landmarks, dtype=np.float64)
-        if src.shape != dst.shape or src.ndim != 1 or src.size < 2:
-            raise ValueError("landmark arrays must be matching 1-D arrays of length >= 2")
-        if np.any(np.diff(src) < 0) or np.any(np.diff(dst) < 0):
-            raise ValueError("landmark sequences must be non-decreasing")
-        # collapse duplicate source landmarks so the map stays a function
-        keep = np.concatenate(([True], np.diff(src) > 0))
-        src, dst = src[keep], dst[keep]
-        if src.size < 2:
-            raise ValueError("degenerate landmarks: source has no spread")
-        object.__setattr__(self, "source_landmarks", src)
-        object.__setattr__(self, "target_landmarks", dst)
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        src, dst = self.source_landmarks, self.target_landmarks
-        out = np.interp(values, src, dst)
-        lo_slope = (dst[1] - dst[0]) / (src[1] - src[0])
-        hi_slope = (dst[-1] - dst[-2]) / (src[-1] - src[-2])
-        below = values < src[0]
-        above = values > src[-1]
-        out = np.where(below, dst[0] + (values - src[0]) * lo_slope, out)
-        out = np.where(above, dst[-1] + (values - src[-1]) * hi_slope, out)
-        return out
+    return FeatureVolume(vol.header, out[..., np.newaxis])
 
 
 _DECILES = np.arange(0.0, 101.0, 10.0)
 
 
-def _foreground(data: np.ndarray, percentile: float = 5.0) -> np.ndarray:
-    thresh = np.percentile(data, percentile)
-    return data[data > thresh]
-
-
-def build_standardization_map(
-    vol: ScalarVolume, reference: ScalarVolume, foreground_percentile: float = 5.0
-) -> StandardizationMap:
-    """Decile landmarks of vol's foreground mapped onto the reference's."""
-    src_fg = _foreground(vol.data.astype(np.float64), foreground_percentile)
-    dst_fg = _foreground(reference.data.astype(np.float64), foreground_percentile)
-    if src_fg.size == 0 or np.ptp(src_fg) == 0.0:
-        raise ValueError("input volume is constant over foreground")
-    if dst_fg.size == 0 or np.ptp(dst_fg) == 0.0:
-        raise ValueError("reference volume is constant over foreground")
-    return StandardizationMap(
-        np.percentile(src_fg, _DECILES), np.percentile(dst_fg, _DECILES)
-    )
+def _foreground(data: np.ndarray) -> np.ndarray:
+    return data[data > np.percentile(data, 5.0)]
 
 
 def intensity_standardize(vol: ScalarVolume, reference: ScalarVolume) -> ScalarVolume:
-    """Remap vol's intensities onto the reference's decile landmarks."""
-    smap = build_standardization_map(vol, reference)
-    out = smap.apply(vol.data.astype(np.float64))
+    """Remap vol's intensities onto the reference's decile landmarks.
+
+    The landmarks are the 0th..100th percentiles, in steps of 10, of each
+    volume's foreground (the voxels above its 5th percentile). The map is
+    piecewise linear between them, with duplicate source landmarks
+    collapsed so it stays a function, and extends its end segments
+    linearly, so mapping a volume onto its own landmarks is the identity.
+    """
+    values = vol.data.astype(np.float64)
+    src_fg = _foreground(values)
+    dst_fg = _foreground(reference.data.astype(np.float64))
+    for fg, name in ((src_fg, "input"), (dst_fg, "reference")):
+        if fg.size == 0 or np.ptp(fg) == 0.0:
+            raise ValueError(f"{name} volume is constant over foreground")
+    src, dst = np.percentile(src_fg, _DECILES), np.percentile(dst_fg, _DECILES)
+    keep = np.concatenate(([True], np.diff(src) > 0))
+    src, dst = src[keep], dst[keep]
+    out = np.interp(values, src, dst)
+    lo_slope = (dst[1] - dst[0]) / (src[1] - src[0])
+    hi_slope = (dst[-1] - dst[-2]) / (src[-1] - src[-2])
+    out = np.where(values < src[0], dst[0] + (values - src[0]) * lo_slope, out)
+    out = np.where(values > src[-1], dst[-1] + (values - src[-1]) * hi_slope, out)
     return ScalarVolume(vol.header, out.astype(np.float32))
 
 
@@ -156,25 +114,16 @@ def edge_features(vol: ScalarVolume) -> FeatureVolume:
         data = (data - lo) / (hi - lo)
     gz, gy, gx = np.gradient(data, edge_order=1)
     mag = np.sqrt(gx * gx + gy * gy + gz * gz)
-    return FeatureVolume(_feature_header(vol.header, 1), mag.astype(np.float32)[..., np.newaxis])
+    return FeatureVolume(vol.header, mag.astype(np.float32)[..., np.newaxis])
 
 
 # ---------------------------------------------------------------------------
 # Self-similarity context
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SscParams:
-    """Self-similarity descriptor parameters; channel count is fixed at 12."""
-
-    patch_radius: int = 1
-    noise_floor: float = 1e-6
-
-    def __post_init__(self):
-        if self.patch_radius < 0:
-            raise ValueError("patch_radius must be >= 0")
-        if self.noise_floor <= 0:
-            raise ValueError("noise_floor must be > 0")
+# radius r of the (2r+1)^3 patch, and the floor on a voxel's mean patch distance
+SSC_PATCH_RADIUS = 1
+SSC_NOISE_FLOOR = 1e-6
 
 
 # 6-neighborhood offsets (dz, dy, dx), sorted lexicographically.
@@ -198,7 +147,7 @@ SSC_PAIRS = tuple(
 assert len(SSC_PAIRS) == 12
 
 
-def ssc_features(vol: ScalarVolume, params: SscParams = SscParams()) -> FeatureVolume:
+def ssc_features(vol: ScalarVolume) -> FeatureVolume:
     """12-channel self-similarity descriptor.
 
     For each voxel x and each edge-adjacent pair (o_i, o_j) of its
@@ -210,11 +159,11 @@ def ssc_features(vol: ScalarVolume, params: SscParams = SscParams()) -> FeatureV
     to the volume (edge replication: the volume is edge-padded by one
     voxel so each neighbor shift is a slice, and the patch sum replicates
     the edges of the distance maps). Channels are exp(-D_k(x) / m(x)) where
-    m(x) is the mean of the 12 distances floored at ``noise_floor``, so all
+    m(x) is the mean of the 12 distances floored at ``SSC_NOISE_FLOOR``, so all
     outputs lie in (0, 1] and the descriptor is invariant to affine
     intensity changes a*v + b with a > 0.
     """
-    min_dim = 2 * (params.patch_radius + 1) + 1
+    min_dim = 2 * (SSC_PATCH_RADIUS + 1) + 1
     if min(vol.dims) < min_dim:
         raise ValueError(f"ssc needs dims >= {min_dim} per axis, got {vol.dims}")
     padded = np.pad(vol.data.astype(np.float64), 1, mode="edge")
@@ -228,14 +177,14 @@ def ssc_features(vol: ScalarVolume, params: SscParams = SscParams()) -> FeatureV
     for k, (i, j) in enumerate(SSC_PAIRS):
         diff = np.subtract(shifted[i], shifted[j], out=dists[k])
         np.multiply(diff, diff, out=diff)
-    size = 2 * params.patch_radius + 1
+    size = 2 * SSC_PATCH_RADIUS + 1
     ndimage.uniform_filter(dists, size=(1, size, size, size), mode="nearest", output=dists)
     dists *= float(size**3)
 
-    mean_dist = np.maximum(dists.mean(axis=0), params.noise_floor)
+    mean_dist = np.maximum(dists.mean(axis=0), SSC_NOISE_FLOOR)
     channels = np.exp(-dists / mean_dist)
     out = np.moveaxis(channels, 0, -1).astype(np.float32)
-    return FeatureVolume(_feature_header(vol.header, 12), out)
+    return FeatureVolume(dataclasses.replace(vol.header, channels=12), out)
 
 
 # Built-in descriptors by name, each ScalarVolume -> FeatureVolume with its

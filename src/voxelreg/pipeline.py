@@ -204,12 +204,12 @@ class RegistrationConfig:
     def from_dict(cls, d: dict) -> "RegistrationConfig":
         """Inverse of ``to_dict``; absent keys take their defaults, unknown ones are errors."""
         _check_keys(d, cls, "config")
-        levels = d.get("levels") or ()
+        levels = d.get("levels")
         if isinstance(levels, list):  # anything else is rejected by __post_init__
             for lv in levels:
                 _check_keys(lv, LevelParams, "level")
-            levels = tuple(LevelParams(**lv) for lv in levels)
-        return cls(**{**d, "levels": levels or tuple(default_levels())})
+            d = {**d, "levels": tuple(LevelParams(**lv) for lv in levels)}
+        return cls(**d)
 
     @classmethod
     def from_json(cls, path) -> "RegistrationConfig":

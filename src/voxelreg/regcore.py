@@ -20,20 +20,21 @@ kernels move. ``_label_cost_map`` serves both ``build_dsv`` and
 ``pipeline``'s chunked search. It computes SAD over groups of channels,
 one subtract and one abs per (k, z, y, x) window, so a candidate costs a
 few large array operations, not a few per channel. Box-sum and Gaussian
-filters run in place on (labels, z, y, x) batches. Each is one (n, n)
-operator matrix per axis with the edge clamping folded in, built in
-float64 from the axis length and radius or sigma, and applied as stacked
-matrix products over a few maps at a time, each 2-D product small enough
-that BLAS runs it on the calling thread. Float32 maps are multiplied by a
-float32 copy of each operator, so the products run in float32; float64
-maps still get the float64 operators.
+filters run in place on (labels, z, y, x) batches. A filter is its 1-D
+taps (``_box_taps``, ``_gauss_taps``); its plan (``_filter_plan``) folds
+them and the edge clamping into one (n, n) float64 matrix per axis
+(``_clamped_operator``), casts that to the maps' dtype (a float64 matrix
+would make float32 products run in float64) and cuts it into band tiles.
+The tiles are applied as stacked matrix products over a few maps at a
+time, each 2-D product small enough that BLAS runs it on the calling
+thread.
 
 The chunked search's threads share one interpreter lock, which numpy
 releases only inside its array loops, so any Python work between array
 calls runs on one thread at a time. That work is cached: a candidate's
 corner weights and window index tuples per (shift, pad, dims)
-(``_corners``), a filter's matrices and band tiles per (operator,
-parameter, dims, dtype) (``_filter_plan``). A cached candidate or batch
+(``_corners``), a filter's matrices and band tiles per (taps, parameter,
+dims, dtype) (``_filter_plan``). A cached candidate or batch
 then costs only its array calls. The caches hold exactly what the
 uncached code computed, so no bit changes.
 
@@ -297,44 +298,28 @@ def build_dsv(f_fixed: FeatureVolume, f_moving: FeatureVolume, disp: Displacemen
 _MAX_PRODUCT = 2**18
 
 
-@dataclass(frozen=True)
-class _AxisOperator:
-    """One axis of a filter as an (n, n) float64 matrix, edge clamping folded in.
-
-    ``rows`` is the matrix, ``cols`` its transpose (both C-contiguous and
-    read-only), ``reach`` the largest |column - row| of a nonzero entry.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    reach: int
-
-
-def _clamped_operator(n: int, taps: np.ndarray) -> _AxisOperator:
-    """Correlation with ``taps`` along an n-voxel axis, edge-clamped:
-    m[i, clamp(i + k - R)] += taps[k], R = len(taps) // 2."""
+def _clamped_operator(n: int, taps: np.ndarray) -> np.ndarray:
+    """Correlation with ``taps`` along an n-voxel axis as an (n, n) float64
+    matrix, edge-clamped: m[i, clamp(i + k - R)] += taps[k], R = len(taps) // 2."""
     reach = len(taps) // 2
     rows = np.repeat(np.arange(n), len(taps))
     cols = np.clip(rows + np.tile(np.arange(len(taps)) - reach, n), 0, n - 1)
     m = np.zeros((n, n))
     np.add.at(m, (rows, cols), np.tile(taps, n))
-    t = np.ascontiguousarray(m.T)
-    for a in (m, t):
-        a.setflags(write=False)
-    return _AxisOperator(m, t, reach)
+    return m
 
 
-def _box_operator(n: int, radius: int) -> _AxisOperator:
+def _box_taps(radius: int) -> np.ndarray:
     # integer window counts: the sums need no rescaling
-    return _clamped_operator(n, np.ones(2 * radius + 1))
+    return np.ones(2 * radius + 1)
 
 
-def _gauss_operator(n: int, sigma: float) -> _AxisOperator:
+def _gauss_taps(sigma: float) -> np.ndarray:
     # scipy's own taps (truncation and normalization), read off an impulse
     radius = int(4.0 * sigma + 0.5)
     impulse = np.zeros(2 * radius + 1)
     impulse[radius] = 1.0
-    return _clamped_operator(n, ndimage.gaussian_filter1d(impulse, sigma, mode="constant"))
+    return ndimage.gaussian_filter1d(impulse, sigma, mode="constant")
 
 
 def _row_tiles(n: int, m: int, reach: int) -> tuple[tuple[int, int, int, int], ...]:
@@ -354,42 +339,36 @@ def _row_tiles(n: int, m: int, reach: int) -> tuple[tuple[int, int, int, int], .
     )
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 # a registration uses one plan per filter stage and level grid; the bound
 # keeps a long batch over many grids from holding every plan it ever built
 @functools.lru_cache(maxsize=16)
-def _filter_plan(operator, param, dims: tuple, dtype: np.dtype) -> tuple:
+def _filter_plan(taps, param, dims: tuple, dtype: np.dtype) -> tuple:
     """The products of one filter over (labels, *dims) batches of ``dtype``.
 
-    ``operator(n, param)`` gives each axis's ``_AxisOperator``. Returns the
-    x, y and z passes, each a tuple of (matrix, source, target) per band
-    tile (``_row_tiles``): the matrix is the tile cut from the operator in
-    ``dtype`` (a float64 operator would make ``np.matmul`` compute float32
-    maps in float64 and cast back), source and target index the maps for
-    the x pass (maps @ matrix) and the y pass (matrix @ maps), and the
+    ``taps(param)`` gives the filter's 1-D taps. Returns the x, y and z
+    passes, each a tuple of (matrix, source, target) per band tile
+    (``_row_tiles``): the matrix is a read-only view of the tile of the
+    axis's ``_clamped_operator``, cast once to a C-contiguous ``dtype`` copy
+    (transposed for x), source and target index the maps for the x pass
+    (maps @ matrix) and the y pass (matrix @ maps), and the
     (labels, y, z, x) transposed maps for the z pass.
     """
     nz, ny, nx = dims
-    op_z, op_y, op_x = (operator(n, param) for n in dims)
-    cols_x = _read_only(op_x.cols.astype(dtype))
-    x = tuple(
-        (cols_x[b0:b1, i0:i1], (..., slice(b0, b1)), (..., slice(i0, i1)))
-        for i0, i1, b0, b1 in _row_tiles(nx, ny, op_x.reach)
-    )
-
-    def left(op, n):  # (n, n) @ (n, x) products along the second-last axis
-        rows = _read_only(op.rows.astype(dtype))
-        return tuple(
-            (rows[i0:i1, b0:b1], (..., slice(b0, b1), slice(None)),
-             (..., slice(i0, i1), slice(None)))
-            for i0, i1, b0, b1 in _row_tiles(n, nx, op.reach)
-        )
-
-    return x, left(op_y, ny), left(op_z, nz)
+    weights = taps(param)
+    plan = []
+    for n, m, x_pass in ((nx, ny, True), (ny, nx, False), (nz, nx, False)):
+        op = _clamped_operator(n, weights)
+        op = np.ascontiguousarray(op.T if x_pass else op, dtype=dtype)
+        op.setflags(write=False)
+        tiles = []
+        for i0, i1, b0, b1 in _row_tiles(n, m, len(weights) // 2):
+            band, rows = slice(b0, b1), slice(i0, i1)
+            if x_pass:  # the band indexes the maps' last axis
+                tiles.append((op[band, rows], (..., band), (..., rows)))
+            else:  # the band indexes the maps' second-last axis
+                tiles.append((op[rows, band], (..., band, slice(None)), (..., rows, slice(None))))
+        plan.append(tuple(tiles))
+    return tuple(plan)
 
 
 def _filter_maps(costs: np.ndarray, plan, scratch) -> np.ndarray:
@@ -424,7 +403,7 @@ def _box_sum_map(costs: np.ndarray, radius: int, scratch=None) -> np.ndarray:
     batch's dtype, such as the SAD kernel's) holds the intermediate passes;
     without it one map is allocated.
     """
-    plan = _filter_plan(_box_operator, radius, costs.shape[1:], costs.dtype)
+    plan = _filter_plan(_box_taps, radius, costs.shape[1:], costs.dtype)
     return _filter_maps(costs, plan, scratch)
 
 
@@ -447,7 +426,7 @@ def _smooth_map(costs: np.ndarray, sigma: float, scratch=None) -> np.ndarray:
     ``scratch`` as for ``_box_sum_map``. The weights are non-negative and
     so are the maps (SAD, or a box sum of SAD), so the result is too.
     """
-    plan = _filter_plan(_gauss_operator, float(sigma), costs.shape[1:], costs.dtype)
+    plan = _filter_plan(_gauss_taps, float(sigma), costs.shape[1:], costs.dtype)
     return _filter_maps(costs, plan, scratch)
 
 

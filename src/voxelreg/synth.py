@@ -25,18 +25,30 @@ from voxelreg.volume import (
 SYNTH_KINDS = ("translation", "sinusoid", "blobs")
 
 
-def _shape_zyx(dims):
-    return (int(dims[2]), int(dims[1]), int(dims[0]))
+def _check_smooth(header: VolumeHeader, sigma: float):
+    if header.n_voxels < 2:
+        raise ValueError(f"dims must hold at least 2 voxels for a smooth volume, got {header.dims}")
+    if not sigma >= 0:
+        raise ValueError(f"noise sigma must be >= 0, got {sigma}")
+
+
+def _check_blobs(num_structures: int, min_radius: float, max_radius: float):
+    if num_structures < 1:
+        raise ValueError("num_structures must be >= 1")
+    if not 0 <= min_radius <= max_radius:
+        raise ValueError(f"need 0 <= min_radius <= max_radius, got {min_radius}, {max_radius}")
 
 
 def smooth_random_volume(dims, seed: int, sigma: float = 2.5) -> ScalarVolume:
     """Gaussian-filtered white noise, min-max rescaled to [0, 1]."""
+    header = VolumeHeader(tuple(int(d) for d in dims))
+    _check_smooth(header, sigma)
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(_shape_zyx(dims))
+    noise = rng.standard_normal(header.shape_zyx)
     data = ndimage.gaussian_filter(noise, sigma)
     lo, hi = data.min(), data.max()
     data = (data - lo) / (hi - lo)
-    return ScalarVolume(VolumeHeader(tuple(int(d) for d in dims)), data.astype(np.float32))
+    return ScalarVolume(header, data.astype(np.float32))
 
 
 def translation_field(dims, t) -> DisplacementField:
@@ -44,9 +56,8 @@ def translation_field(dims, t) -> DisplacementField:
     t = np.asarray(t, dtype=np.float32)
     if t.shape != (3,):
         raise ValueError("translation must be a 3-vector (tx, ty, tz)")
-    data = np.broadcast_to(t, _shape_zyx(dims) + (3,)).copy()
     header = VolumeHeader(tuple(int(d) for d in dims), channels=3)
-    return DisplacementField(header, data)
+    return DisplacementField(header, np.broadcast_to(t, header.shape_zyx + (3,)).copy())
 
 
 def sinusoid_field(dims, amplitude: float, period: float, seed: int) -> DisplacementField:
@@ -58,16 +69,15 @@ def sinusoid_field(dims, amplitude: float, period: float, seed: int) -> Displace
     """
     if period <= 0:
         raise ValueError("period must be > 0")
+    header = VolumeHeader(tuple(int(d) for d in dims), channels=3)
     rng = np.random.default_rng(seed)
-    zz, yy, xx = np.indices(_shape_zyx(dims), dtype=np.float64, sparse=True)
+    zz, yy, xx = np.indices(header.shape_zyx, dtype=np.float64, sparse=True)
     w = 2.0 * np.pi / period
     comps = []
     for _ in range(3):
         p1, p2, p3 = rng.uniform(0, 2 * np.pi, size=3)
         comps.append(amplitude * np.sin(w * xx + p1) * np.sin(w * yy + p2) * np.sin(w * zz + p3))
-    data = np.stack(comps, axis=-1).astype(np.float32)
-    header = VolumeHeader(tuple(int(d) for d in dims), channels=3)
-    return DisplacementField(header, data)
+    return DisplacementField(header, np.stack(comps, axis=-1).astype(np.float32))
 
 
 def blob_labels(
@@ -83,10 +93,10 @@ def blob_labels(
     a structure can in principle vanish; callers that need the effective
     label set should read it from the volume.
     """
-    if num_structures < 1:
-        raise ValueError("num_structures must be >= 1")
+    header = VolumeHeader(tuple(int(d) for d in dims), dtype="int32")
+    _check_blobs(num_structures, min_radius, max_radius)
     rng = np.random.default_rng(seed)
-    nz, ny, nx = _shape_zyx(dims)
+    nz, ny, nx = header.shape_zyx
     data = np.zeros((nz, ny, nx), dtype=np.int32)
     zz, yy, xx = np.indices((nz, ny, nx), dtype=np.float64, sparse=True)
     for label in range(1, num_structures + 1):
@@ -96,7 +106,6 @@ def blob_labels(
         cx = rng.uniform(r, max(nx - 1 - r, r))
         mask = (zz - cz) ** 2 + (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
         data[mask] = label
-    header = VolumeHeader(tuple(int(d) for d in dims), dtype="int32")
     return LabelVolume(header, data)
 
 
@@ -121,11 +130,17 @@ def make_pair(
     """
     if kind not in SYNTH_KINDS:
         raise ValueError(f"unknown kind {kind!r}, expected one of {SYNTH_KINDS}")
+    # every input is checked before any volume is made
+    header = VolumeHeader(tuple(int(d) for d in dims))
+    _check_blobs(num_blobs, min_radius, max_radius)
+    if kind == "sinusoid" and period <= 0:
+        raise ValueError("period must be > 0")
     if kind == "blobs":
         return {
             "labels": blob_labels(dims, num_blobs, seed, min_radius, max_radius)
         }
 
+    _check_smooth(header, noise_sigma)
     moving = smooth_random_volume(dims, seed, sigma=noise_sigma)
     if kind == "translation":
         field = translation_field(dims, translation)

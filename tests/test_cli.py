@@ -103,6 +103,19 @@ def test_synth_bad_dims_fails(tmp_path):
     assert "error:" in res.stderr
 
 
+@pytest.mark.parametrize("flags, needle", [
+    (["--dims", "1"], "dims must hold at least 2 voxels for a smooth volume, got (1, 1, 1)"),
+    (["--dims", "8", "--noise-sigma", "-1"], "noise sigma must be >= 0, got -1.0"),
+    (["--dims", "8", "--min-radius", "7", "--max-radius", "3"],
+     "need 0 <= min_radius <= max_radius, got 7.0, 3.0"),
+])
+def test_synth_bad_input_is_one_line_error(tmp_path, flags, needle):
+    res = run_cli("synth", "--kind", "translation", "--seed", "1",
+                  "--out-prefix", tmp_path / "x", *flags)
+    assert_one_line_error(res, needle)
+    assert not list(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # register
 # ---------------------------------------------------------------------------
@@ -262,6 +275,8 @@ def test_register_with_config_file(tmp_path):
         ({"workers": "2"}, "config workers must be a positive integer, got '2'"),
         ({"memory_budget_mb": 0}, "config memory_budget_mb must be positive, got 0"),
         ({"memory_budget_mb": -64}, "config memory_budget_mb must be positive, got -64"),
+        ({"levels": []}, "at least one level is required"),
+        ({"levels": None}, "config levels must be a list of levels, got None"),
     ],
 )
 def test_register_bad_config_is_one_line_error(tmp_path, cfg, needle):

@@ -106,6 +106,13 @@ def test_config_from_dict_rejects_unknown_keys():
         RegistrationConfig.from_dict({"levels": [{"factr": 2}]})
 
 
+def test_config_without_levels_takes_the_default_schedule():
+    # only an absent key means the default; [] and null are errors
+    assert RegistrationConfig.from_dict({"feature": "edge"}).levels == RegistrationConfig().levels
+    with pytest.raises(ValueError, match="at least one level is required"):
+        RegistrationConfig.from_dict({"levels": []})
+
+
 def test_config_external_requires_paths():
     with pytest.raises(ValueError):
         RegistrationConfig(feature="external")

@@ -548,22 +548,49 @@ def test_batch_filters_in_place_equal_per_map_filters():
 
 @pytest.mark.parametrize("n, radius", [(1, 2), (3, 2), (7, 1), (9, 3)])
 def test_box_operator_holds_clamped_window_counts(n, radius):
-    op = regcore._box_operator(n, radius)
+    op = regcore._clamped_operator(n, regcore._box_taps(radius))
     want = np.zeros((n, n))
     for i in range(n):
         for k in range(-radius, radius + 1):
             want[i, min(max(i + k, 0), n - 1)] += 1
-    assert np.array_equal(op.rows, want)
-    assert np.array_equal(op.cols, want.T)
-    assert (op.rows.sum(axis=1) == 2 * radius + 1).all()
+    assert np.array_equal(op, want)
+    assert np.array_equal(op.T, want.T)
+    assert (op.sum(axis=1) == 2 * radius + 1).all()
 
 
 @pytest.mark.parametrize("n, sigma", [(1, 1.0), (5, 1.3), (24, 2**0.5), (70, 2.0)])
 def test_gauss_operator_rows_sum_to_one(n, sigma):
-    op = regcore._gauss_operator(n, sigma)
-    assert np.abs(op.rows.sum(axis=1) - 1.0).max() <= 1e-15
-    assert (op.rows >= 0).all()
-    assert op.reach == int(4.0 * sigma + 0.5)
+    taps = regcore._gauss_taps(sigma)
+    op = regcore._clamped_operator(n, taps)
+    assert np.abs(op.sum(axis=1) - 1.0).max() <= 1e-15
+    assert (op >= 0).all()
+    assert len(taps) // 2 == int(4.0 * sigma + 0.5)
+
+
+@pytest.mark.parametrize("shape", [(7, 9, 11), (70, 5, 64)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("taps, param", [(regcore._box_taps, 2), (regcore._gauss_taps, 1.3)])
+def test_filter_plan_matrices_are_operator_slices(taps, param, dtype, shape):
+    # each matrix is a read-only view cut from one C-contiguous cast of the
+    # axis operator (a tile of a band-tiled pass cannot itself be contiguous)
+    dtype = np.dtype(dtype)
+    plan = regcore._filter_plan(taps, param, shape, dtype)
+    nz, ny, nx = shape
+    tiled = False
+    for tiles, n, x_pass in zip(plan, (nx, ny, nz), (True, False, False)):
+        op = regcore._clamped_operator(n, taps(param))
+        covered = []
+        for matrix, src, dst in tiles:
+            assert matrix.dtype == dtype and not matrix.flags.writeable
+            assert matrix.base.flags.c_contiguous and not matrix.base.flags.writeable
+            band, rows = src[1], dst[1]
+            assert 0 <= band.start < band.stop <= n and 0 <= rows.start < rows.stop <= n
+            covered.extend(range(rows.start, rows.stop))
+            want = op.T[band, rows] if x_pass else op[rows, band]
+            assert np.array_equal(matrix, want.astype(dtype))
+        assert covered == list(range(n))
+        tiled |= len(tiles) > 1
+    assert tiled == (shape == (70, 5, 64))
 
 
 def test_filters_keep_zero_maps_zero_and_never_go_negative():
@@ -582,7 +609,7 @@ def test_filters_keep_zero_maps_zero_and_never_go_negative():
                                           ((5, 60, 80), [False, True, True])])
 def test_long_axes_are_band_tiled(shape, tiled):
     nz, ny, nx = shape
-    reach = regcore._gauss_operator(nz, 1.3).reach
+    reach = len(regcore._gauss_taps(1.3)) // 2
     slices = ((nz, nx), (ny, nx), (nx, ny))
     tiles = [regcore._row_tiles(n, m, reach) for n, m in slices]
     assert [len(t) > 1 for t in tiles] == tiled

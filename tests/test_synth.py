@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from voxelreg import synth
 from voxelreg.synth import (
     blob_labels,
     make_pair,
@@ -81,3 +82,34 @@ def test_blobs_kind_returns_only_labels():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         make_pair("affine", (8, 8, 8), seed=0)
+
+
+@pytest.mark.parametrize("make, needle", [
+    (lambda: smooth_random_volume((8, 8, 8), seed=0, sigma=-1), "noise sigma must be >= 0, got -1"),
+    (lambda: smooth_random_volume((1, 1, 1), seed=0), "dims must hold at least 2 voxels"),
+    (lambda: blob_labels((8, 8, 8), 3, seed=0, min_radius=5.0, max_radius=2.0),
+     "need 0 <= min_radius <= max_radius, got 5.0, 2.0"),
+])
+def test_bad_generator_input_is_named(make, needle):
+    with pytest.raises(ValueError, match=needle):
+        make()
+
+
+@pytest.mark.parametrize("kind, params, needle", [
+    ("translation", {"noise_sigma": -1.0}, "noise sigma must be >= 0"),
+    ("sinusoid", {"noise_sigma": float("nan")}, "noise sigma must be >= 0"),
+    ("translation", {"dims": (1, 1, 1)}, "dims must hold at least 2 voxels"),
+    ("sinusoid", {"min_radius": 7.0, "max_radius": 3.0}, "min_radius <= max_radius"),
+    ("blobs", {"min_radius": -1.0}, "min_radius <= max_radius"),
+    ("sinusoid", {"period": 0.0}, "period must be > 0"),
+    ("blobs", {"dims": (0, 4, 4)}, "dims must be three positive integers"),
+])
+def test_make_pair_checks_inputs_before_any_work(monkeypatch, kind, params, needle):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a volume was made before the inputs were checked")
+
+    for name in ("smooth_random_volume", "blob_labels", "sinusoid_field", "translation_field"):
+        monkeypatch.setattr(synth, name, no_work)
+    dims = params.pop("dims", (8, 8, 8))
+    with pytest.raises(ValueError, match=needle):
+        make_pair(kind, dims, seed=0, **params)
