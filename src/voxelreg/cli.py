@@ -56,9 +56,11 @@ def _parse_levels(spec: str) -> tuple[LevelParams, ...]:
     levels = []
     for part in spec.split(","):
         values = part.split(":")
-        if len(values) != len(LEVEL_SPEC):
-            raise ValueError(f"bad level spec {part!r}, expected factor:q:lmax:radius:alpha")
-        levels.append(LevelParams(**{name: cast(v) for (name, cast), v in zip(LEVEL_SPEC, values)}))
+        try:
+            kwargs = {name: cast(v) for (name, cast), v in zip(LEVEL_SPEC, values, strict=True)}
+        except ValueError:
+            raise ValueError(f"bad level spec {part!r}, expected factor:q:lmax:radius:alpha") from None
+        levels.append(LevelParams(**kwargs))
     return tuple(levels)
 
 
@@ -125,6 +127,10 @@ def _write_report(report: evaluation.JcReport, out) -> Path:
 
 
 def cmd_evaluate(args) -> int:
+    try:
+        labels = [int(v) for v in args.labels.split(",")] if args.labels else None
+    except ValueError:
+        raise ValueError(f"bad --labels {args.labels!r}, expected comma-separated integers") from None
     fixed_labels = load_volume(args.fixed_labels, kind="label")
     if args.warped_labels:
         warped = load_volume(args.warped_labels, kind="label")
@@ -132,7 +138,6 @@ def cmd_evaluate(args) -> int:
         warped = warp_labels(load_volume(args.moving_labels, kind="label"), load_field(args.field))
     else:
         raise ValueError("need --warped-labels, or --moving-labels together with --field")
-    labels = [int(v) for v in args.labels.split(",")] if args.labels else None
     result = evaluation.pair_result(
         args.fixed_labels, args.warped_labels or args.moving_labels, fixed_labels, warped, labels
     )
@@ -283,13 +288,18 @@ def cmd_batch(args) -> int:
 # synth
 # ---------------------------------------------------------------------------
 
-def _parse_triple(spec: str, cast=float):
+def _parse_triple(flag: str, spec: str, cast=float):
+    """The three values of ``spec``, 'X,Y,Z' or one value for all three."""
     parts = spec.split(",")
     if len(parts) == 1:
         parts = parts * 3
-    if len(parts) != 3:
-        raise ValueError(f"expected 1 or 3 comma-separated values, got {spec!r}")
-    return tuple(cast(p) for p in parts)
+    try:
+        x, y, z = (cast(p) for p in parts)
+    except ValueError:
+        raise ValueError(
+            f"bad {flag} {spec!r}, expected 1 or 3 comma-separated {cast.__name__} values"
+        ) from None
+    return x, y, z
 
 
 # synth.make_pair parameters set by same-named flags, defaulting as make_pair
@@ -298,8 +308,8 @@ SYNTH_PARAMS = ("amplitude", "period", "num_blobs", "min_radius", "max_radius", 
 
 
 def cmd_synth(args) -> int:
-    dims = _parse_triple(args.dims, int)
-    params = {"translation": _parse_triple(args.translation)}
+    dims = _parse_triple("--dims", args.dims, int)
+    params = {"translation": _parse_triple("--translation", args.translation)}
     params.update((name, getattr(args, name)) for name in SYNTH_PARAMS)
     case = synth.make_pair(args.kind, dims, seed=args.seed, **params)
     prefix = Path(args.out_prefix)

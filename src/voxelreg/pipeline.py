@@ -1,26 +1,15 @@
-"""Multi-resolution registration driver with memory-bounded execution.
+"""Multi-resolution registration driver.
 
 A registration run works coarse to fine. At each level the fixed and
 moving images are downsampled by the level's factor, the moving image is
 warped by the running field, per-voxel features are recomputed on both
 (descriptors like the self-similarity one are not warp-equivariant, so
 warping feature volumes instead would change their meaning), and the
-discrete search produces an increment that is composed additively into
-the running field. Between levels the field is upsampled onto the next
-grid. Additive composition is an approximation of true function
-composition, adequate for the small, bounded increments searched here.
-
-The cost volume for one level can reach gigabytes, so it is never
-materialized whole: ``chunked_dsv_execution`` walks displacement
-candidates in tie-break priority order in small batches, keeping a
-running per-voxel (best cost, best candidate) pair. A batch holds as many
-cost maps as the SAD kernel's scratch (about 1 MiB, at least one map),
-never more than the memory budget allows, so the budget is a cap and not
-the working size. Worker threads each walk one contiguous slice of that
-order (the SAD ufuncs and the filters' matrix products release the
-interpreter lock) and their bests are merged in slice order. Its output
-is bit-identical to building, aggregating, smoothing and arg-minimizing
-the full cost volume, whatever the worker count.
+discrete search (``regcore.chunked_dsv_execution``) produces an increment
+that is composed additively into the running field. Between levels the
+field is upsampled onto the next grid. Additive composition is an
+approximation of true function composition, adequate for the small,
+bounded increments searched here.
 """
 
 from __future__ import annotations
@@ -29,20 +18,18 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dataclass_field, fields
 from typing import Sequence
 
-import numpy as np
-
 from voxelreg import features as feat
 from voxelreg import regcore
+from voxelreg.regcore import chunked_dsv_execution
 from voxelreg.volume import (
     DisplacementField,
     FeatureVolume,
     ScalarVolume,
-    VolumeHeader,
     downsample,
+    downsampled_dims,
     downsample_features,
     load_volume,
     upsample_field,
@@ -225,110 +212,12 @@ def compose_fields(coarse_up: DisplacementField, increment: DisplacementField) -
     return DisplacementField(coarse_up.header, data)
 
 
-def _keep_better(cost, label, best_cost, best_label, improved):
-    """Where ``cost`` is strictly below ``best_cost``, take it and ``label``."""
-    np.less(cost, best_cost, out=improved)
-    np.copyto(best_cost, cost, where=improved)
-    np.copyto(best_label, label, where=improved)
-
-
-def chunked_dsv_execution(
-    f_fixed: FeatureVolume,
-    f_moving: FeatureVolume,
-    disp: regcore.DisplacementSet,
-    patch_radius: int,
-    smooth_sigma: float,
-    memory_budget_bytes: int,
-    workers: int = 1,
-) -> DisplacementField:
-    """Winner field without materializing the full cost volume.
-
-    Candidates are processed in tie-break priority order in small batches;
-    each batch is filled by the per-label kernel of ``regcore.build_dsv``
-    and filtered in place. A strict-less-than merge of each map, in
-    priority order, against the running best preserves the tie-break,
-    making the result bit-identical to the unchunked build/aggregate/
-    regularize/winner-takes-all path.
-
-    ``workers`` threads (never more than the candidates, nor than the cost
-    maps the budget holds) each run that loop over one contiguous slice of
-    the priority order, with running best maps of their own. The slices'
-    bests are then merged in slice order with the same strict less-than,
-    so the earliest slice wins ties as the serial scan does and every
-    worker count gives the same field.
-
-    The search runs in float32 (``regcore.SEARCH_DTYPE``). A worker's batch
-    holds as many float32 cost maps as its SAD scratch
-    (``regcore._sad_scratch``: k maps on integer-only levels, 2k with
-    fractional candidates, at most 1 MiB unless k = 1), so the box-sum and
-    Gaussian filters take each batch in one pass over that scratch, free
-    once the batch is scored. A filtered map's bits do not depend on its
-    batch, so the batch size never changes the field. The budget, counted
-    in float32 maps, caps the batch at 1/W of it each, and is otherwise not
-    the working size. A level holds float32 channel-first copies of both
-    feature volumes (the moving one padded by ceil(l_max) voxels per side)
-    and, per worker, the scratch, the batch and a float32 best cost, an
-    int32 best label and a merge mask the size of the level (9 B per
-    voxel). All of these are allocated here, in the calling thread.
-    """
-    nz, ny, nx = f_fixed.data.shape[:3]
-    map_bytes = nz * ny * nx * regcore.SEARCH_DTYPE.itemsize
-    budget_maps = int(memory_budget_bytes // map_bytes)
-    if budget_maps < 1:
-        raise ValueError(
-            f"memory budget {memory_budget_bytes} B is smaller than one cost map ({map_bytes} B)"
-        )
-    n_workers = min(workers, disp.count, budget_maps)
-
-    fixed, moving = regcore._level_arrays(f_fixed, f_moving, disp)
-    slices = np.array_split(disp.priority_order(), n_workers)
-
-    # every worker's arrays are allocated here, in the calling thread: the
-    # same blocks allocated inside the worker threads raised peak RSS by up
-    # to a fifth, and by a different amount from run to run
-    scratch = regcore._sad_scratch((nz, ny, nx), fixed.shape[3], disp.fractional, n_workers)
-    group = scratch.shape[1] * scratch.shape[2]  # the maps one filter pass takes
-    per_worker = min(budget_maps // n_workers, group, len(slices[0]))
-    buffer = np.empty((n_workers, per_worker, nz, ny, nx), dtype=regcore.SEARCH_DTYPE)
-    best_cost = np.full((n_workers, nz, ny, nx), np.inf, dtype=regcore.SEARCH_DTYPE)
-    best_label = np.zeros((n_workers, nz, ny, nx), dtype=np.int32)
-    improved = np.empty((n_workers, nz, ny, nx), dtype=bool)
-
-    def search(w):
-        labels = slices[w]
-        for start in range(0, len(labels), per_worker):
-            batch_labels = labels[start : start + per_worker]
-            batch = buffer[w, : len(batch_labels)]
-            for bi, li in enumerate(batch_labels):
-                regcore._label_cost_map(
-                    fixed, moving, disp.displacements[li], out=batch[bi], scratch=scratch[w]
-                )
-            if patch_radius > 0:
-                regcore._box_sum_map(batch, patch_radius, scratch[w])
-            if smooth_sigma > 0:
-                regcore._smooth_map(batch, smooth_sigma, scratch[w])
-            for cost_map, li in zip(batch, batch_labels):
-                _keep_better(cost_map, li, best_cost[w], best_label[w], improved[w])
-
-    if n_workers == 1:
-        search(0)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(search, range(n_workers)))  # re-raises a worker's exception
-        for w in range(1, n_workers):
-            _keep_better(best_cost[w], best_label[w], best_cost[0], best_label[0], improved[0])
-    best_disp = disp.displacements[best_label[0]].astype(np.float32)
-
-    header = VolumeHeader(f_fixed.dims, channels=3, dtype="float32")
-    return DisplacementField(header, best_disp)
-
-
 def _featurize(vol: ScalarVolume, feature: str) -> FeatureVolume:
     return feat.DESCRIPTORS[feature](vol)
 
 
 def _check_level_dims(dims, level: LevelParams):
-    level_dims = tuple(-(-d // level.factor) for d in dims)
+    level_dims = downsampled_dims(dims, level.factor)
     needed = int(math.ceil(2 * level.l_max + 1))
     if min(level_dims) < needed:
         raise ValueError(

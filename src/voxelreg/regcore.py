@@ -8,35 +8,44 @@ volume at x and the moving volume at x + d; the stack of all cost maps is
 the cost volume. Smoothness is realized by summing costs over a spatial
 patch (``aggregate_costs``) and by Gaussian-smoothing each candidate's
 cost map (``regularize_dsv``) before the per-voxel argmin
-(``winner_takes_all``).
+(``winner_takes_all``). ``chunked_dsv_execution`` finds the same winners
+without materializing the cost volume.
 
 The search runs in float32 (``SEARCH_DTYPE``), the features' own dtype:
-per level, both feature volumes are copied once to float32, channel-first
-(C, z, y, x), the moving one edge-padded by ceil(l_max) voxels, so every
-candidate shift (and trilinear corner) is a slice and edge padding gives
-the border clamping of a shifted lookup. Cost maps, the SAD scratch and
-the cost volume are float32 as well, which halves the bytes both hot
-kernels move. ``_label_cost_map`` serves both ``build_dsv`` and
-``pipeline``'s chunked search. It computes SAD over groups of channels,
-one subtract and one abs per (k, z, y, x) window, so a candidate costs a
-few large array operations, not a few per channel. Box-sum and Gaussian
-filters run in place on (labels, z, y, x) batches. A filter is its 1-D
-taps (``_box_taps``, ``_gauss_taps``); its plan (``_filter_plan``) folds
-them and the edge clamping into one (n, n) float64 matrix per axis
-(``_clamped_operator``), casts that to the maps' dtype (a float64 matrix
-would make float32 products run in float64) and cuts it into band tiles.
-The tiles are applied as stacked matrix products over a few maps at a
-time, each 2-D product small enough that BLAS runs it on the calling
-thread.
+per level, both feature volumes are copied once to float32,
+channel-first (C, z, y, x), the moving one edge-padded by ceil(l_max)
+voxels, so every candidate shift (and trilinear corner) is a slice and
+edge padding gives the border clamping of a shifted lookup. Cost maps,
+the SAD scratch and the cost volume are float32 as well, which halves
+the bytes both hot kernels move. ``_label_cost_map``, the per-candidate
+kernel of both ``build_dsv`` and ``chunked_dsv_execution``, computes SAD
+over groups of channels, one subtract and one abs per (k, z, y, x)
+window, so a candidate costs a few large array operations, not a few per
+channel. Box-sum and Gaussian filters run in place on (labels, z, y, x)
+batches. A filter is its 1-D taps (``_box_taps``, ``_gauss_taps``); its
+plan (``_filter_plan``) folds them and the edge clamping into one (n, n)
+float64 matrix per axis (``_clamped_operator``), casts that to the maps'
+dtype (a float64 matrix would make float32 products run in float64) and
+cuts it into band tiles. The tiles are applied as stacked matrix
+products over a few maps at a time, each 2-D product small enough that
+BLAS runs it on the calling thread.
 
-The chunked search's threads share one interpreter lock, which numpy
-releases only inside its array loops, so any Python work between array
-calls runs on one thread at a time. That work is cached: a candidate's
-corner weights and window index tuples per (shift, pad, dims)
-(``_corners``), a filter's matrices and band tiles per (taps, parameter,
-dims, dtype) (``_filter_plan``). A cached candidate or batch
-then costs only its array calls. The caches hold exactly what the
-uncached code computed, so no bit changes.
+The chunked search walks the candidates in tie-break priority order in
+batches, and each filtered map replaces the running per-voxel (best
+cost, best label) pair where it is strictly lower (``_keep_better``), so
+the tie-break survives. A batch holds as many cost maps as the SAD
+scratch (``_sad_scratch``: k maps on integer-only levels, 2k with
+fractional candidates), so the filters take a batch in one pass over
+that scratch, free once the batch is scored. Worker threads each walk
+one contiguous slice of the priority order with bests of their own,
+merged in slice order by the same strict less-than. The threads share
+one interpreter lock, which numpy releases only inside its array loops,
+so any Python work between array calls runs on one thread at a time.
+That work is cached: a candidate's corner weights and window index
+tuples per (shift, pad, dims) (``_corners``), a filter's matrices and
+band tiles per (taps, parameter, dims, dtype) (``_filter_plan``). A
+cached candidate or batch then costs only its array calls. The caches
+hold exactly what the uncached code computed, so no bit changes.
 
 All operations are pure functions over immutable inputs and are
 bit-deterministic: the cost volume is label-major (one contiguous 3-D map
@@ -54,6 +63,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,8 +207,8 @@ def _sad_scratch(dims, channels: int, fractional: bool, workers=None) -> np.ndar
     keep the blocks within 1 MiB (2**20 bytes, 2**18 float32 values), but at
     least 1 and at most ``channels``. With ``workers``, one scratch per
     worker, stacked on a leading axis. The filters reuse it once a batch is
-    scored, so ``pipeline``'s chunked search sizes its batches to its
-    blocks x k maps.
+    scored, so ``chunked_dsv_execution`` sizes its batches to its blocks x
+    k maps.
     """
     blocks = 1 + bool(fractional)
     values = _SCRATCH_BYTES // SEARCH_DTYPE.itemsize
@@ -457,6 +467,90 @@ def winner_takes_all(dsv: CostVolume, disp: DisplacementSet) -> DisplacementFiel
     field = disp.displacements[order][best].astype(np.float32)
     header = VolumeHeader(dsv.dims, channels=3, dtype="float32")
     return DisplacementField(header, field)
+
+
+def _keep_better(cost, label, best_cost, best_label, improved):
+    """Where ``cost`` is strictly below ``best_cost``, take it and ``label``."""
+    np.less(cost, best_cost, out=improved)
+    np.copyto(best_cost, cost, where=improved)
+    np.copyto(best_label, label, where=improved)
+
+
+def chunked_dsv_execution(
+    f_fixed: FeatureVolume,
+    f_moving: FeatureVolume,
+    disp: DisplacementSet,
+    patch_radius: int,
+    smooth_sigma: float,
+    memory_budget_bytes: int,
+    workers: int = 1,
+) -> DisplacementField:
+    """Winner field of the filtered cost volume, without materializing it.
+
+    The field is bit-identical to ``build_dsv``, ``aggregate_costs``,
+    ``regularize_dsv`` and ``winner_takes_all`` in turn, for every worker
+    count and budget. ``workers`` threads search, never more than the
+    candidates nor than the cost maps the budget holds. The budget,
+    counted in float32 cost maps, is a cap and not the working size: each
+    worker's batch holds at most 1/W of it, and a budget below one map is
+    an error. A level holds float32 channel-first copies of both feature
+    volumes (the moving one padded by ceil(l_max) voxels per side) and,
+    per worker, the SAD scratch, a batch no larger than it and a best
+    cost, best label and merge mask (9 B per voxel), all allocated in the
+    calling thread. The module docstring describes the batches and slices.
+    """
+    nz, ny, nx = f_fixed.data.shape[:3]
+    map_bytes = nz * ny * nx * SEARCH_DTYPE.itemsize
+    budget_maps = int(memory_budget_bytes // map_bytes)
+    if budget_maps < 1:
+        raise ValueError(
+            f"memory budget {memory_budget_bytes} B is smaller than one cost map ({map_bytes} B)"
+        )
+    n_workers = min(workers, disp.count, budget_maps)
+
+    fixed, moving = _level_arrays(f_fixed, f_moving, disp)
+    slices = np.array_split(disp.priority_order(), n_workers)
+
+    # every worker's arrays are allocated here, in the calling thread: the
+    # same blocks allocated inside the worker threads raised peak RSS by up
+    # to a fifth, and by a different amount from run to run
+    scratch = _sad_scratch((nz, ny, nx), fixed.shape[3], disp.fractional, n_workers)
+    group = scratch.shape[1] * scratch.shape[2]  # the maps one filter pass takes
+    per_worker = min(budget_maps // n_workers, group, len(slices[0]))
+    buffer = np.empty((n_workers, per_worker, nz, ny, nx), dtype=SEARCH_DTYPE)
+    best_cost = np.full((n_workers, nz, ny, nx), np.inf, dtype=SEARCH_DTYPE)
+    best_label = np.zeros((n_workers, nz, ny, nx), dtype=np.int32)
+    improved = np.empty((n_workers, nz, ny, nx), dtype=bool)
+
+    # the kernels are looked up by module name at call time, so a wrapper
+    # set on the module (the benchmark's tracer) sees every call
+    def search(w):
+        labels = slices[w]
+        for start in range(0, len(labels), per_worker):
+            batch_labels = labels[start : start + per_worker]
+            batch = buffer[w, : len(batch_labels)]
+            for bi, li in enumerate(batch_labels):
+                _label_cost_map(
+                    fixed, moving, disp.displacements[li], out=batch[bi], scratch=scratch[w]
+                )
+            if patch_radius > 0:
+                _box_sum_map(batch, patch_radius, scratch[w])
+            if smooth_sigma > 0:
+                _smooth_map(batch, smooth_sigma, scratch[w])
+            for cost_map, li in zip(batch, batch_labels):
+                _keep_better(cost_map, li, best_cost[w], best_label[w], improved[w])
+
+    if n_workers == 1:
+        search(0)
+    else:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            list(pool.map(search, range(n_workers)))  # re-raises a worker's exception
+        for w in range(1, n_workers):
+            _keep_better(best_cost[w], best_label[w], best_cost[0], best_label[0], improved[0])
+    best_disp = disp.displacements[best_label[0]].astype(np.float32)
+
+    header = VolumeHeader(f_fixed.dims, channels=3, dtype="float32")
+    return DisplacementField(header, best_disp)
 
 
 def energy(f_fixed: FeatureVolume, f_moving: FeatureVolume, field: DisplacementField, alpha: float) -> float:

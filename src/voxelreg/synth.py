@@ -41,7 +41,7 @@ def _check_blobs(num_structures: int, min_radius: float, max_radius: float):
 
 def smooth_random_volume(dims, seed: int, sigma: float = 2.5) -> ScalarVolume:
     """Gaussian-filtered white noise, min-max rescaled to [0, 1]."""
-    header = VolumeHeader(tuple(int(d) for d in dims))
+    header = VolumeHeader(tuple(dims))
     _check_smooth(header, sigma)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(header.shape_zyx)
@@ -56,7 +56,7 @@ def translation_field(dims, t) -> DisplacementField:
     t = np.asarray(t, dtype=np.float32)
     if t.shape != (3,):
         raise ValueError("translation must be a 3-vector (tx, ty, tz)")
-    header = VolumeHeader(tuple(int(d) for d in dims), channels=3)
+    header = VolumeHeader(tuple(dims), channels=3)
     return DisplacementField(header, np.broadcast_to(t, header.shape_zyx + (3,)).copy())
 
 
@@ -69,7 +69,7 @@ def sinusoid_field(dims, amplitude: float, period: float, seed: int) -> Displace
     """
     if period <= 0:
         raise ValueError("period must be > 0")
-    header = VolumeHeader(tuple(int(d) for d in dims), channels=3)
+    header = VolumeHeader(tuple(dims), channels=3)
     rng = np.random.default_rng(seed)
     zz, yy, xx = np.indices(header.shape_zyx, dtype=np.float64, sparse=True)
     w = 2.0 * np.pi / period
@@ -93,7 +93,7 @@ def blob_labels(
     a structure can in principle vanish; callers that need the effective
     label set should read it from the volume.
     """
-    header = VolumeHeader(tuple(int(d) for d in dims), dtype="int32")
+    header = VolumeHeader(tuple(dims), dtype="int32")
     _check_blobs(num_structures, min_radius, max_radius)
     rng = np.random.default_rng(seed)
     nz, ny, nx = header.shape_zyx
@@ -131,7 +131,7 @@ def make_pair(
     if kind not in SYNTH_KINDS:
         raise ValueError(f"unknown kind {kind!r}, expected one of {SYNTH_KINDS}")
     # every input is checked before any volume is made
-    header = VolumeHeader(tuple(int(d) for d in dims))
+    header = VolumeHeader(tuple(dims))
     _check_blobs(num_blobs, min_radius, max_radius)
     if kind == "sinusoid" and period <= 0:
         raise ValueError("period must be > 0")

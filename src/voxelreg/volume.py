@@ -359,12 +359,17 @@ def warp_labels(labels: LabelVolume, field: DisplacementField) -> LabelVolume:
 # Multi-resolution helpers
 # ---------------------------------------------------------------------------
 
+def downsampled_dims(dims: Sequence[int], factor: int) -> tuple[int, ...]:
+    """The grid ``downsample`` makes: every factor-th voxel, ceil(d / factor) per axis."""
+    return tuple(-(-d // factor) for d in dims)
+
+
 def downsample(vol: ScalarVolume | FeatureVolume, factor: int) -> ScalarVolume | FeatureVolume:
     """Gaussian prefilter (sigma = 0.5 * factor) then take every factor-th voxel.
 
     Takes and returns a scalar or a feature volume, each channel filtered
     on its own; ``downsample_features`` is the same function. Output dims
-    are ceil(dims / factor); factor 1 is the identity.
+    are ``downsampled_dims``; factor 1 is the identity.
     """
     if factor < 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
@@ -374,7 +379,7 @@ def downsample(vol: ScalarVolume | FeatureVolume, factor: int) -> ScalarVolume |
     sigma = (0.5 * factor,) * 3 + (0.0,) * (vol.data.ndim - 3)
     smoothed = ndimage.gaussian_filter(vol.data.astype(np.float64), sigma=sigma, mode="nearest")
     out = smoothed[::factor, ::factor, ::factor]
-    dims = tuple(-(-d // factor) for d in vol.header.dims)  # ceil division
+    dims = downsampled_dims(vol.header.dims, factor)
     spacing = tuple(s * factor for s in vol.header.spacing)
     header = VolumeHeader(dims, spacing, vol.header.channels, "float32")
     return type(vol)(header, out.astype(np.float32))

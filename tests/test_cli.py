@@ -108,6 +108,10 @@ def test_synth_bad_dims_fails(tmp_path):
     (["--dims", "8", "--noise-sigma", "-1"], "noise sigma must be >= 0, got -1.0"),
     (["--dims", "8", "--min-radius", "7", "--max-radius", "3"],
      "need 0 <= min_radius <= max_radius, got 7.0, 3.0"),
+    (["--dims", "8.5"], "bad --dims '8.5', expected 1 or 3 comma-separated int values"),
+    (["--dims", "8,8"], "bad --dims '8,8', expected 1 or 3 comma-separated int values"),
+    (["--dims", "8", "--translation", "a"],
+     "bad --translation 'a', expected 1 or 3 comma-separated float values"),
 ])
 def test_synth_bad_input_is_one_line_error(tmp_path, flags, needle):
     res = run_cli("synth", "--kind", "translation", "--seed", "1",
@@ -288,6 +292,26 @@ def test_register_bad_config_is_one_line_error(tmp_path, cfg, needle):
         "--config", tmp_path / "cfg.json", "--out-field", tmp_path / "field",
     )
     assert_one_line_error(res, needle)
+
+
+@pytest.mark.parametrize("args, needle", [
+    (["register", "--levels", "1:a:2:2:2"],
+     "bad level spec '1:a:2:2:2', expected factor:q:lmax:radius:alpha"),
+    (["register", "--levels", "2:2:4:1:1,1.5:1:2:1:1"],
+     "bad level spec '1.5:1:2:1:1', expected factor:q:lmax:radius:alpha"),
+    (["register", "--levels", "1:1:2:1"], "bad level spec '1:1:2:1'"),
+    (["evaluate", "--labels", "1,,2"], "bad --labels '1,,2', expected comma-separated integers"),
+])
+def test_unparsable_flag_value_is_one_line_error(tmp_path, args, needle):
+    # the value is rejected before any input is read, so none need exist
+    command, *flags = args
+    required = {
+        "register": ["--fixed", tmp_path / "f", "--moving", tmp_path / "m",
+                     "--out-field", tmp_path / "o"],
+        "evaluate": ["--fixed-labels", tmp_path / "f", "--warped-labels", tmp_path / "w",
+                     "--out-report", tmp_path / "r"],
+    }[command]
+    assert_one_line_error(run_cli(command, *required, *flags), needle)
 
 
 @pytest.mark.parametrize("message, line", [

@@ -1,12 +1,14 @@
 """Multi-resolution driver and chunked-execution tests."""
 
+import ast
+import inspect
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from voxelreg import regcore
+from voxelreg import pipeline, regcore
 from voxelreg.pipeline import (
     LevelParams,
     RegistrationConfig,
@@ -213,6 +215,27 @@ def random_feature_pair(seed, n=8, channels=2):
     return mk(), mk()
 
 
+def test_pipeline_uses_no_private_regcore_name():
+    # the level search and its kernels live together in regcore; the driver
+    # reaches only its public names
+    tree = ast.parse(inspect.getsource(pipeline))
+    private = [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "regcore"
+        and node.attr.startswith("_")
+    ] + [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "voxelreg.regcore"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 def test_chunked_big_budget_matches_unchunked():
     f_fixed, f_moving = random_feature_pair(61)
     ds = regcore.build_displacement_set(1.0, 1.0)
@@ -243,8 +266,6 @@ def test_chunked_budget_below_one_map_errors():
 def test_chunked_one_map_budget_runs_on_one_thread(monkeypatch):
     # a budget of one float32 cost map searches on the calling thread whatever
     # the worker count; two maps start the pool
-    import voxelreg.pipeline as pipeline
-
     f_fixed, f_moving = random_feature_pair(63)
     ds = regcore.build_displacement_set(1.0, 1.0)
     map_bytes = 8**3 * regcore.SEARCH_DTYPE.itemsize
@@ -253,7 +274,7 @@ def test_chunked_one_map_budget_runs_on_one_thread(monkeypatch):
         def __init__(self, *args, **kwargs):
             raise AssertionError("started a thread pool")
 
-    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", NoPool)
+    monkeypatch.setattr(regcore, "ThreadPoolExecutor", NoPool)
     want = unchunked_field(f_fixed, f_moving, ds, 1, 1.0)
     got = chunked_dsv_execution(f_fixed, f_moving, ds, 1, 1.0, map_bytes, 3)
     assert np.array_equal(got.data, want.data)

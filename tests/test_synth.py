@@ -89,6 +89,10 @@ def test_unknown_kind_rejected():
     (lambda: smooth_random_volume((1, 1, 1), seed=0), "dims must hold at least 2 voxels"),
     (lambda: blob_labels((8, 8, 8), 3, seed=0, min_radius=5.0, max_radius=2.0),
      "need 0 <= min_radius <= max_radius, got 5.0, 2.0"),
+    (lambda: smooth_random_volume((9.9, 8, 8), seed=0), "dims and channels must be integers"),
+    (lambda: blob_labels((8, 8, 8.0), 3, seed=0), "dims and channels must be integers"),
+    (lambda: sinusoid_field((8, 8.5, 8), 1.0, 8.0, seed=0), "dims and channels must be integers"),
+    (lambda: translation_field((8.5, 8, 8), (1.0, 0.0, 0.0)), "dims and channels must be integers"),
 ])
 def test_bad_generator_input_is_named(make, needle):
     with pytest.raises(ValueError, match=needle):
@@ -103,6 +107,9 @@ def test_bad_generator_input_is_named(make, needle):
     ("blobs", {"min_radius": -1.0}, "min_radius <= max_radius"),
     ("sinusoid", {"period": 0.0}, "period must be > 0"),
     ("blobs", {"dims": (0, 4, 4)}, "dims must be three positive integers"),
+    ("translation", {"dims": (8.5, 8, 8)}, "dims and channels must be integers"),
+    ("sinusoid", {"dims": (8, 8, 9.9)}, "dims and channels must be integers"),
+    ("blobs", {"dims": (8, 8.0, 8)}, "dims and channels must be integers"),
 ])
 def test_make_pair_checks_inputs_before_any_work(monkeypatch, kind, params, needle):
     def no_work(*args, **kwargs):

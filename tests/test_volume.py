@@ -20,6 +20,7 @@ from voxelreg.volume import (
     VolumeHeader,
     downsample,
     downsample_features,
+    downsampled_dims,
     load_field,
     load_volume,
     save_volume,
@@ -408,6 +409,16 @@ def test_downsample_factor_one_is_identity():
     rng = np.random.default_rng(11)
     vol = make_scalar(rng.standard_normal((5, 5, 5)).astype(np.float32))
     assert downsample(vol, 1) is vol
+
+
+@pytest.mark.parametrize("factor", [2, 3, 4])
+def test_downsample_grid_is_the_level_grid(factor):
+    # register() upsamples each level's field onto the next level's grid, so
+    # the grid downsample makes must be the one downsampled_dims names
+    dims = (7, 9, 11)
+    vol = make_scalar(np.zeros(dims[::-1], dtype=np.float32))
+    assert downsample(vol, factor).dims == downsampled_dims(dims, factor)
+    assert downsampled_dims(dims, factor) == tuple(math.ceil(d / factor) for d in dims)
 
 
 def test_downsample_constant_preserves_value_and_halves_dims():
