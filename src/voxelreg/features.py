@@ -161,7 +161,9 @@ def ssc_features(vol: ScalarVolume) -> FeatureVolume:
     the edges of the distance maps). Channels are exp(-D_k(x) / m(x)) where
     m(x) is the mean of the 12 distances floored at ``SSC_NOISE_FLOOR``, so all
     outputs lie in (0, 1] and the descriptor is invariant to affine
-    intensity changes a*v + b with a > 0.
+    intensity changes a*v + b with a > 0. Distances and channels are
+    computed one offset pair at a time in float64, and only the 12
+    distances and the float32 output are held whole.
     """
     min_dim = 2 * (SSC_PATCH_RADIUS + 1) + 1
     if min(vol.dims) < min_dim:
@@ -173,17 +175,22 @@ def ssc_features(vol: ScalarVolume) -> FeatureVolume:
         for dz, dy, dx in SIX_NEIGHBORHOOD
     ]
 
+    # one channel (offset pair) at a time, so no temporary outgrows a channel
+    size = 2 * SSC_PATCH_RADIUS + 1
     dists = np.empty((12, nz, ny, nx), dtype=np.float64)
     for k, (i, j) in enumerate(SSC_PAIRS):
         diff = np.subtract(shifted[i], shifted[j], out=dists[k])
         np.multiply(diff, diff, out=diff)
-    size = 2 * SSC_PATCH_RADIUS + 1
-    ndimage.uniform_filter(dists, size=(1, size, size, size), mode="nearest", output=dists)
-    dists *= float(size**3)
+        ndimage.uniform_filter(diff, size=size, mode="nearest", output=diff)
+        diff *= float(size**3)
 
-    mean_dist = np.maximum(dists.mean(axis=0), SSC_NOISE_FLOOR)
-    channels = np.exp(-dists / mean_dist)
-    out = np.moveaxis(channels, 0, -1).astype(np.float32)
+    mean_dist = dists.mean(axis=0)  # summed in channel order
+    np.maximum(mean_dist, SSC_NOISE_FLOOR, out=mean_dist)
+    out = np.empty((nz, ny, nx, 12), dtype=np.float32)
+    for k, dist in enumerate(dists):
+        np.negative(dist, out=dist)
+        np.divide(dist, mean_dist, out=dist)
+        out[..., k] = np.exp(dist, out=dist)
     return FeatureVolume(dataclasses.replace(vol.header, channels=12), out)
 
 

@@ -17,10 +17,17 @@ channel-first (C, z, y, x), the moving one edge-padded by ceil(l_max)
 voxels, so every candidate shift (and trilinear corner) is a slice and
 edge padding gives the border clamping of a shifted lookup. Cost maps,
 the SAD scratch and the cost volume are float32 as well, which halves
-the bytes both hot kernels move. ``_label_cost_map``, the per-candidate
-kernel of both ``build_dsv`` and ``chunked_dsv_execution``, computes SAD
-over groups of channels, one subtract and one abs per (k, z, y, x)
-window, so a candidate costs a few large array operations, not a few per
+the bytes both hot kernels move.
+
+Candidates whose trilinear corners (offsets and weights, ``_corners``)
+are equal form a weight group; all integer candidates form one, and
+q = 0.5 gives 2**3 groups. ``_blend`` sums a group's weighted corners
+over the whole padded moving copy once, and each candidate of the group
+then reads one window of that blend, at floor(d): the integer group
+reads the copy itself. ``_label_cost_map``, the per-candidate kernel of
+both ``build_dsv`` and ``chunked_dsv_execution``, computes SAD over
+groups of channels, one subtract and one abs per (k, z, y, x) window,
+so a candidate costs a few large array operations, not a few per
 channel. Box-sum and Gaussian filters run in place on (labels, z, y, x)
 batches. A filter is its 1-D taps (``_box_taps``, ``_gauss_taps``); its
 plan (``_filter_plan``) folds them and the edge clamping into one (n, n)
@@ -30,26 +37,35 @@ cuts it into band tiles. The tiles are applied as stacked matrix
 products over a few maps at a time, each 2-D product small enough that
 BLAS runs it on the calling thread.
 
-The chunked search walks the candidates in tie-break priority order in
-batches, and each filtered map replaces the running per-voxel (best
-cost, best label) pair where it is strictly lower (``_keep_better``), so
-the tie-break survives. A batch holds as many cost maps as the SAD
-scratch (``_sad_scratch``: k maps on integer-only levels, 2k with
-fractional candidates), so the filters take a batch in one pass over
-that scratch, free once the batch is scored. Worker threads each walk
-one contiguous slice of the priority order with bests of their own,
-merged in slice order by the same strict less-than. The threads share
+The chunked search splits the candidates into work units: each weight
+group, in tie-break priority order, cut into contiguous pieces of at
+most ceil(count / W) candidates for W workers, so an integer level is W
+slices of the priority order. Worker w takes unit w, then the remaining
+units one at a time, longest first, and blends each unit's group into a
+buffer of its own, so a level holds at most W blends. A unit is walked
+in priority order in batches, and each filtered map replaces the running
+per-voxel (best cost, best rank) pair where it is strictly lower
+(``_keep_better``), rank being the position in the priority order. A
+batch holds as many cost maps as the SAD scratch (``_sad_scratch``, one
+block of k maps), so the filters take a batch in one pass over that
+scratch, free once the batch is scored. A worker walks its first unit
+into its best and each later one into a unit best, merged into its best
+where (cost, rank) is lower, costs compared first (``_keep_lower``); the
+workers' bests are merged the same way. The lowest (cost, rank) is what
+one strict less-than scan in priority order keeps, so the winner does
+not depend on which worker took which unit, or when. The threads share
 one interpreter lock, which numpy releases only inside its array loops,
 so any Python work between array calls runs on one thread at a time.
-That work is cached: a candidate's corner weights and window index
-tuples per (shift, pad, dims) (``_corners``), a filter's matrices and
-band tiles per (taps, parameter, dims, dtype) (``_filter_plan``). A
+That work is cached: a shift's corners (``_corners``) and its window's
+index tuple per (shift, pad, dims) (``_window``), a filter's matrices
+and band tiles per (taps, parameter, dims, dtype) (``_filter_plan``). A
 cached candidate or batch then costs only its array calls. The caches
 hold exactly what the uncached code computed, so no bit changes.
 
 All operations are pure functions over immutable inputs and are
 bit-deterministic: the cost volume is label-major (one contiguous 3-D map
-per candidate), SAD accumulates channel by channel in channel order
+per candidate), a blended sample's bits depend only on its corners'
+samples and weights, SAD accumulates channel by channel in channel order
 whatever the group size, a filtered map's bits depend only on the map
 and the grid, not on its batch or position (and maps that agree on an
 output voxel's window agree on its bits, so exact ties survive
@@ -63,6 +79,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -195,42 +212,36 @@ def _level_arrays(f_fixed: FeatureVolume, f_moving: FeatureVolume, disp: Displac
     return np.moveaxis(fixed, 0, -1), np.moveaxis(moving, 0, -1)
 
 
-# bytes of one SAD scratch, unless a single map per block is larger
+# bytes of one SAD scratch, unless a single map is larger
 _SCRATCH_BYTES = 2**20
 
 
-def _sad_scratch(dims, channels: int, fractional: bool, workers=None) -> np.ndarray:
-    """Uninitialized scratch for ``_label_cost_map``: (blocks, k, z, y, x) float32.
+def _sad_scratch(dims, channels: int, workers=None) -> np.ndarray:
+    """Uninitialized scratch for ``_label_cost_map``: (k, z, y, x) float32.
 
-    Integer shifts need one block of k maps; fractional shifts a second one
-    for the corner products. k, the channels per SAD group, is as many as
-    keep the blocks within 1 MiB (2**20 bytes, 2**18 float32 values), but at
-    least 1 and at most ``channels``. With ``workers``, one scratch per
-    worker, stacked on a leading axis. The filters reuse it once a batch is
-    scored, so ``chunked_dsv_execution`` sizes its batches to its blocks x
-    k maps.
+    k, the channels per SAD group, is as many as keep the scratch within
+    1 MiB (2**20 bytes, 2**18 float32 values), but at least 1 and at most
+    ``channels``. With ``workers``, one scratch per worker, stacked on a
+    leading axis. ``_blend`` and the filters reuse it between candidates,
+    so ``chunked_dsv_execution`` sizes its batches to its k maps.
     """
-    blocks = 1 + bool(fractional)
     values = _SCRATCH_BYTES // SEARCH_DTYPE.itemsize
-    k = max(1, min(channels, values // (blocks * math.prod(dims))))
+    k = max(1, min(channels, values // math.prod(dims)))
     lead = () if workers is None else (workers,)
-    return np.empty(lead + (blocks, k) + tuple(dims), dtype=SEARCH_DTYPE)
-
-
-_EVERY_CHANNEL = (slice(None),)  # shared by every cached index tuple
+    return np.empty(lead + (k,) + tuple(dims), dtype=SEARCH_DTYPE)
 
 
 # A level asks for each of its candidates once per registration, from every
-# search thread. The bound holds the default schedule's 729 + 125 candidates
-# (under 0.7 KB each for an integer shift), so repeated registrations on one
-# grid hit as well, while an LRU scan over more candidates than it holds
-# only misses, at the uncached cost.
+# search thread. The bounds hold the default schedule's 729 + 125 candidates
+# (about 0.5 KB each in either cache), so repeated registrations on one grid
+# hit as well, while an LRU scan over more candidates than they hold only
+# misses, at the uncached cost.
 @functools.lru_cache(maxsize=2048)
-def _corners(shift: tuple, pad: int, dims: tuple) -> tuple:
-    """(weight, index) of each trilinear corner of ``shift`` = (dx, dy, dz)
-    with a nonzero weight, in (z, y, x) corner order: ``index`` is the full
-    (C, z, y, x) slice tuple of the corner's window in a channel-first moving
-    copy padded by ``pad`` voxels around ``dims`` (z, y, x)."""
+def _corners(shift: tuple) -> tuple:
+    """(weight, (oz, oy, ox)) of each trilinear corner of ``shift`` = (dx, dy, dz)
+    with a nonzero weight, in (z, y, x) corner order: the corner is the
+    voxel at floor(shift) + offset. An integer shift has the one corner
+    (1.0, (0, 0, 0)); shifts whose corners are equal form a weight group."""
     zyx = shift[::-1]
     base = [math.floor(v) for v in zyx]
     corners = []
@@ -239,9 +250,76 @@ def _corners(shift: tuple, pad: int, dims: tuple) -> tuple:
         for v, b, c in zip(zyx, base, offset):
             w *= (v - b) if c else 1.0 - (v - b)
         if w != 0.0:
-            window = tuple(slice(pad + b + c, pad + b + c + n) for b, c, n in zip(base, offset, dims))
-            corners.append((w, _EVERY_CHANNEL + window))
+            corners.append((w, offset))
     return tuple(corners)
+
+
+_EVERY_CHANNEL = (slice(None),)  # shared by every cached index tuple
+
+
+@functools.lru_cache(maxsize=2048)
+def _window(shift: tuple, pad: int, dims: tuple) -> tuple:
+    """The full (C, z, y, x) slice tuple of the window at floor(``shift``),
+    ``shift`` = (dx, dy, dz), in a channel-first moving copy padded by
+    ``pad`` voxels around ``dims`` (z, y, x)."""
+    base = [math.floor(v) for v in shift[::-1]]
+    return _EVERY_CHANNEL + tuple(slice(pad + b, pad + b + n) for b, n in zip(base, dims))
+
+
+def _weight_groups(disp: DisplacementSet) -> list[np.ndarray]:
+    """The candidates' priority ranks (positions in ``priority_order()``),
+    one ascending array per weight group (``_corners``), groups in order of
+    their first rank. The integer candidates form one group."""
+    groups = {}
+    for rank, d in enumerate(disp.displacements[disp.priority_order()].tolist()):
+        groups.setdefault(_corners(tuple(d)), []).append(rank)
+    return [np.array(ranks) for ranks in groups.values()]
+
+
+# float32 values per piece of a blend: a piece, its products and the corner
+# reads then stay in cache (2**17 ran faster than 2**14 to 2**16 and 2**18
+# at 32^3 and 64^3 with 12 channels)
+_BLEND_PIECE = 2**17
+
+
+def _blend(moving64: np.ndarray, d: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """The padded moving copy blended with the trilinear weights of ``d``'s
+    weight group, a (z, y, x, C) view as ``moving64`` is.
+
+    ``moving64`` is the moving view ``_level_arrays`` returns; an integer
+    ``d`` returns it as it is. Every candidate of the group reads its
+    blended samples as one window, at its floor, of the result
+    (``_label_cost_map``). An element is w0 * m[p] + w1 * m[p + o1] + ...
+    over the corners in order, in float32, each product rounded before it
+    is added, as a per-candidate blend would compute it. The sum runs over
+    the flat channel-first copy, so an element whose corners would cross a
+    far face reads the next row, plane or channel; no window reads those
+    (along a fractional axis, ceil(d) <= pad ends each window a voxel
+    short of the far face), and the last ones, with no corner to read,
+    are copied. ``out`` (any
+    contiguous float32 array of the copy's size) defaults to a new array;
+    the products go through ``scratch`` (any contiguous float32 array, as
+    ``_sad_scratch`` makes it), a piece of at most ``_BLEND_PIECE`` values
+    or the scratch's size at a time.
+    """
+    (w0, _), *rest = _corners(tuple(d.tolist()))
+    if not rest:
+        return moving64
+    src = moving64.transpose(3, 0, 1, 2)
+    flat = src.reshape(-1)
+    dst = np.empty_like(flat) if out is None else out.reshape(-1)
+    ny, nx = src.shape[2:]
+    tmp = np.empty(_BLEND_PIECE, SEARCH_DTYPE) if scratch is None else scratch.reshape(-1)
+    tmp = tmp[:_BLEND_PIECE]
+    offsets = [(w, (oz * ny + oy) * nx + ox) for w, (oz, oy, ox) in rest]
+    end = flat.size - offsets[-1][1]  # the last corner reaches farthest
+    for start in range(0, end, tmp.size):
+        stop = min(start + tmp.size, end)
+        piece = np.multiply(flat[start:stop], w0, out=dst[start:stop])
+        for w, o in offsets:
+            piece += np.multiply(flat[start + o : stop + o], w, out=tmp[: stop - start])
+    dst[end:] = flat[end:]
+    return dst.reshape(src.shape).transpose(1, 2, 3, 0)
 
 
 def _label_cost_map(
@@ -250,13 +328,13 @@ def _label_cost_map(
     """Per-voxel SAD between fixed(x) and moving(x + d), shape (z, y, x), into ``out``.
 
     Both inputs are (z, y, x, C) views as ``_level_arrays`` returns them
-    (float32; the names predate that, and the benchmark's tracer binds them);
-    the moving pad is read off the shape difference. ``d`` is an array
-    (dx, dy, dz). ``out`` defaults to a new map of the inputs' dtype. Integer
-    displacements are direct lookups (bit-exact); fractional ones blend the 8
-    integer corners with trilinear weights, each channel independently. The
-    corners' weights and windows come from ``_corners``, so a cached
-    candidate costs only its array operations.
+    (float32; the names predate that, and the benchmark's tracer binds
+    them), ``moving64`` blended for ``d``'s weight group (``_blend``: the
+    level copy itself for an integer ``d``). ``d`` is an array (dx, dy, dz).
+    The kernel reads one window of ``moving64``, at floor(d), whose slices
+    come from ``_window`` (the pad is read off the shape difference), so a
+    cached candidate costs only its array operations. ``out`` defaults to a
+    new map of the inputs' dtype.
 
     Channels are taken k at a time, k read off ``scratch`` (as
     ``_sad_scratch`` makes it; allocated here when not given), so each
@@ -266,23 +344,17 @@ def _label_cost_map(
     """
     fixed, moving = fixed64.transpose(3, 0, 1, 2), moving64.transpose(3, 0, 1, 2)
     channels, dims = fixed.shape[0], fixed.shape[1:]
-    (w0, first), *rest = _corners(tuple(d.tolist()), (moving.shape[1] - dims[0]) // 2, dims)
+    window = _window(tuple(d.tolist()), (moving.shape[1] - dims[0]) // 2, dims)
 
     out = np.empty(dims, fixed.dtype) if out is None else out
     if scratch is None:
-        scratch = _sad_scratch(dims, channels, bool(rest))
-    k = scratch.shape[1]
+        scratch = _sad_scratch(dims, channels)
+    k = scratch.shape[0]
     for c0 in range(0, channels, k):
         n = min(k, channels - c0)
-        fixed_g, moving_g = fixed[c0 : c0 + n], moving[c0 : c0 + n]
         # a lone first channel goes straight into out, with no extra pass
-        rows = out[None] if c0 == 0 and n == 1 else scratch[0, :n]
-        shifted = moving_g[first]
-        if rest:
-            shifted = np.multiply(shifted, w0, out=scratch[1, :n])
-            for w, index in rest:
-                shifted += np.multiply(moving_g[index], w, out=rows)
-        np.abs(np.subtract(fixed_g, shifted, out=rows), out=rows)
+        rows = out[None] if c0 == 0 and n == 1 else scratch[:n]
+        np.abs(np.subtract(fixed[c0 : c0 + n], moving[c0 : c0 + n][window], out=rows), out=rows)
         if c0 > 0:
             for row in rows:
                 out += row
@@ -295,9 +367,13 @@ def build_dsv(f_fixed: FeatureVolume, f_moving: FeatureVolume, disp: Displacemen
     """Dense cost volume: costs[d][x] = SAD(fixed(x), moving(x + d))."""
     fixed, moving = _level_arrays(f_fixed, f_moving, disp)
     costs = np.empty((disp.count,) + fixed.shape[:3], dtype=SEARCH_DTYPE)
-    scratch = _sad_scratch(fixed.shape[:3], fixed.shape[3], disp.fractional)
-    for li in range(disp.count):
-        _label_cost_map(fixed, moving, disp.displacements[li], out=costs[li], scratch=scratch)
+    scratch = _sad_scratch(fixed.shape[:3], fixed.shape[3])
+    blended = np.empty(moving.size, SEARCH_DTYPE) if disp.fractional else None
+    order = disp.priority_order()
+    for ranks in _weight_groups(disp):
+        source = _blend(moving, disp.displacements[order[ranks[0]]], blended, scratch)
+        for li in order[ranks]:
+            _label_cost_map(fixed, source, disp.displacements[li], out=costs[li], scratch=scratch)
     return CostVolume(dims=f_fixed.dims, costs=costs)
 
 
@@ -469,11 +545,21 @@ def winner_takes_all(dsv: CostVolume, disp: DisplacementSet) -> DisplacementFiel
     return DisplacementField(header, field)
 
 
-def _keep_better(cost, label, best_cost, best_label, improved):
-    """Where ``cost`` is strictly below ``best_cost``, take it and ``label``."""
+def _keep_better(cost, rank, best_cost, best_rank, improved):
+    """Where ``cost`` is strictly below ``best_cost``, take it and ``rank``."""
     np.less(cost, best_cost, out=improved)
     np.copyto(best_cost, cost, where=improved)
-    np.copyto(best_label, label, where=improved)
+    np.copyto(best_rank, rank, where=improved)
+
+
+def _keep_lower(cost, rank, best_cost, best_rank):
+    """Where (``cost``, ``rank``) is below (``best_cost``, ``best_rank``),
+    costs compared first, take both."""
+    lower = rank < best_rank
+    lower &= cost == best_cost
+    lower |= cost < best_cost
+    np.copyto(best_cost, cost, where=lower)
+    np.copyto(best_rank, rank, where=lower)
 
 
 def chunked_dsv_execution(
@@ -490,14 +576,17 @@ def chunked_dsv_execution(
     The field is bit-identical to ``build_dsv``, ``aggregate_costs``,
     ``regularize_dsv`` and ``winner_takes_all`` in turn, for every worker
     count and budget. ``workers`` threads search, never more than the
-    candidates nor than the cost maps the budget holds. The budget,
-    counted in float32 cost maps, is a cap and not the working size: each
-    worker's batch holds at most 1/W of it, and a budget below one map is
-    an error. A level holds float32 channel-first copies of both feature
-    volumes (the moving one padded by ceil(l_max) voxels per side) and,
-    per worker, the SAD scratch, a batch no larger than it and a best
-    cost, best label and merge mask (9 B per voxel), all allocated in the
-    calling thread. The module docstring describes the batches and slices.
+    candidates, the cost maps the budget holds or the work units. The
+    budget, counted in float32 cost maps, is a cap and not the working
+    size: each worker's batch holds at most 1/W of it, and a budget below
+    one map is an error. A level holds float32 channel-first copies of both
+    feature volumes (the moving one padded by ceil(l_max) voxels per side)
+    and, per worker, the SAD scratch, a batch no larger than it, a best
+    cost, best rank and merge mask (9 B per voxel), and on levels with
+    fractional candidates one blended moving copy and, with more units
+    than workers, a unit's best cost and rank (8 B per voxel), all
+    allocated in the calling thread. The module docstring describes the
+    units, batches and merges.
     """
     nz, ny, nx = f_fixed.data.shape[:3]
     map_bytes = nz * ny * nx * SEARCH_DTYPE.itemsize
@@ -509,36 +598,66 @@ def chunked_dsv_execution(
     n_workers = min(workers, disp.count, budget_maps)
 
     fixed, moving = _level_arrays(f_fixed, f_moving, disp)
-    slices = np.array_split(disp.priority_order(), n_workers)
+    order = disp.priority_order()
+    # work units: each weight group cut into as few contiguous pieces as
+    # keep it within 1/W of the candidates (an integer level gives W
+    # slices), longest first
+    units = [
+        piece
+        for ranks in _weight_groups(disp)
+        for piece in np.array_split(ranks, -(-len(ranks) * n_workers // disp.count))
+    ]
+    units.sort(key=len, reverse=True)
+    n_workers = min(n_workers, len(units))
 
     # every worker's arrays are allocated here, in the calling thread: the
     # same blocks allocated inside the worker threads raised peak RSS by up
     # to a fifth, and by a different amount from run to run
-    scratch = _sad_scratch((nz, ny, nx), fixed.shape[3], disp.fractional, n_workers)
-    group = scratch.shape[1] * scratch.shape[2]  # the maps one filter pass takes
-    per_worker = min(budget_maps // n_workers, group, len(slices[0]))
+    scratch = _sad_scratch((nz, ny, nx), fixed.shape[3], n_workers)
+    per_worker = min(budget_maps // n_workers, scratch.shape[1], len(units[0]))
     buffer = np.empty((n_workers, per_worker, nz, ny, nx), dtype=SEARCH_DTYPE)
     best_cost = np.full((n_workers, nz, ny, nx), np.inf, dtype=SEARCH_DTYPE)
-    best_label = np.zeros((n_workers, nz, ny, nx), dtype=np.int32)
+    best_rank = np.zeros((n_workers, nz, ny, nx), dtype=np.int32)
     improved = np.empty((n_workers, nz, ny, nx), dtype=bool)
+    blended = [None] * n_workers  # integer candidates read the level copy itself
+    if disp.fractional:
+        blended = np.empty((n_workers, moving.size), dtype=SEARCH_DTYPE)
+    spare = len(units) > n_workers  # some worker walks more than one unit
+    unit_cost = np.empty_like(best_cost) if spare else None
+    unit_rank = np.empty_like(best_rank) if spare else None
+
+    # worker w walks unit w into its best, then takes the remaining units
+    # one at a time, each walked into its unit best and merged by rank
+    rest = iter(units[n_workers:])
+    lock = threading.Lock()
+
+    def next_unit():
+        with lock:
+            return next(rest, None)
 
     # the kernels are looked up by module name at call time, so a wrapper
     # set on the module (the benchmark's tracer) sees every call
-    def search(w):
-        labels = slices[w]
-        for start in range(0, len(labels), per_worker):
-            batch_labels = labels[start : start + per_worker]
-            batch = buffer[w, : len(batch_labels)]
-            for bi, li in enumerate(batch_labels):
-                _label_cost_map(
-                    fixed, moving, disp.displacements[li], out=batch[bi], scratch=scratch[w]
-                )
+    def walk(w, ranks, cost, rank):
+        source = _blend(moving, disp.displacements[order[ranks[0]]], blended[w], scratch[w])
+        for start in range(0, len(ranks), per_worker):
+            batch_ranks = ranks[start : start + per_worker]
+            batch = buffer[w, : len(batch_ranks)]
+            for bi, li in enumerate(order[batch_ranks]):
+                d = disp.displacements[li]
+                _label_cost_map(fixed, source, d, out=batch[bi], scratch=scratch[w])
             if patch_radius > 0:
                 _box_sum_map(batch, patch_radius, scratch[w])
             if smooth_sigma > 0:
                 _smooth_map(batch, smooth_sigma, scratch[w])
-            for cost_map, li in zip(batch, batch_labels):
-                _keep_better(cost_map, li, best_cost[w], best_label[w], improved[w])
+            for cost_map, r in zip(batch, batch_ranks):
+                _keep_better(cost_map, r, cost, rank, improved[w])
+
+    def search(w):
+        walk(w, units[w], best_cost[w], best_rank[w])
+        while (ranks := next_unit()) is not None:
+            unit_cost[w].fill(np.inf)
+            walk(w, ranks, unit_cost[w], unit_rank[w])
+            _keep_lower(unit_cost[w], unit_rank[w], best_cost[w], best_rank[w])
 
     if n_workers == 1:
         search(0)
@@ -546,8 +665,8 @@ def chunked_dsv_execution(
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             list(pool.map(search, range(n_workers)))  # re-raises a worker's exception
         for w in range(1, n_workers):
-            _keep_better(best_cost[w], best_label[w], best_cost[0], best_label[0], improved[0])
-    best_disp = disp.displacements[best_label[0]].astype(np.float32)
+            _keep_lower(best_cost[w], best_rank[w], best_cost[0], best_rank[0])
+    best_disp = disp.displacements[order[best_rank[0]]].astype(np.float32)
 
     header = VolumeHeader(f_fixed.dims, channels=3, dtype="float32")
     return DisplacementField(header, best_disp)

@@ -1,12 +1,14 @@
 """Feature descriptor tests: analytic cases plus brute-force oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from voxelreg.features import (
     SIX_NEIGHBORHOOD,
+    SSC_NOISE_FLOOR,
     SSC_PAIRS,
     DegenerateInputWarning,
     edge_features,
@@ -295,6 +297,48 @@ def test_ssc_random_volume_matches_bruteforce():
     got = ssc_features(make_scalar(data)).data
     want = ssc_oracle(data)
     assert np.allclose(got, want, atol=1e-6)
+
+
+def ssc_whole_array(data):
+    """The descriptor computed on all 12 channels at once: one 4-D patch
+    filter, the channel mean and one exp over the (12, z, y, x) stack."""
+    from scipy import ndimage
+
+    padded = np.pad(data.astype(np.float64), 1, mode="edge")
+    nz, ny, nx = data.shape
+    shifted = [
+        padded[1 + dz : 1 + dz + nz, 1 + dy : 1 + dy + ny, 1 + dx : 1 + dx + nx]
+        for dz, dy, dx in SIX_NEIGHBORHOOD
+    ]
+    dists = np.stack([(shifted[i] - shifted[j]) ** 2 for i, j in SSC_PAIRS])
+    ndimage.uniform_filter(dists, size=(1, 3, 3, 3), mode="nearest", output=dists)
+    dists *= 27.0
+    mean_dist = np.maximum(dists.mean(axis=0), SSC_NOISE_FLOOR)
+    return np.moveaxis(np.exp(-dists / mean_dist), 0, -1).astype(np.float32)
+
+
+@pytest.mark.parametrize("shape", [(5, 6, 5), (9, 12, 7), (18, 20, 17)])
+def test_ssc_per_channel_equals_whole_array_bit_for_bit(shape):
+    rng = np.random.default_rng(31)
+    for data in (smooth_noise(rng, shape), rng.uniform(0, 1, size=shape).astype(np.float32)):
+        got = ssc_features(make_scalar(data)).data
+        assert np.array_equal(got.view(np.uint32), ssc_whole_array(data).view(np.uint32))
+
+
+def test_ssc_peak_memory_is_four_outputs():
+    # channel by channel, ssc holds its float64 patch distances (twice the
+    # float32 output), the output, and the float64 channel mean and padded
+    # input (a sixth of it each, near enough); the whole-array form peaked
+    # at 6.4 outputs
+    rng = np.random.default_rng(32)
+    vol = make_scalar(smooth_noise(rng, (36, 38, 35)))
+    tracemalloc.start()
+    try:
+        out = ssc_features(vol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * out.data.nbytes, peak / out.data.nbytes
 
 
 # ---------------------------------------------------------------------------

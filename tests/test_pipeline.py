@@ -3,6 +3,8 @@
 import ast
 import inspect
 import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -334,10 +336,13 @@ def test_chunked_peak_memory_does_not_grow_with_the_budget():
     ds = regcore.build_displacement_set(1.0, 4.0)
     voxels = n**3
     features = 4 * channels * (voxels + (n + 2 * 4) ** 3)  # float32 fixed + padded moving copy
-    scratch = regcore._sad_scratch((n, n, n), channels, False).nbytes  # = one batch
-    # per worker: float32 best cost, int32 best label and bool mask, 9 B per voxel
+    scratch = regcore._sad_scratch((n, n, n), channels).nbytes  # = one batch
+    # per worker: float32 best cost, int32 best rank and bool mask, 9 B per voxel
     bound = features + workers * (scratch + scratch + 9 * voxels)
     slack = 1 << 20  # the returned field, its float64 lookup, operators, labels
+    # one untimed call fills the window and filter-plan caches, which would
+    # otherwise count against the first measured call only
+    chunked_dsv_execution(f_fixed, f_moving, ds, 2, 1.0, 16 << 20, workers)
     peaks = []
     for budget_mb in (16, 1024):
         tracemalloc.start()
@@ -348,6 +353,85 @@ def test_chunked_peak_memory_does_not_grow_with_the_budget():
             tracemalloc.stop()
     assert abs(peaks[0] - peaks[1]) <= slack // 2, peaks
     assert max(peaks) <= bound + slack, (peaks, bound)
+
+
+def test_chunked_fractional_peak_holds_one_blend_per_worker():
+    # 24^3, 12 channels, q = 0.5: 125 candidates in 8 weight groups, so each
+    # worker walks several units and blends each group into its one buffer
+    n, channels, workers = 24, 12, 2
+    f_fixed, f_moving = random_feature_pair(64, n=n, channels=channels)
+    ds = regcore.build_displacement_set(0.5, 1.0)
+    voxels = n**3
+    moving = 4 * channels * (n + 2) ** 3  # float32 moving copy padded by 1; so is a blend
+    features = 4 * channels * voxels + moving
+    scratch = regcore._sad_scratch((n, n, n), channels).nbytes  # = one batch
+    # per worker: scratch, batch, blend, float32 best cost, int32 best rank
+    # and bool mask (9 B per voxel); the rank merge: each worker's unit best
+    # cost and rank (8 B per voxel) and the merge's two masks
+    bound = features + workers * (2 * scratch + moving + 9 * voxels) + (workers * 8 + 2) * voxels
+    slack = 1 << 20  # the returned field, its float64 lookup, operators, labels
+    chunked_dsv_execution(f_fixed, f_moving, ds, 2, 1.0, 16 << 20, workers)  # warm the caches
+    peaks = []
+    for budget_mb in (16, 1024):
+        tracemalloc.start()
+        try:
+            chunked_dsv_execution(f_fixed, f_moving, ds, 2, 1.0, budget_mb << 20, workers)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[0] - peaks[1]) <= slack // 2, peaks
+    assert max(peaks) <= bound + slack, (peaks, bound)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_chunked_ties_across_weight_groups_go_to_the_zero_shift(workers):
+    # constant features tie all 125 candidates at every voxel (q = 0.5
+    # weights are powers of two, so every blend is exact and every cost 0);
+    # the zero shift wins whichever worker walks its unit, and when
+    from voxelreg.volume import FeatureVolume
+
+    fv = FeatureVolume(VolumeHeader((6, 6, 6), channels=2), np.full((6, 6, 6, 2), 0.5, np.float32))
+    ds = regcore.build_displacement_set(0.5, 1.0)  # 8 weight groups
+    want = regcore.winner_takes_all(regcore.build_dsv(fv, fv, ds), ds)
+    assert np.all(want.data == 0.0)
+    map_bytes = 6**3 * regcore.SEARCH_DTYPE.itemsize
+    for budget in (map_bytes, 2 * map_bytes, 7 * map_bytes, 1 << 30):
+        got = chunked_dsv_execution(fv, fv, ds, 1, 1.0, budget, workers)
+        assert np.array_equal(got.data.view(np.uint32), want.data.view(np.uint32)), budget
+
+
+@pytest.mark.parametrize("workers", [2, 5])
+def test_chunked_search_calls_the_kernel_once_per_candidate_from_the_workers(monkeypatch, workers):
+    # the benchmark's tracer counts regcore._label_cost_map calls (label
+    # maps, fractional ones by their d) and times each as one SAD span; with
+    # more workers than cores and a short switch interval, a unit taken
+    # twice or lost shows as a wrong call count
+    calls = []
+    kernel = regcore._label_cost_map
+
+    def spy(fixed64, moving64, d, out=None, scratch=None):
+        calls.append((threading.get_ident(), tuple(d.tolist())))
+        return kernel(fixed64, moving64, d, out=out, scratch=scratch)
+
+    monkeypatch.setattr(regcore, "_label_cost_map", spy)
+    f_fixed, f_moving = random_feature_pair(75)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for q, l_max, fractional in ((1.0, 1.0, 0), (0.5, 1.0, 98)):
+            ds = regcore.build_displacement_set(q, l_max)
+            calls.clear()
+            chunked_dsv_execution(f_fixed, f_moving, ds, 1, 1.0, 1 << 30, workers)
+            shifts = [d for _, d in calls]
+            assert len(shifts) == ds.count
+            assert sorted(shifts) == sorted(map(tuple, ds.displacements.tolist()))
+            assert sum(any(v % 1 for v in d) for d in shifts) == fractional
+            # pool threads, never the caller; a pool thread that is idle when
+            # a later worker is submitted runs that one too
+            threads = {t for t, _ in calls}
+            assert len(threads) <= workers and threading.get_ident() not in threads
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_chunked_preserves_tiebreak_on_constant_features():

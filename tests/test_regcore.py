@@ -502,7 +502,7 @@ def test_label_cost_map_matches_clamped_gather_oracle(channels, q):
         assert arr.dtype == np.float32
         assert np.moveaxis(arr, -1, 0).flags.c_contiguous
     for d in ds.displacements:
-        got = regcore._label_cost_map(fixed32, moving32, d)
+        got = regcore._label_cost_map(fixed32, regcore._blend(moving32, d), d)
         diff = np.abs(f_fixed.data - sample_shifted_oracle(f_moving.data, d))
         want = diff[..., 0]
         for c in range(1, channels):
@@ -689,26 +689,44 @@ def test_grouped_sad_equals_channel_order_loop(k, q):
     f_moving = make_features(rng.standard_normal((6, 7, 8, 12)))
     ds = build_displacement_set(q, 1.0)
     fixed32, moving32 = regcore._level_arrays(f_fixed, f_moving, ds)
-    scratch = np.empty((2, k, 6, 7, 8), np.float32)
+    scratch = np.empty((k, 6, 7, 8), np.float32)
     for d in ds.displacements:
         out = np.empty((6, 7, 8), np.float32)
-        assert regcore._label_cost_map(fixed32, moving32, d, out=out, scratch=scratch) is out
+        blended = regcore._blend(moving32, d, scratch=scratch)
+        assert regcore._label_cost_map(fixed32, blended, d, out=out, scratch=scratch) is out
         want = channel_order_sad_oracle(f_fixed.data, f_moving.data, d)
         assert want.dtype == np.float32
         assert np.array_equal(out, want), d
 
 
+@pytest.mark.parametrize("q, l_max", [(0.25, 0.75), (0.3, 0.6), (1.5, 3.0)])
+def test_dsv_weight_groups_keep_each_candidates_bits(q, l_max):
+    # fractions other than halves, and steps whose fractions are equal only
+    # up to rounding (q = 0.3): every candidate's costs, read off its weight
+    # group's blend, equal its own float32 corner blend exactly
+    rng = np.random.default_rng(74)
+    f_fixed = make_features(rng.standard_normal((5, 6, 7, 3)))
+    f_moving = make_features(rng.standard_normal((5, 6, 7, 3)))
+    ds = build_displacement_set(q, l_max)
+    costs = build_dsv(f_fixed, f_moving, ds).costs
+    for li, d in enumerate(ds.displacements):
+        want = channel_order_sad_oracle(f_fixed.data, f_moving.data, d)
+        assert np.array_equal(costs[li], want), d
+
+
+# k_fractional: the group size of levels with fractional candidates while the
+# scratch held a second block for the corner products; they now group k too
 @pytest.mark.parametrize("side, k, k_fractional", [(18, 12, 12), (24, 12, 9), (32, 8, 4),
                                                    (36, 5, 2), (64, 1, 1)])
 def test_sad_scratch_fills_at_most_one_mib(side, k, k_fractional):
     dims = (side, side, side)
-    whole = regcore._sad_scratch(dims, 12, False)
-    per_worker = regcore._sad_scratch(dims, 12, True, 3)
-    assert whole.shape == (1, k) + dims
-    assert per_worker.shape == (3, 2, k_fractional) + dims
-    assert regcore._sad_scratch(dims, 1, False).shape == (1, 1) + dims
+    whole = regcore._sad_scratch(dims, 12)
+    per_worker = regcore._sad_scratch(dims, 12, 3)
+    assert whole.shape == (k,) + dims
+    assert per_worker.shape == (3, k) + dims and k >= k_fractional
+    assert regcore._sad_scratch(dims, 1).shape == (1,) + dims
     for scratch in (whole, per_worker[0]):
-        blocks, group = scratch.shape[:2]
+        group = scratch.shape[0]
         assert scratch.dtype == np.float32
         # at most 2**20 bytes, unless one map per block is already more;
         # one more channel per group would pass 2**20, unless all 12 fit
@@ -719,19 +737,20 @@ def test_sad_scratch_fills_at_most_one_mib(side, k, k_fractional):
 def test_label_cost_map_with_scratch_allocates_less_than_a_map():
     # 32^3: a float32 map (128 KiB) outgrows the 64 KiB buffer numpy takes
     # for a ufunc over a strided window; the scratch groups 12 channels as
-    # 4, 4, 4
+    # 8, 4
     rng = np.random.default_rng(63)
     f_fixed = make_features(rng.standard_normal((32, 32, 32, 12)))
     f_moving = make_features(rng.standard_normal((32, 32, 32, 12)))
     ds = build_displacement_set(0.5, 1.0)
     fixed32, moving32 = regcore._level_arrays(f_fixed, f_moving, ds)
     out = np.empty((32, 32, 32), np.float32)
-    scratch = regcore._sad_scratch(out.shape, 12, True)
-    assert scratch.shape[:2] == (2, 4)
+    scratch = regcore._sad_scratch(out.shape, 12)
+    assert scratch.shape[0] == 8
     for d in ([0.5, -0.5, 1.0], [1.0, 0.0, -1.0]):
+        blended = regcore._blend(moving32, np.array(d), scratch=scratch)
         tracemalloc.start()
         try:
-            regcore._label_cost_map(fixed32, moving32, np.array(d), out=out, scratch=scratch)
+            regcore._label_cost_map(fixed32, blended, np.array(d), out=out, scratch=scratch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -743,7 +762,7 @@ def test_corner_cache_keeps_levels_of_other_pad_and_dims_apart():
     # or 2) and dims (6 x 7 x 8 or 8 x 8 x 8): a cached window keyed without
     # either would read the wrong voxels, or fail on the shape
     rng = np.random.default_rng(72)
-    regcore._corners.cache_clear()
+    regcore._window.cache_clear()
     levels = []
     for shape in ((6, 7, 8), (8, 8, 8)):
         f_fixed = make_features(rng.standard_normal(shape + (3,)))
@@ -754,7 +773,8 @@ def test_corner_cache_keeps_levels_of_other_pad_and_dims_apart():
     for d in ([1.0, -1.0, 0.0], [0.5, 0.0, 1.0], [-0.5, 0.5, -1.0], [-0.5, -0.5, -0.5]):
         for _ in range(2):
             for fixed, moving, (fixed32, moving32) in levels:
-                got = regcore._label_cost_map(fixed32, moving32, np.array(d))
+                blended = regcore._blend(moving32, np.array(d))
+                got = regcore._label_cost_map(fixed32, blended, np.array(d))
                 want = channel_order_sad_oracle(fixed, moving, d)
                 assert np.array_equal(got, want), (d, fixed.shape, moving32.shape)
 
@@ -765,9 +785,9 @@ def test_repeated_candidate_and_filter_hit_their_caches():
     fixed32, moving32 = regcore._level_arrays(f, f, build_displacement_set(1.0, 1.0))
     d = np.array([1.0, 0.0, -1.0])
     regcore._label_cost_map(fixed32, moving32, d)
-    hits = regcore._corners.cache_info().hits
+    hits = regcore._window.cache_info().hits
     regcore._label_cost_map(fixed32, moving32, d)
-    assert regcore._corners.cache_info().hits == hits + 1
+    assert regcore._window.cache_info().hits == hits + 1
     batch = rng.uniform(0, 5, size=(2, 5, 6, 7)).astype(np.float32)
     regcore._smooth_map(batch, 1.3)
     hits = regcore._filter_plan.cache_info().hits
