@@ -328,8 +328,7 @@ def test_ssc_per_channel_equals_whole_array_bit_for_bit(shape):
 def test_ssc_peak_memory_is_four_outputs():
     # channel by channel, ssc holds its float64 patch distances (twice the
     # float32 output), the output, and the float64 channel mean and padded
-    # input (a sixth of it each, near enough); the whole-array form peaked
-    # at 6.4 outputs
+    # input (a sixth of it each, near enough)
     rng = np.random.default_rng(32)
     vol = make_scalar(smooth_noise(rng, (36, 38, 35)))
     tracemalloc.start()
