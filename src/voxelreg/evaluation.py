@@ -31,8 +31,8 @@ def jaccard(a: LabelVolume, b: LabelVolume, label: int) -> float | None:
         raise ValueError(f"dims mismatch: {a.dims} vs {b.dims}")
     mask_a = a.data == label
     mask_b = b.data == label
-    inter = int(np.logical_and(mask_a, mask_b).sum())
-    union = int(np.logical_or(mask_a, mask_b).sum())
+    inter = int(np.count_nonzero(mask_a & mask_b))
+    union = int(np.count_nonzero(mask_a) + np.count_nonzero(mask_b)) - inter
     if union == 0:
         return None
     return 100.0 * inter / union

@@ -10,6 +10,12 @@ that is composed additively into the running field. Between levels the
 field is upsampled onto the next grid. Additive composition is an
 approximation of true function composition, adequate for the small,
 bounded increments searched here.
+
+Two kinds of resampler run here. The level grids come from
+``volume.downsample`` (images, and external features) and
+``volume.upsample_field`` (the field, between levels), which work one
+axis at a time. Warps onto a grid (``warp_scalar``, ``warp_features``)
+sample through ``ndimage.map_coordinates``.
 """
 
 from __future__ import annotations

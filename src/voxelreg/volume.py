@@ -12,12 +12,19 @@ four container classes share one base, ``Volume``, that checks and
 freezes the payload; ``load_volume`` picks the class from the kind
 table ``KINDS``. Every operation here is a pure function.
 
-Warping is backward/pull: ``output(x) = moving(x + u(x))``. Every
-trilinear lookup (warps, field upsampling, the energy's data term) goes
-through ``ndimage.map_coordinates`` with ``order=1`` and ``mode="nearest"``:
-out-of-bounds points clamp to the nearest edge voxel, and integer
-coordinates return the stored value exactly. Label warps use the same
+Warping is backward/pull: ``output(x) = moving(x + u(x))``. Warps and
+the energy's data term sample through ``ndimage.map_coordinates`` with
+``order=1`` and ``mode="nearest"``: out-of-bounds points clamp to the
+nearest edge voxel, and integer coordinates return the stored value
+exactly. Warps sample straight into float32. Label warps use the same
 coordinates with a clamped nearest-voxel lookup.
+
+Level grids are resampled one axis at a time. ``downsample`` runs the
+three 1-D passes of ``ndimage.gaussian_filter`` and keeps every
+factor-th voxel of an axis right after its pass. ``upsample_field``
+interpolates along x, then y, then z with the weights
+``map_coordinates`` uses, so for power-of-two ratios its output is byte
+for byte what the trilinear lookup gives.
 """
 
 from __future__ import annotations
@@ -298,21 +305,21 @@ def save_volume(vol: Volume, path) -> None:
 # Interpolation and warping
 # ---------------------------------------------------------------------------
 
-def _trilinear_zyx(data: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Trilinear float64 samples of ``data`` (z, y, x[, C]) at ``coords``.
+def _trilinear_zyx(data: np.ndarray, coords: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """Trilinear samples of ``data`` (z, y, x[, C]) at ``coords``, as ``dtype``.
 
     ``coords`` is a float64 ``(3, ...)`` array of (z, y, x) positions. Each
     channel is one ``ndimage.map_coordinates`` call with ``order=1`` and
     ``mode="nearest"``, which clamps to the edge voxel and returns the
-    stored value, bit-exactly, at integer coordinates.
+    stored value, bit-exactly, at integer coordinates. It sums in float64
+    and casts each sample into its ``dtype`` slot of the output.
     """
-    channels = np.moveaxis(data.reshape(data.shape[:3] + (-1,)), -1, 0)
+    flat = data.reshape(data.shape[:3] + (-1,))
+    out = np.empty(coords.shape[1:] + flat.shape[3:], dtype=dtype)
     # contiguous channel copies sample faster than strided channel views
-    out = [
-        ndimage.map_coordinates(ch, coords, output=np.float64, order=1, mode="nearest")
-        for ch in np.ascontiguousarray(channels)
-    ]
-    return np.stack(out, axis=-1).reshape(coords.shape[1:] + data.shape[3:])
+    for c, ch in enumerate(np.ascontiguousarray(np.moveaxis(flat, -1, 0))):
+        ndimage.map_coordinates(ch, coords, output=out[..., c], order=1, mode="nearest")
+    return out.reshape(coords.shape[1:] + data.shape[3:])
 
 
 def _warp_coords(dims_xyz, field_data) -> np.ndarray:
@@ -332,9 +339,9 @@ def warp_scalar(
     """
     if field.dims != moving.dims:
         raise ValueError(f"field dims {field.dims} != volume dims {moving.dims}")
-    out = _trilinear_zyx(moving.data, _warp_coords(field.dims, field.data))
+    out = _trilinear_zyx(moving.data, _warp_coords(field.dims, field.data), np.float32)
     header = VolumeHeader(field.dims, moving.header.spacing, moving.header.channels, "float32")
-    return type(moving)(header, out.astype(np.float32))
+    return type(moving)(header, out)
 
 
 warp_features = warp_scalar
@@ -370,15 +377,20 @@ def downsample(vol: ScalarVolume | FeatureVolume, factor: int) -> ScalarVolume |
     Takes and returns a scalar or a feature volume, each channel filtered
     on its own; ``downsample_features`` is the same function. Output dims
     are ``downsampled_dims``; factor 1 is the identity.
+
+    The filter is ``gaussian_filter``'s own float64 passes along z, y and x
+    (edges replicated), and each axis is subsampled right after its pass,
+    so later passes filter only the lines that are kept. The result is
+    byte for byte ``gaussian_filter(...)[::f, ::f, ::f]``.
     """
     if factor < 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
     if factor == 1:
         return vol
-    # a channel axis gets sigma 0, which scipy skips: channels stay separate
-    sigma = (0.5 * factor,) * 3 + (0.0,) * (vol.data.ndim - 3)
-    smoothed = ndimage.gaussian_filter(vol.data.astype(np.float64), sigma=sigma, mode="nearest")
-    out = smoothed[::factor, ::factor, ::factor]
+    out = vol.data
+    for axis in range(3):  # a channel axis is never filtered
+        out = ndimage.gaussian_filter1d(out, 0.5 * factor, axis=axis, output=np.float64, mode="nearest")
+        out = out[(slice(None),) * axis + (slice(None, None, factor),)]
     dims = downsampled_dims(vol.header.dims, factor)
     spacing = tuple(s * factor for s in vol.header.spacing)
     header = VolumeHeader(dims, spacing, vol.header.channels, "float32")
@@ -387,6 +399,31 @@ def downsample(vol: ScalarVolume | FeatureVolume, factor: int) -> ScalarVolume |
 
 downsample_features = downsample
 
+# float64 values in one z slab of an upsampled component: the z pass's two
+# slab temporaries (256 KiB each) then stay in cache
+_SLAB_VALUES = 1 << 15
+
+
+def _lerp_plan(n: int, n_out: int, factor: int):
+    """Corner indices and weights of ``map_coordinates(order=1, mode="nearest")``
+    at positions ``i / factor``, i < n_out, along an axis of length n."""
+    p = np.minimum(np.arange(n_out) / factor, n - 1)  # clamped, so >= 0
+    i0 = p.astype(np.intp)
+    w0 = 1.0 - (p - i0)
+    return i0, np.minimum(i0 + 1, n - 1), w0, 1.0 - w0
+
+
+def _lerp(src: np.ndarray, plan, axis: int) -> np.ndarray:
+    """``src[i0] * w0 + src[i1] * w1`` along ``axis`` of a float64 array."""
+    i0, i1, w0, w1 = plan
+    shape = (-1,) + (1,) * (src.ndim - 1 - axis)
+    out = np.take(src, i0, axis=axis)
+    out *= w0.reshape(shape)
+    upper = np.take(src, i1, axis=axis)
+    upper *= w1.reshape(shape)
+    out += upper
+    return out
+
 
 def upsample_field(field: DisplacementField, factor: int, target_dims: Sequence[int]) -> DisplacementField:
     """Trilinear upsampling of each component, components scaled by ``factor``.
@@ -394,14 +431,34 @@ def upsample_field(field: DisplacementField, factor: int, target_dims: Sequence[
     Fine voxel ``x`` reads the coarse grid at ``x / factor`` (the coarse
     grid was formed by taking every factor-th voxel), and voxel-unit
     components are rescaled to the finer grid.
+
+    Each component is interpolated in float64 along x, then y, then z (a
+    slab of output planes at a time), with the clamped positions and
+    weights of ``map_coordinates(order=1, mode="nearest")``; no index grid
+    is built. For power-of-two ratios every product and sum is exact, so
+    the output is byte for byte that of the trilinear lookup at
+    ``x / factor``. At other ratios the float64 sums may round differently,
+    which can move a value by one float32 ulp.
     """
     if factor < 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
     target_dims = tuple(int(d) for d in target_dims)
     if factor == 1 and target_dims == field.dims:
         return field
-    coords = np.indices(target_dims[::-1], dtype=np.float64) / factor
-    out = _trilinear_zyx(field.data, coords) * factor
+    nz, ny, nx = target_dims[::-1]
+    plan_z, plan_y, plan_x = (
+        _lerp_plan(n, n_out, factor) for n, n_out in zip(field.data.shape[:3], (nz, ny, nx))
+    )
+    out = np.empty((nz, ny, nx, 3), dtype=np.float32)
+    step = max(1, _SLAB_VALUES // (ny * nx))
+    for c in range(3):
+        fine_xy = _lerp(_lerp(field.data[..., c].astype(np.float64), plan_x, 2), plan_y, 1)
+        for z in range(0, nz, step):
+            planes = slice(z, z + step)
+            slab = _lerp(fine_xy, [p[planes] for p in plan_z], 0)
+            slab *= factor
+            slab += 0.0  # -0.0 becomes 0.0, as in map_coordinates' sum from 0.0
+            out[planes, :, :, c] = slab
     spacing = tuple(s / factor for s in field.header.spacing)
     header = VolumeHeader(target_dims, spacing, 3, "float32")
-    return DisplacementField(header, out.astype(np.float32))
+    return DisplacementField(header, out)

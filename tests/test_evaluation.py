@@ -51,6 +51,17 @@ def test_jaccard_partial_overlap_formula():
     assert got == pytest.approx(100.0 * 5 / 15, abs=0.01)
 
 
+def test_jaccard_matches_intersection_over_union_of_masks():
+    rng = np.random.default_rng(3)
+    a = make_labels(rng.integers(0, 5, size=(6, 7, 8)))
+    b = make_labels(rng.integers(0, 5, size=(6, 7, 8)))
+    for label in range(1, 5):
+        mask_a, mask_b = a.data == label, b.data == label
+        want = 100.0 * np.logical_and(mask_a, mask_b).sum() / np.logical_or(mask_a, mask_b).sum()
+        got = jaccard(a, b, label)
+        assert type(got) is float and got == want, label
+
+
 def test_jaccard_empty_in_both_is_skipped():
     a = make_labels(np.zeros((2, 2, 2), dtype=np.int32))
     assert jaccard(a, a, 3) is None

@@ -3,10 +3,13 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from voxelreg import volume
 from voxelreg.volume import (
     DTYPES,
     DisplacementField,
@@ -357,6 +360,24 @@ def test_warp_features_equals_per_channel_warp_scalar(channels):
         assert np.array_equal(out.data[..., c], want.data), c
 
 
+@pytest.mark.parametrize("channels", [1, 12])
+def test_warp_samples_straight_into_float32(channels):
+    # map_coordinates casts each float64 sum into its float32 slot, which
+    # is what sampling in float64 and then casting gives; the coordinates
+    # include integer shifts and reach up to 6 voxels past every face
+    rng = np.random.default_rng(15)
+    data = rng.standard_normal((7, 6, 5, channels)).astype(np.float32)
+    fv = FeatureVolume(VolumeHeader((5, 6, 7), channels=channels), data)
+    u = rng.uniform(-6, 6, size=(7, 6, 5, 3)).astype(np.float32)
+    u[::2] = np.round(u[::2])
+    field = make_field(u)
+    out = warp_features(fv, field)
+    coords = volume._warp_coords(field.dims, field.data)
+    want = volume._trilinear_zyx(fv.data, coords).astype(np.float32)
+    assert out.data.dtype == np.float32
+    assert np.array_equal(out.data.view(np.uint32), want.view(np.uint32))
+
+
 def test_warp_features_rejects_dim_mismatch():
     fv = FeatureVolume(VolumeHeader((3, 3, 3), channels=2), np.zeros((3, 3, 3, 2)))
     with pytest.raises(ValueError):
@@ -442,6 +463,21 @@ def test_downsample_features_equals_per_channel_downsample(factor):
     assert out.header.spacing == want.header.spacing
 
 
+@pytest.mark.parametrize("factor", [2, 3, 4])
+@pytest.mark.parametrize("channels", [1, 12])
+def test_downsample_is_the_whole_filter_then_subsample_byte_for_byte(factor, channels):
+    rng = np.random.default_rng(16)
+    data = rng.standard_normal((9, 10, 11, channels)).astype(np.float32)
+    if channels == 1:
+        vol = make_scalar(data[..., 0])
+    else:
+        vol = FeatureVolume(VolumeHeader((11, 10, 9), channels=channels), data)
+    sigma = (0.5 * factor,) * 3 + (0.0,) * (vol.data.ndim - 3)
+    whole = ndimage.gaussian_filter(vol.data.astype(np.float64), sigma=sigma, mode="nearest")
+    want = whole[::factor, ::factor, ::factor].astype(np.float32)
+    assert np.array_equal(downsample(vol, factor).data.view(np.uint32), want.view(np.uint32))
+
+
 def gaussian_kernel_1d(sigma):
     radius = int(4.0 * sigma + 0.5)
     xs = np.arange(-radius, radius + 1, dtype=np.float64)
@@ -503,6 +539,54 @@ def test_upsample_field_matches_trilinear_oracle():
                 for c in range(3):
                     want = 2.0 * trilinear_oracle(field.data[..., c], x / 2.0, y / 2.0, z / 2.0)
                     assert out.data[z, y, x, c] == pytest.approx(want, abs=1e-5)
+
+
+def trilinear_upsample(field, factor, target):
+    """The trilinear lookup at x / factor over a whole index grid, scaled."""
+    coords = np.indices(target[::-1], dtype=np.float64) / factor
+    return (volume._trilinear_zyx(field.data, coords) * factor).astype(np.float32)
+
+
+@pytest.mark.parametrize("factor", [2, 4, 8])
+def test_upsample_field_is_the_trilinear_lookup_byte_for_byte(factor):
+    # odd dims, and targets short of factor * dims, exercise the clamped
+    # upper corner; the -0.0 samples must come out as map_coordinates' 0.0
+    rng = np.random.default_rng(17)
+    data = rng.uniform(-3, 3, size=(5, 7, 3, 3)).astype(np.float32)
+    data[2, 3, 1] = -0.0
+    data[2, 3, 2] = -1.0
+    field = make_field(data)
+    for target in ((3 * factor, 7 * factor, 5 * factor), (3 * factor - 1, 7 * factor - 1, 4 * factor + 1)):
+        got = upsample_field(field, factor, target).data
+        want = trilinear_upsample(field, factor, target)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), target
+
+
+def test_upsample_field_at_ratio_three_is_within_one_ulp():
+    # thirds are not exact in float64, so the per-axis sums may round
+    # differently from the eight-corner sum
+    rng = np.random.default_rng(18)
+    field = make_field(rng.uniform(-3, 3, size=(10, 9, 11, 3)).astype(np.float32))
+    target = (31, 27, 30)
+    got = upsample_field(field, 3, target).data
+    want = trilinear_upsample(field, 3, target)
+    ulps = np.abs(got.view(np.int32).astype(np.int64) - want.view(np.int32))
+    assert ulps.max() <= 1
+
+
+def test_upsample_field_peak_memory_is_under_three_outputs():
+    # per component: the float64 x and y passes (a sixth and a third of
+    # the output at ratio 2) and one z slab; no (3, z, y, x) index grid
+    rng = np.random.default_rng(19)
+    field = make_field(rng.uniform(-3, 3, size=(32, 32, 32, 3)).astype(np.float32))
+    upsample_field(field, 2, (64, 64, 64))  # warm numpy's allocator and caches
+    tracemalloc.start()
+    try:
+        out = upsample_field(field, 2, (64, 64, 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * out.data.nbytes, peak / out.data.nbytes
 
 
 def test_roundtrip_property_random_volumes(tmp_path):
