@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from voxelreg import evaluation, synth
-from voxelreg.features import DESCRIPTORS, load_external_features
+from voxelreg.features import DESCRIPTORS, load_external_features, zscore_channels
 from voxelreg.pipeline import (
     FEATURE_KINDS,
     LevelParams,
@@ -47,8 +47,8 @@ logger = logging.getLogger("voxelreg")
 CONFIG_FLAGS = ("feature", "memory_budget_mb", "standardize", "standardize_reference",
                 "external_fixed", "external_moving", "zscore_external")
 LEVEL_FLAGS = ("q", "l_max", "alpha", "patch_radius")
-# the --levels fields: the first five of LevelParams, in spec order, with their types
-LEVEL_SPEC = tuple(typing.get_type_hints(LevelParams).items())[:5]
+# the --levels fields: those of LevelParams, in spec order, with their types
+LEVEL_SPEC = tuple(typing.get_type_hints(LevelParams).items())
 
 
 def _parse_levels(spec: str) -> tuple[LevelParams, ...]:
@@ -79,8 +79,6 @@ def _config_from_args(args) -> RegistrationConfig:
     # the config is checked before the level flags, so its errors are reported first
     cfg = dataclasses.replace(cfg, **overrides)
     level_overrides = _given(args, LEVEL_FLAGS)
-    if "alpha" in level_overrides:
-        level_overrides["smooth_sigma"] = None  # re-derived from the new alpha
     levels = tuple(dataclasses.replace(lv, **level_overrides) for lv in cfg.levels)
     return dataclasses.replace(cfg, levels=levels)
 
@@ -103,12 +101,14 @@ def cmd_register(args) -> int:
 
 def cmd_features(args) -> int:
     if args.descriptor == "external":
-        fv = load_external_features(args.infile, zscore=args.zscore)
+        fv = load_external_features(args.infile)
     else:
         vol = load_volume(args.infile, kind="scalar")
         # only intensity takes parameters on the command line
         kwargs = {"p_low": args.p_low, "p_high": args.p_high} if args.descriptor == "intensity" else {}
         fv = DESCRIPTORS[args.descriptor](vol, **kwargs)
+    if args.zscore:
+        fv = zscore_channels(fv)
     save_volume(fv, args.out)
     logger.info("wrote %d-channel features to %s", fv.channels, args.out)
     return 0
@@ -208,6 +208,11 @@ def load_manifest(path) -> tuple[list[dict], RegistrationConfig, str | None]:
     if not isinstance(data, dict):
         raise ValueError(f"manifest {path} must be a JSON object, got {type(data).__name__}")
     cfg = RegistrationConfig.from_dict(data.get("config", {}))
+    if cfg.feature == "external":
+        raise ValueError(
+            "batch cannot use external features: the config names one external_fixed/"
+            "external_moving pair, which would be used for every image pair"
+        )
     if "pairs" in data:
         pair_keys = ("pair_id", "fixed", "moving", "fixed_labels", "moving_labels")
         pairs = _checked_entries(data["pairs"], "pair", pair_keys)

@@ -46,7 +46,6 @@ from voxelreg.volume import (
 
 FEATURE_KINDS = (*feat.DESCRIPTORS, "external")
 DEFAULT_MEMORY_BUDGET_MB = 1024
-MEMORY_BUDGET_ENV = "REG_MEMORY_BUDGET_MB"
 
 
 def usable_cpus() -> int:
@@ -59,20 +58,17 @@ def usable_cpus() -> int:
 
 @dataclass(frozen=True)
 class LevelParams:
-    """Search parameters for one resolution level."""
+    """Search parameters for one resolution level; ``alpha`` sets its smoothing."""
 
     factor: int = 1
     q: float = 1.0
     l_max: float = 4.0
     patch_radius: int = 2
     alpha: float = 2.0
-    smooth_sigma: float | None = None
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is None and f.name == "smooth_sigma":
-                continue  # derived from alpha below
             integral = f.name in ("factor", "patch_radius")
             if integral:
                 ok = isinstance(value, numbers.Integral)
@@ -85,12 +81,13 @@ class LevelParams:
             raise ValueError("factor must be >= 1")
         if self.alpha < 0 or self.patch_radius < 0:
             raise ValueError("alpha and patch_radius must be >= 0")
-        if self.smooth_sigma is None:
-            object.__setattr__(self, "smooth_sigma", float(math.sqrt(self.alpha)))
-        if self.smooth_sigma < 0:
-            raise ValueError(f"smooth_sigma must be >= 0, got {self.smooth_sigma}")
         # same q / l_max rule as the search, checked before any level runs
         regcore.build_displacement_set(self.q, self.l_max)
+
+    @property
+    def smooth_sigma(self) -> float:
+        """Gaussian sigma of the cost-map smoothing: sqrt(alpha)."""
+        return float(math.sqrt(self.alpha))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -121,9 +118,9 @@ class RegistrationConfig:
     ``standardize_reference`` names a volume, remaps both onto that
     reference; a reference requires ``standardize``). External features
     are supplied as raw+JSON paths, one per image. Paths are strings or
-    None, the two flags bools, the budget a positive integer or None, and
-    ``workers`` (search threads; None means two, or one when the process
-    may use a single CPU) a positive integer or None.
+    None, the two flags bools, the budget (MB; None means 1024) a positive
+    integer or None, and ``workers`` (search threads; None means two, or
+    one when the process may use a single CPU) a positive integer or None.
     """
 
     feature: str = "ssc"
@@ -174,18 +171,7 @@ class RegistrationConfig:
             raise ValueError("external feature requires external_fixed and external_moving paths")
 
     def budget_bytes(self) -> int:
-        mb = self.memory_budget_mb
-        if mb is None:
-            env = os.environ.get(MEMORY_BUDGET_ENV)
-            try:
-                mb = int(env) if env else DEFAULT_MEMORY_BUDGET_MB
-            except ValueError:
-                raise ValueError(
-                    f"{MEMORY_BUDGET_ENV} must be an integer number of MB, got {env!r}"
-                ) from None
-        if mb <= 0:
-            raise ValueError("memory budget must be positive")
-        return int(mb) * 1024 * 1024
+        return (self.memory_budget_mb or DEFAULT_MEMORY_BUDGET_MB) * 1024 * 1024
 
     def worker_count(self) -> int:
         return min(2, usable_cpus()) if self.workers is None else self.workers

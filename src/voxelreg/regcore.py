@@ -576,17 +576,17 @@ def chunked_dsv_execution(
     The field is bit-identical to ``build_dsv``, ``aggregate_costs``,
     ``regularize_dsv`` and ``winner_takes_all`` in turn, for every worker
     count and budget. ``workers`` threads search, never more than the
-    candidates, the cost maps the budget holds or the work units. The
-    budget, counted in float32 cost maps, is a cap and not the working
-    size: each worker's batch holds at most 1/W of it, and a budget below
-    one map is an error. A level holds float32 channel-first copies of both
-    feature volumes (the moving one padded by ceil(l_max) voxels per side)
-    and, per worker, the SAD scratch, a batch no larger than it, a best
-    cost, best rank and merge mask (9 B per voxel), and on levels with
-    fractional candidates one blended moving copy and, with more units
-    than workers, a unit's best cost and rank (8 B per voxel), all
-    allocated in the calling thread. The module docstring describes the
-    units, batches and merges.
+    candidates or the cost maps the budget holds. The budget, counted in
+    float32 cost maps, is a cap and not the working size: each worker's
+    batch holds at most 1/W of it, and a budget below one map is an error.
+    A level holds float32 channel-first copies of both feature volumes
+    (the moving one padded by ceil(l_max) voxels per side) and, per
+    worker, the SAD scratch, a batch no larger than it, a best cost, best
+    rank and merge mask (9 B per voxel), and on levels with fractional
+    candidates one blended moving copy and, with more units than workers,
+    a unit's best cost and rank (8 B per voxel), all allocated in the
+    calling thread. The module docstring describes the units, batches and
+    merges.
     """
     nz, ny, nx = f_fixed.data.shape[:3]
     map_bytes = nz * ny * nx * SEARCH_DTYPE.itemsize
@@ -601,14 +601,13 @@ def chunked_dsv_execution(
     order = disp.priority_order()
     # work units: each weight group cut into as few contiguous pieces as
     # keep it within 1/W of the candidates (an integer level gives W
-    # slices), longest first
+    # slices; as W <= count, no piece is empty), longest first
     units = [
         piece
         for ranks in _weight_groups(disp)
         for piece in np.array_split(ranks, -(-len(ranks) * n_workers // disp.count))
     ]
     units.sort(key=len, reverse=True)
-    n_workers = min(n_workers, len(units))
 
     # every worker's arrays are allocated here, in the calling thread: the
     # same blocks allocated inside the worker threads raised peak RSS by up

@@ -8,8 +8,6 @@ Each test prints a ``[PASS] criterion N`` line on success (visible with
 
 import dataclasses
 import json
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -35,19 +33,12 @@ from voxelreg.volume import (
     zero_field,
 )
 
+from tests.test_cli import run_cli
 from tests.test_regcore import box_sum_oracle, dsv_oracle
 
 
 def announce(num, text):
     print(f"\n[PASS] criterion {num}: {text}")
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "voxelreg", *map(str, args)],
-        capture_output=True,
-        text=True,
-    )
 
 
 def mean_jc_oracle(a, b):

@@ -5,10 +5,12 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import voxelreg
 from voxelreg.cli import (
     CONFIG_FLAGS,
     LEVEL_FLAGS,
@@ -17,18 +19,23 @@ from voxelreg.cli import (
     enumerate_pairs,
     load_manifest,
 )
-from voxelreg.features import normalize_intensity
+from voxelreg.features import load_external_features, normalize_intensity
 from voxelreg.pipeline import LevelParams, RegistrationConfig
 from voxelreg.volume import load_field, load_volume, save_volume
 from voxelreg.synth import make_pair, smooth_random_volume
 
 
+# the child process imports the voxelreg this one imports, installed or not
+SRC = str(Path(voxelreg.__file__).resolve().parents[1])
+
+
 def run_cli(*args, env=None):
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "voxelreg", *map(str, args)],
         capture_output=True,
         text=True,
-        env={**os.environ, **(env or {})},
+        env={**os.environ, "PYTHONPATH": path, **(env or {})},
     )
 
 
@@ -128,8 +135,7 @@ REGISTER_ARGS = ["register", "--fixed", "f", "--moving", "m", "--out-field", "o"
 FLAG_CONFIG = {
     "feature": "edge",
     "memory_budget_mb": 32,
-    "levels": [{"factor": 1, "q": 1.0, "l_max": 2.0, "patch_radius": 1, "alpha": 4.0,
-                "smooth_sigma": 3.0}],
+    "levels": [{"factor": 1, "q": 1.0, "l_max": 2.0, "patch_radius": 1, "alpha": 4.0}],
 }
 
 
@@ -139,8 +145,8 @@ FLAG_CONFIG = {
         ([], {}),
         (["--q", "0.5"], {"q": [0.5, 0.5]}),
         (["--lmax", "4"], {"l_max": [4.0, 4.0]}),
-        (["--alpha", "0.25"], {"alpha": [0.25, 0.25], "smooth_sigma": [0.5, 0.5]}),
-        (["--config", "CFG", "--alpha", "0.25"], {"alpha": [0.25], "smooth_sigma": [0.5]}),
+        (["--alpha", "0.25"], {"alpha": [0.25, 0.25]}),
+        (["--config", "CFG", "--alpha", "0.25"], {"alpha": [0.25]}),
         (["--patch-radius", "0"], {"patch_radius": [0, 0]}),
         (["--memory-budget", "64"], {"memory_budget_mb": 64}),
         (["--standardize"], {"standardize": True}),
@@ -158,8 +164,8 @@ FLAG_CONFIG = {
          {"feature": "ssc", "memory_budget_mb": 8, "patch_radius": [2]}),
         (["--levels", "2:2:4:1:1,1:1:2:1:1", "--q", "0.5"],
          {"levels": [
-             {"factor": 2, "q": 0.5, "l_max": 4.0, "patch_radius": 1, "alpha": 1.0, "smooth_sigma": 1.0},
-             {"factor": 1, "q": 0.5, "l_max": 2.0, "patch_radius": 1, "alpha": 1.0, "smooth_sigma": 1.0},
+             {"factor": 2, "q": 0.5, "l_max": 4.0, "patch_radius": 1, "alpha": 1.0},
+             {"factor": 1, "q": 0.5, "l_max": 2.0, "patch_radius": 1, "alpha": 1.0},
          ]}),
     ],
 )
@@ -262,7 +268,7 @@ def test_register_with_config_file(tmp_path):
         ({"levels": [{"factor": 1.5}]}, "level factor must be an integer"),
         ({"levels": [{"factor": 1, "l_max": None}]}, "level l_max must be a finite real number"),
         ({"levels": [{"factor": 1, "alpha": [2]}]}, "level alpha must be a finite real number"),
-        ({"levels": [{"factor": 1, "smooth_sigma": "0"}]}, "smooth_sigma must be a finite real number"),
+        ({"levels": [{"factor": 1, "smooth_sigma": 1.0}]}, "unknown level key(s) ['smooth_sigma']"),
         ({"levels": [{"factor": 1, "alpha": float("inf")}]}, "alpha must be a finite real number"),
         ({"levels": 5}, "config levels must be a list of levels, got 5"),
         ({"memory_budget_mb": "64"}, "config memory_budget_mb must be an integer, got '64'"),
@@ -334,15 +340,20 @@ def test_register_out_of_memory_is_one_line_error(tmp_path, monkeypatch, capsys,
     assert capsys.readouterr().err.splitlines() == [line]
 
 
-def test_register_bad_budget_env_is_one_line_error(tmp_path):
-    vol = smooth_random_volume((12, 12, 12), seed=12)
-    save_volume(vol, tmp_path / "vol")
-    res = run_cli(
-        "register", "--fixed", tmp_path / "vol", "--moving", tmp_path / "vol",
-        "--levels", "1:1:1:1:1", "--out-field", tmp_path / "field",
-        env={"REG_MEMORY_BUDGET_MB": "abc"},
-    )
-    assert_one_line_error(res, "REG_MEMORY_BUDGET_MB")
+def test_register_ignores_budget_env(tmp_path):
+    case = make_pair("translation", (12, 12, 12), seed=12, translation=(1, 0, 0))
+    save_volume(case["fixed"], tmp_path / "fixed")
+    save_volume(case["moving"], tmp_path / "moving")
+    fields = []
+    for env in ({}, {"REG_MEMORY_BUDGET_MB": "abc"}, {"REG_MEMORY_BUDGET_MB": "1"}):
+        out = tmp_path / f"field{len(fields)}"
+        res = run_cli(
+            "register", "--fixed", tmp_path / "fixed", "--moving", tmp_path / "moving",
+            "--levels", "1:1:1:1:1", "--out-field", out, env=env,
+        )
+        assert res.returncode == 0, res.stderr
+        fields.append(load_field(out).data)
+    assert all(np.array_equal(f, fields[0]) for f in fields)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +415,21 @@ def test_features_external_passthrough_with_zscore(tmp_path):
     fv = load_volume(tmp_path / "z")
     flat = fv.data.reshape(-1, 4)
     assert np.abs(flat.mean(axis=0)).max() < 1e-4
+    want = load_external_features(tmp_path / "ext", zscore=True).data
+    assert fv.data.tobytes() == want.tobytes()
+
+
+def test_features_zscore_applies_to_builtin_descriptors(tmp_path):
+    save_volume(smooth_random_volume((12, 12, 12), seed=14), tmp_path / "vol")
+    for zscore in ([], ["--zscore"]):
+        res = run_cli("features", "--in", tmp_path / "vol", "--descriptor", "edge",
+                      "--out", tmp_path / f"edge{len(zscore)}", *zscore)
+        assert res.returncode == 0, res.stderr
+    plain, z = (load_volume(tmp_path / f"edge{i}", kind="feature") for i in (0, 1))
+    flat = z.data.reshape(-1, z.channels).astype(np.float64)
+    assert np.abs(flat.mean(axis=0)).max() < 1e-5
+    assert np.abs(flat.std(axis=0) - 1.0).max() < 1e-5
+    assert not np.array_equal(z.data, plain.data)
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +603,16 @@ def test_batch_manifest_bad_shape_is_one_line_error(tmp_path, manifest, needle):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(manifest))
     assert_one_line_error(run_cli("batch", path), needle)
+
+
+def test_batch_refuses_external_features(tmp_path):
+    # one external_fixed/external_moving pair cannot describe every image pair
+    p = write_pair_files(tmp_path, seed=25, name="a")
+    p.pop("unregistered_jc")
+    config = {"feature": "external", "external_fixed": p["fixed"], "external_moving": p["moving"]}
+    manifest = batch_manifest(tmp_path, [{"pair_id": "p0", **p}], config, tmp_path / "out")
+    assert_one_line_error(run_cli("batch", manifest), "batch cannot use external features")
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_batch_manifest_without_pairs_creates_no_output_dir(tmp_path):

@@ -1,7 +1,9 @@
 """Multi-resolution driver and chunked-execution tests."""
 
 import ast
+import dataclasses
 import inspect
+import math
 import os
 import sys
 import threading
@@ -77,9 +79,16 @@ def test_level_params_sigma_defaults_to_sqrt_alpha():
         LevelParams(alpha=-1.0)
 
 
-def test_level_params_rejects_negative_sigma():
-    with pytest.raises(ValueError, match="smooth_sigma"):
-        LevelParams(smooth_sigma=-1.0)
+def test_level_smooth_sigma_is_alpha_alone():
+    for alpha in (0.0, 0.25, 2.0, 3.0):
+        level = LevelParams(alpha=alpha)
+        assert level.smooth_sigma == float(math.sqrt(alpha))
+        assert "smooth_sigma" not in level.to_dict()
+    assert len(dataclasses.fields(LevelParams)) == 5
+    with pytest.raises(TypeError):
+        LevelParams(smooth_sigma=1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        LevelParams().smooth_sigma = 1.0
 
 
 def test_level_params_rejects_bad_candidate_grid():
@@ -614,18 +623,11 @@ def test_register_with_standardization_reference(tmp_path, monkeypatch):
     assert all(np.array_equal(r.data, ref.data) for r in references[2:])
 
 
-def test_memory_budget_env_var(monkeypatch):
-    cfg = single_level()
-    monkeypatch.setenv("REG_MEMORY_BUDGET_MB", "7")
-    assert cfg.budget_bytes() == 7 * 1024 * 1024
-    monkeypatch.delenv("REG_MEMORY_BUDGET_MB")
-    assert cfg.budget_bytes() == 1024 * 1024 * 1024
-    explicit = single_level(memory_budget_mb=3)
-    monkeypatch.setenv("REG_MEMORY_BUDGET_MB", "7")
-    assert explicit.budget_bytes() == 3 * 1024 * 1024
-
-
-def test_memory_budget_env_var_must_be_an_integer(monkeypatch):
-    monkeypatch.setenv("REG_MEMORY_BUDGET_MB", "abc")
-    with pytest.raises(ValueError, match="REG_MEMORY_BUDGET_MB"):
-        single_level().budget_bytes()
+def test_memory_budget_comes_only_from_the_config(monkeypatch):
+    # REG_MEMORY_BUDGET_MB, set or not and whatever its value, is not a budget
+    monkeypatch.delenv("REG_MEMORY_BUDGET_MB", raising=False)
+    for env in (None, "7", "abc"):
+        if env is not None:
+            monkeypatch.setenv("REG_MEMORY_BUDGET_MB", env)
+        assert single_level().budget_bytes() == 1024 * 1024 * 1024
+        assert single_level(memory_budget_mb=3).budget_bytes() == 3 * 1024 * 1024
