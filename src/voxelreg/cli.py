@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from voxelreg import evaluation, synth
-from voxelreg.features import DESCRIPTORS, load_external_features, zscore_channels
+from voxelreg.features import DESCRIPTORS, zscore_channels
 from voxelreg.pipeline import (
     FEATURE_KINDS,
     LevelParams,
@@ -45,7 +45,7 @@ logger = logging.getLogger("voxelreg")
 # register flags whose argparse dest is the RegistrationConfig / LevelParams
 # field they override; a level flag applies to every level
 CONFIG_FLAGS = ("feature", "memory_budget_mb", "standardize", "standardize_reference",
-                "external_fixed", "external_moving", "zscore_external")
+                "external_fixed", "external_moving")
 LEVEL_FLAGS = ("q", "l_max", "alpha", "patch_radius")
 # the --levels fields: those of LevelParams, in spec order, with their types
 LEVEL_SPEC = tuple(typing.get_type_hints(LevelParams).items())
@@ -101,7 +101,7 @@ def cmd_register(args) -> int:
 
 def cmd_features(args) -> int:
     if args.descriptor == "external":
-        fv = load_external_features(args.infile)
+        fv = load_volume(args.infile, kind="feature")
     else:
         vol = load_volume(args.infile, kind="scalar")
         # only intensity takes parameters on the command line
@@ -357,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--standardize-reference")
     p_reg.add_argument("--external-fixed")
     p_reg.add_argument("--external-moving")
-    p_reg.add_argument("--zscore-external", action="store_true", default=None)
     p_reg.set_defaults(func=cmd_register)
 
     p_feat = sub.add_parser("features", help="compute or ingest a feature volume")

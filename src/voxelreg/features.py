@@ -10,13 +10,11 @@ the pipeline and the CLI dispatch through:
 * ``ssc_features`` - a 12-channel self-similarity descriptor built from
   patch distances between the edge-adjacent pairs of a voxel's
   6-neighborhood; invariant to affine intensity changes.
-* ``load_external_features`` - ingestion of externally produced
-  multi-channel feature volumes (e.g. network outputs) in the raw+JSON
-  format.
 
 ``intensity_standardize`` remaps one volume's intensity scale onto a
 reference via decile-landmark piecewise-linear matching over foreground
-voxels.
+voxels. ``zscore_channels`` rescales each channel of a feature volume,
+built-in or external, to zero mean and unit variance.
 """
 
 from __future__ import annotations
@@ -27,11 +25,7 @@ import warnings
 import numpy as np
 from scipy import ndimage
 
-from voxelreg.volume import (
-    FeatureVolume,
-    ScalarVolume,
-    load_volume,
-)
+from voxelreg.volume import FeatureVolume, ScalarVolume
 
 
 class DegenerateInputWarning(UserWarning):
@@ -205,7 +199,7 @@ DESCRIPTORS = {
 
 
 # ---------------------------------------------------------------------------
-# External (learned) features
+# Channel z-scoring
 # ---------------------------------------------------------------------------
 
 def zscore_channels(fv: FeatureVolume) -> FeatureVolume:
@@ -223,16 +217,3 @@ def zscore_channels(fv: FeatureVolume) -> FeatureVolume:
     out = ((flat - mean) / std).reshape(data.shape).astype(np.float32)
     return FeatureVolume(fv.header, out)
 
-
-def load_external_features(path, zscore: bool = False) -> FeatureVolume:
-    """Load an externally produced FeatureVolume from the raw+JSON format.
-
-    Values are trusted as-is unless ``zscore`` requests per-channel
-    rescaling. Non-finite payloads are rejected at load time; dimension
-    agreement with the paired image is checked where the features are
-    consumed.
-    """
-    fv = load_volume(path, kind="feature")
-    if zscore:
-        fv = zscore_channels(fv)
-    return fv

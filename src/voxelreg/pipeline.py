@@ -1,15 +1,23 @@
 """Multi-resolution registration driver.
 
-A registration run works coarse to fine. At each level the fixed and
-moving images are downsampled by the level's factor, the moving image is
-warped by the running field, per-voxel features are recomputed on both
-(descriptors like the self-similarity one are not warp-equivariant, so
-warping feature volumes instead would change their meaning), and the
-discrete search (``regcore.chunked_dsv_execution``) produces an increment
-that is composed additively into the running field. Between levels the
-field is upsampled onto the next grid. Additive composition is an
-approximation of true function composition, adequate for the small,
-bounded increments searched here.
+A registration run works coarse to fine, from a zero field on the first
+level's grid. Each level builds one feature pair, by its source:
+
+* a built-in descriptor: the fixed and moving images are downsampled by
+  the level's factor, the moving image is warped by the running field
+  (after level 0), optionally standardized, and features are recomputed
+  on both (descriptors like the self-similarity one are not
+  warp-equivariant, so warping feature volumes instead would change
+  their meaning);
+* external features: both saved feature volumes are downsampled and the
+  moving one is warped by the running field (after level 0); no image is
+  read until the final warp.
+
+The discrete search (``regcore.chunked_dsv_execution``) then produces an
+increment that is composed additively into the running field. Between
+levels the field is upsampled onto the next grid. Additive composition
+is an approximation of true function composition, adequate for the
+small, bounded increments searched here.
 
 Two kinds of resampler run here. The level grids come from
 ``volume.downsample`` (images, and external features) and
@@ -117,17 +125,18 @@ class RegistrationConfig:
     moving image's intensity scale onto the fixed image (or, when
     ``standardize_reference`` names a volume, remaps both onto that
     reference; a reference requires ``standardize``). External features
-    are supplied as raw+JSON paths, one per image. Paths are strings or
-    None, the two flags bools, the budget (MB; None means 1024) a positive
-    integer or None, and ``workers`` (search threads; None means two, or
-    one when the process may use a single CPU) a positive integer or None.
+    are supplied as raw+JSON paths, one per image, and are searched as
+    saved (``voxelreg features --zscore`` z-scores them), so they do not
+    take ``standardize``. Paths are strings or None, ``standardize`` a
+    bool, the budget (MB; None means 1024) a positive integer or None, and
+    ``workers`` (search threads; None means two, or one when the process
+    may use a single CPU) a positive integer or None.
     """
 
     feature: str = "ssc"
     levels: tuple[LevelParams, ...] = dataclass_field(default_factory=lambda: tuple(default_levels()))
     external_fixed: str | None = None
     external_moving: str | None = None
-    zscore_external: bool = False
     standardize: bool = False
     standardize_reference: str | None = None
     memory_budget_mb: int | None = None
@@ -142,9 +151,8 @@ class RegistrationConfig:
         for name in ("external_fixed", "external_moving", "standardize_reference"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise ValueError(f"config {name} must be a string, got {getattr(self, name)!r}")
-        for name in ("zscore_external", "standardize"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"config {name} must be true or false, got {getattr(self, name)!r}")
+        if not isinstance(self.standardize, bool):
+            raise ValueError(f"config standardize must be true or false, got {self.standardize!r}")
         mb = self.memory_budget_mb
         if mb is not None and (isinstance(mb, bool) or not isinstance(mb, numbers.Integral)):
             raise ValueError(f"config memory_budget_mb must be an integer, got {mb!r}")
@@ -169,6 +177,8 @@ class RegistrationConfig:
                 raise ValueError(f"each factor must divide the previous one, got {factors}")
         if self.feature == "external" and not (self.external_fixed and self.external_moving):
             raise ValueError("external feature requires external_fixed and external_moving paths")
+        if self.feature == "external" and self.standardize:
+            raise ValueError("config standardize does not apply to external features")
 
     def budget_bytes(self) -> int:
         return (self.memory_budget_mb or DEFAULT_MEMORY_BUDGET_MB) * 1024 * 1024
@@ -234,10 +244,9 @@ def register(
     budget = cfg.budget_bytes()
     workers = cfg.worker_count()
 
-    ext_fixed = ext_moving = None
     if cfg.feature == "external":
-        ext_fixed = feat.load_external_features(cfg.external_fixed, zscore=cfg.zscore_external)
-        ext_moving = feat.load_external_features(cfg.external_moving, zscore=cfg.zscore_external)
+        ext_fixed = load_volume(cfg.external_fixed, kind="feature")
+        ext_moving = load_volume(cfg.external_moving, kind="feature")
         for fv, name in ((ext_fixed, "fixed"), (ext_moving, "moving")):
             if fv.dims != fixed.dims:
                 raise ValueError(f"external {name} feature dims {fv.dims} != image dims {fixed.dims}")
@@ -246,30 +255,28 @@ def register(
     if cfg.standardize_reference:
         reference = load_volume(cfg.standardize_reference, kind="scalar")
 
+    # the first level's grid, with the spacing ``downsample`` gives it;
+    # warping by the zero field returns a volume bit for bit, so level 0
+    # warps nothing
+    first = cfg.levels[0].factor
+    field = zero_field(level_dims[0], tuple(s * first for s in fixed.header.spacing))
     for i, level in enumerate(cfg.levels):
-        fixed_l = downsample(fixed, level.factor)
-        moving_l = downsample(moving, level.factor)
-        if i == 0:
-            # warping by the zero field returns the volume bit for bit
-            field = zero_field(fixed_l.dims, fixed_l.header.spacing)
-            warped_l = moving_l
-        else:
-            warped_l = warp_scalar(moving_l, field)
-
-        if cfg.standardize:
-            if reference is not None:
-                ref_l = downsample(reference, level.factor)
-                fixed_l = feat.intensity_standardize(fixed_l, ref_l)
-                warped_l = feat.intensity_standardize(warped_l, ref_l)
-            else:
-                warped_l = feat.intensity_standardize(warped_l, fixed_l)
-
         if cfg.feature == "external":
             f_fix = downsample_features(ext_fixed, level.factor)
             f_mov = downsample_features(ext_moving, level.factor)
             if i > 0:
                 f_mov = warp_features(f_mov, field)
         else:
+            fixed_l = downsample(fixed, level.factor)
+            moving_l = downsample(moving, level.factor)
+            warped_l = warp_scalar(moving_l, field) if i > 0 else moving_l
+            if cfg.standardize:
+                if reference is not None:
+                    ref_l = downsample(reference, level.factor)
+                    fixed_l = feat.intensity_standardize(fixed_l, ref_l)
+                    warped_l = feat.intensity_standardize(warped_l, ref_l)
+                else:
+                    warped_l = feat.intensity_standardize(warped_l, fixed_l)
             f_fix = _featurize(fixed_l, cfg.feature)
             f_mov = _featurize(warped_l, cfg.feature)
 

@@ -578,16 +578,23 @@ def chunked_dsv_execution(
     count and budget. ``workers`` threads search, never more than the
     candidates or the cost maps the budget holds. The budget, counted in
     float32 cost maps, is a cap and not the working size: each worker's
-    batch holds at most 1/W of it, and a budget below one map is an error.
-    A level holds float32 channel-first copies of both feature volumes
-    (the moving one padded by ceil(l_max) voxels per side) and, per
-    worker, the SAD scratch, a batch no larger than it, a best cost, best
-    rank and merge mask (9 B per voxel), and on levels with fractional
-    candidates one blended moving copy and, with more units than workers,
-    a unit's best cost and rank (8 B per voxel), all allocated in the
-    calling thread. The module docstring describes the units, batches and
-    merges.
+    batch holds at most 1/W of it. A budget below one map is an error, as
+    are a negative radius or sigma (as in ``aggregate_costs`` and
+    ``regularize_dsv``) and fewer than one worker. A level holds float32
+    channel-first copies of both feature volumes (the moving one padded by
+    ceil(l_max) voxels per side) and, per worker, the SAD scratch, a batch
+    no larger than it, a best cost, best rank and merge mask (9 B per
+    voxel), and on levels with fractional candidates one blended moving
+    copy and, with more units than workers, a unit's best cost and rank
+    (8 B per voxel), all allocated in the calling thread. The module
+    docstring describes the units, batches and merges.
     """
+    if patch_radius < 0:
+        raise ValueError("patch_radius must be >= 0")
+    if smooth_sigma < 0:
+        raise ValueError("smooth_sigma must be >= 0")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     nz, ny, nx = f_fixed.data.shape[:3]
     map_bytes = nz * ny * nx * SEARCH_DTYPE.itemsize
     budget_maps = int(memory_budget_bytes // map_bytes)

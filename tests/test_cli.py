@@ -19,7 +19,7 @@ from voxelreg.cli import (
     enumerate_pairs,
     load_manifest,
 )
-from voxelreg.features import load_external_features, normalize_intensity
+from voxelreg.features import normalize_intensity, zscore_channels
 from voxelreg.pipeline import LevelParams, RegistrationConfig
 from voxelreg.volume import load_field, load_volume, save_volume
 from voxelreg.synth import make_pair, smooth_random_volume
@@ -153,12 +153,9 @@ FLAG_CONFIG = {
         (["--standardize-reference", "ref"], {"standardize": True, "standardize_reference": "ref"}),
         (["--external-fixed", "ef", "--external-moving", "em"],
          {"external_fixed": "ef", "external_moving": "em"}),
-        (["--zscore-external"], {"zscore_external": True}),
         (["--feature", "intensity"], {"feature": "intensity"}),
-        (["--feature", "external", "--external-fixed", "ef", "--external-moving", "em",
-          "--zscore-external"],
-         {"feature": "external", "external_fixed": "ef", "external_moving": "em",
-          "zscore_external": True}),
+        (["--feature", "external", "--external-fixed", "ef", "--external-moving", "em"],
+         {"feature": "external", "external_fixed": "ef", "external_moving": "em"}),
         (["--config", "CFG"], {}),
         (["--config", "CFG", "--feature", "ssc", "--memory-budget", "8", "--patch-radius", "2"],
          {"feature": "ssc", "memory_budget_mb": 8, "patch_radius": [2]}),
@@ -212,6 +209,14 @@ def test_register_self_gives_zero_field(tmp_path):
 def test_register_missing_fixed_is_usage_error(tmp_path):
     res = run_cli("register", "--moving", tmp_path / "m", "--out-field", tmp_path / "f")
     assert res.returncode == 2
+
+
+def test_register_zscore_external_is_usage_error(tmp_path):
+    # external features are z-scored once, by `features --zscore`
+    res = run_cli("register", "--fixed", tmp_path / "f", "--moving", tmp_path / "m",
+                  "--out-field", tmp_path / "o", "--zscore-external")
+    assert res.returncode == 2
+    assert "unrecognized arguments: --zscore-external" in res.stderr
 
 
 def test_register_nonexistent_input_is_runtime_error(tmp_path):
@@ -276,7 +281,7 @@ def test_register_with_config_file(tmp_path):
         ({"feature": "external", "external_fixed": 5, "external_moving": "m"},
          "config external_fixed must be a string, got 5"),
         ({"standardize": "false"}, "config standardize must be true or false, got 'false'"),
-        ({"zscore_external": "false"}, "config zscore_external must be true or false"),
+        ({"zscore_external": False}, "unknown config key(s) ['zscore_external']"),
         ({"standardize_reference": "ref"}, "config standardize_reference requires standardize"),
         ({"workers": 0}, "config workers must be a positive integer, got 0"),
         ({"workers": -2}, "config workers must be a positive integer, got -2"),
@@ -287,6 +292,8 @@ def test_register_with_config_file(tmp_path):
         ({"memory_budget_mb": -64}, "config memory_budget_mb must be positive, got -64"),
         ({"levels": []}, "at least one level is required"),
         ({"levels": None}, "config levels must be a list of levels, got None"),
+        ({"feature": "external", "external_fixed": "f", "external_moving": "m", "standardize": True},
+         "config standardize does not apply to external features"),
     ],
 )
 def test_register_bad_config_is_one_line_error(tmp_path, cfg, needle):
@@ -415,7 +422,7 @@ def test_features_external_passthrough_with_zscore(tmp_path):
     fv = load_volume(tmp_path / "z")
     flat = fv.data.reshape(-1, 4)
     assert np.abs(flat.mean(axis=0)).max() < 1e-4
-    want = load_external_features(tmp_path / "ext", zscore=True).data
+    want = zscore_channels(load_volume(tmp_path / "ext", kind="feature")).data
     assert fv.data.tobytes() == want.tobytes()
 
 

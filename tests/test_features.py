@@ -13,7 +13,6 @@ from voxelreg.features import (
     DegenerateInputWarning,
     edge_features,
     intensity_standardize,
-    load_external_features,
     normalize_intensity,
     ssc_features,
     zscore_channels,
@@ -23,6 +22,7 @@ from voxelreg.volume import (
     NonFiniteDataError,
     ScalarVolume,
     VolumeHeader,
+    load_volume,
     save_volume,
 )
 
@@ -341,7 +341,7 @@ def test_ssc_peak_memory_is_four_outputs():
 
 
 # ---------------------------------------------------------------------------
-# load_external_features
+# external features: load_volume(..., kind="feature")
 # ---------------------------------------------------------------------------
 
 def test_external_single_channel_equals_normalized_intensity(tmp_path):
@@ -350,7 +350,7 @@ def test_external_single_channel_equals_normalized_intensity(tmp_path):
     fv = normalize_intensity(vol, 1.0, 99.0)
     stem = tmp_path / "feat"
     save_volume(fv, stem)
-    back = load_external_features(stem)
+    back = load_volume(stem, kind="feature")
     assert isinstance(back, FeatureVolume)
     assert np.array_equal(back.data, fv.data)
 
@@ -362,7 +362,7 @@ def test_external_many_channels_preserved(tmp_path):
     fv = FeatureVolume(VolumeHeader((3, 3, 3), channels=135), softmax)
     stem = tmp_path / "softmax"
     save_volume(fv, stem)
-    back = load_external_features(stem)
+    back = load_volume(stem, kind="feature")
     assert back.channels == 135
     assert np.allclose(back.data.sum(axis=-1), 1.0, atol=1e-5)
 
@@ -376,7 +376,7 @@ def test_external_nan_payload_rejected(tmp_path):
     )
     np.array([0.0, 1.0, np.nan, 2.0], dtype="<f4").tofile(stem.with_suffix(".raw"))
     with pytest.raises(NonFiniteDataError):
-        load_external_features(stem)
+        load_volume(stem, kind="feature")
 
 
 def test_zscore_channels():

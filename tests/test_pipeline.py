@@ -274,6 +274,25 @@ def test_chunked_budget_below_one_map_errors():
             chunked_dsv_execution(f_fixed, f_moving, ds, 0, 0.0, budget)
 
 
+@pytest.mark.parametrize("radius, sigma, workers, message", [
+    (-1, 0.0, 1, "patch_radius must be >= 0"),
+    (0, -1.0, 1, "smooth_sigma must be >= 0"),
+    (0, 0.0, 0, "workers must be >= 1, got 0"),
+])
+def test_chunked_bad_radius_sigma_or_workers_errors(radius, sigma, workers, message):
+    # a negative radius or sigma is refused as the reference path refuses it,
+    # not run as 0
+    f_fixed, f_moving = random_feature_pair(63)
+    ds = regcore.build_displacement_set(1.0, 1.0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        chunked_dsv_execution(f_fixed, f_moving, ds, radius, sigma, 1 << 20, workers)
+    dsv = regcore.build_dsv(f_fixed, f_moving, ds)
+    for step, value in ((regcore.aggregate_costs, radius), (regcore.regularize_dsv, sigma)):
+        if value < 0:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                step(dsv, value)
+
+
 def test_chunked_one_map_budget_runs_on_one_thread(monkeypatch):
     # a budget of one float32 cost map searches on the calling thread whatever
     # the worker count; two maps start the pool
@@ -539,6 +558,44 @@ def test_register_external_features_match_builtin_intensity(tmp_path):
     field_ext, _ = register(fixed, moving, cfg_ext)
     field_int, _ = register(fixed, moving, cfg_int)
     assert np.array_equal(field_ext.data, field_int.data)
+
+
+def test_register_external_features_do_no_image_work(tmp_path, monkeypatch):
+    # the search reads only the feature volumes: no level downsamples, warps,
+    # standardizes or featurizes an image; the one image warp is the result
+    from voxelreg import features
+
+    case = make_pair("translation", (16, 16, 16), seed=74, translation=(1.0, 0.0, 0.0))
+    fixed, moving = case["fixed"], case["moving"]
+    save_volume(normalize_intensity(fixed), tmp_path / "ff")
+    save_volume(normalize_intensity(moving), tmp_path / "fm")
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, args))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((pipeline, "downsample"), (pipeline, "warp_scalar"),
+                         (pipeline, "_featurize"), (features, "intensity_standardize")):
+        spy(module, name)
+    cfg = RegistrationConfig(
+        feature="external",
+        levels=(
+            LevelParams(factor=2, q=1.0, l_max=1.0, patch_radius=1, alpha=1.0),
+            LevelParams(factor=1, q=1.0, l_max=1.0, patch_radius=1, alpha=1.0),
+        ),
+        external_fixed=str(tmp_path / "ff"),
+        external_moving=str(tmp_path / "fm"),
+    )
+    field, warped = register(fixed, moving, cfg)
+    assert [name for name, _ in calls] == ["warp_scalar"]
+    image, final_field = calls[0][1]
+    assert image is moving and final_field is field
 
 
 def test_register_external_rejects_dim_mismatch(tmp_path):
