@@ -153,6 +153,7 @@ FLAG_CONFIG = {
         (["--standardize-reference", "ref"], {"standardize": True, "standardize_reference": "ref"}),
         (["--external-fixed", "ef", "--external-moving", "em"],
          {"external_fixed": "ef", "external_moving": "em"}),
+        (["--config", "CFG", "--q", "0.5", "--lmax", "4"], {"q": [0.5], "l_max": [4.0]}),
         (["--feature", "intensity"], {"feature": "intensity"}),
         (["--feature", "external", "--external-fixed", "ef", "--external-moving", "em"],
          {"feature": "external", "external_fixed": "ef", "external_moving": "em"}),
