@@ -38,22 +38,22 @@ products over a few maps at a time, each 2-D product small enough that
 BLAS runs it on the calling thread.
 
 The chunked search splits the candidates into work units: each weight
-group, in tie-break priority order, cut into contiguous pieces of at
-most ceil(count / W) candidates for W workers, so an integer level is W
-slices of the priority order. Worker w takes unit w, then the remaining
-units one at a time, longest first, and blends each unit's group into a
+group's labels, ascending, cut into contiguous pieces of at most
+ceil(count / W) candidates for W workers, so an integer level is W
+slices of the labels. Worker w takes unit w, then the remaining units
+one at a time, longest first, and blends each unit's group into a
 buffer of its own, so a level holds at most W blends. A unit is walked
-in priority order in batches, and each filtered map replaces the running
-per-voxel (best cost, best rank) pair where it is strictly lower
-(``_keep_better``), rank being the position in the priority order. A
-batch holds as many cost maps as the SAD scratch (``_sad_scratch``, one
-block of k maps), so the filters take a batch in one pass over that
-scratch, free once the batch is scored. A worker walks its first unit
-into its best and each later one into a unit best, merged into its best
-where (cost, rank) is lower, costs compared first (``_keep_lower``); the
-workers' bests are merged the same way. The lowest (cost, rank) is what
-one strict less-than scan in priority order keeps, so the winner does
-not depend on which worker took which unit, or when. The threads share
+in label order in batches, and each filtered map replaces the running
+per-voxel (best cost, best label) pair where it is strictly lower
+(``_keep_better``). A batch holds as many cost maps as the SAD scratch
+(``_sad_scratch``, one block of k maps), so the filters take a batch in
+one pass over that scratch, free once the batch is scored. A worker
+walks its first unit into its best and each later one into a unit best,
+merged into its best where (cost, label) is lower, costs compared first
+(``_keep_lower``); the workers' bests are merged the same way. The
+lowest (cost, label) is what one strict less-than scan over all labels
+keeps, so the winner does not depend on which worker took which unit,
+or when. The threads share
 one interpreter lock, which numpy releases only inside its array loops,
 so any Python work between array calls runs on one thread at a time.
 That work is cached: a shift's corners (``_corners``) and its window's
@@ -69,9 +69,9 @@ samples and weights, SAD accumulates channel by channel in channel order
 whatever the group size, a filtered map's bits depend only on the map
 and the grid, not on its batch or position (and maps that agree on an
 output voxel's window agree on its bits, so exact ties survive
-filtering), and argmin ties resolve by smallest L1 displacement, then
-lexicographic (dz, dy, dx), so the zero displacement always wins a tie
-against any other candidate.
+filtering), and argmin ties resolve to the lowest label. A label is its
+tie-break priority rank (``DisplacementSet``: smallest L1 displacement
+first, then (dz, dy, dx)), so zero always wins a tie.
 """
 
 from __future__ import annotations
@@ -100,12 +100,12 @@ SEARCH_DTYPE = np.dtype(np.float32)
 
 @dataclass(frozen=True)
 class DisplacementSet:
-    """The quantized displacement candidates, in canonical order.
+    """The quantized displacement candidates, in tie-break priority order.
 
-    ``displacements`` has shape (count, 3) with rows (dx, dy, dz),
-    ordered lexicographically by (dz, dy, dx) ascending. The set is the
-    full Cartesian cube, contains zero exactly once and is closed under
-    negation.
+    ``displacements`` has shape (count, 3) with rows (dx, dy, dz), sorted
+    here by L1 norm, then (dz, dy, dx), whatever order they come in, so
+    label i (row i) is priority rank i. The cube ``build_displacement_set``
+    makes contains zero once, as label 0, and is closed under negation.
     """
 
     q: float
@@ -113,7 +113,9 @@ class DisplacementSet:
     displacements: np.ndarray
 
     def __post_init__(self):
-        disp = np.ascontiguousarray(np.asarray(self.displacements, dtype=np.float64))
+        disp = np.asarray(self.displacements, dtype=np.float64)
+        l1 = np.abs(disp).sum(axis=1)
+        disp = np.ascontiguousarray(disp[np.lexsort((disp[:, 0], disp[:, 1], disp[:, 2], l1))])
         disp.setflags(write=False)
         object.__setattr__(self, "displacements", disp)
 
@@ -125,12 +127,6 @@ class DisplacementSet:
     def fractional(self) -> bool:
         """Whether some candidate has a non-integer component."""
         return bool((self.displacements % 1).any())
-
-    def priority_order(self) -> np.ndarray:
-        """Label indices sorted by the tie-break rule: L1 norm, then (dz, dy, dx)."""
-        d = self.displacements
-        l1 = np.abs(d).sum(axis=1)
-        return np.lexsort((d[:, 0], d[:, 1], d[:, 2], l1))
 
 
 def build_displacement_set(q: float, l_max: float) -> DisplacementSet:
@@ -157,8 +153,9 @@ def build_displacement_set(q: float, l_max: float) -> DisplacementSet:
 class CostVolume:
     """Per-voxel, per-candidate similarity costs, label-major.
 
-    ``costs`` has shape (label_count, z, y, x), float32 (``SEARCH_DTYPE``;
-    other dtypes are converted), all entries finite and non-negative.
+    ``costs`` has shape (label_count, z, y, x), one map per label of the
+    ``DisplacementSet``, float32 (``SEARCH_DTYPE``; other dtypes are
+    converted), all entries finite and non-negative.
     """
 
     dims: tuple[int, int, int]  # (x, y, z) of the fixed grid
@@ -267,13 +264,13 @@ def _window(shift: tuple, pad: int, dims: tuple) -> tuple:
 
 
 def _weight_groups(disp: DisplacementSet) -> list[np.ndarray]:
-    """The candidates' priority ranks (positions in ``priority_order()``),
-    one ascending array per weight group (``_corners``), groups in order of
-    their first rank. The integer candidates form one group."""
+    """The candidates' labels, one ascending array per weight group
+    (``_corners``), groups in order of their first label. The integer
+    candidates form one group."""
     groups = {}
-    for rank, d in enumerate(disp.displacements[disp.priority_order()].tolist()):
-        groups.setdefault(_corners(tuple(d)), []).append(rank)
-    return [np.array(ranks) for ranks in groups.values()]
+    for label, d in enumerate(disp.displacements.tolist()):
+        groups.setdefault(_corners(tuple(d)), []).append(label)
+    return [np.array(labels) for labels in groups.values()]
 
 
 # float32 values per piece of a blend: a piece, its products and the corner
@@ -369,11 +366,10 @@ def build_dsv(f_fixed: FeatureVolume, f_moving: FeatureVolume, disp: Displacemen
     costs = np.empty((disp.count,) + fixed.shape[:3], dtype=SEARCH_DTYPE)
     scratch = _sad_scratch(fixed.shape[:3], fixed.shape[3])
     blended = np.empty(moving.size, SEARCH_DTYPE) if disp.fractional else None
-    order = disp.priority_order()
-    for ranks in _weight_groups(disp):
-        source = _blend(moving, disp.displacements[order[ranks[0]]], blended, scratch)
-        for li in order[ranks]:
-            _label_cost_map(fixed, source, disp.displacements[li], out=costs[li], scratch=scratch)
+    for labels in _weight_groups(disp):
+        source = _blend(moving, disp.displacements[labels[0]], blended, scratch)
+        for label in labels:
+            _label_cost_map(fixed, source, disp.displacements[label], out=costs[label], scratch=scratch)
     return CostVolume(dims=f_fixed.dims, costs=costs)
 
 
@@ -529,37 +525,35 @@ def regularize_dsv(dsv: CostVolume, smooth_sigma: float) -> CostVolume:
 
 
 def winner_takes_all(dsv: CostVolume, disp: DisplacementSet) -> DisplacementField:
-    """Per-voxel argmin over candidates with deterministic tie-breaking.
+    """Per-voxel argmin over labels with deterministic tie-breaking.
 
-    Candidates are scanned in priority order (smallest L1 displacement
-    first, then lexicographic (dz, dy, dx)), so among equal costs the
-    smallest displacement wins and self-similar inputs yield the zero
-    field.
+    Among equal costs the lowest label, the first in priority order,
+    wins, so the smallest displacement wins and self-similar inputs yield
+    the zero field.
     """
     if dsv.label_count != disp.count:
         raise ValueError(f"label_count {dsv.label_count} != |displacements| {disp.count}")
-    order = disp.priority_order()
-    best = np.argmin(dsv.costs[order], axis=0)
-    field = disp.displacements[order][best].astype(np.float32)
+    best = np.argmin(dsv.costs, axis=0)
+    field = disp.displacements[best].astype(np.float32)
     header = VolumeHeader(dsv.dims, channels=3, dtype="float32")
     return DisplacementField(header, field)
 
 
-def _keep_better(cost, rank, best_cost, best_rank, improved):
-    """Where ``cost`` is strictly below ``best_cost``, take it and ``rank``."""
+def _keep_better(cost, label, best_cost, best_label, improved):
+    """Where ``cost`` is strictly below ``best_cost``, take it and ``label``."""
     np.less(cost, best_cost, out=improved)
     np.copyto(best_cost, cost, where=improved)
-    np.copyto(best_rank, rank, where=improved)
+    np.copyto(best_label, label, where=improved)
 
 
-def _keep_lower(cost, rank, best_cost, best_rank):
-    """Where (``cost``, ``rank``) is below (``best_cost``, ``best_rank``),
+def _keep_lower(cost, label, best_cost, best_label):
+    """Where (``cost``, ``label``) is below (``best_cost``, ``best_label``),
     costs compared first, take both."""
-    lower = rank < best_rank
+    lower = label < best_label
     lower &= cost == best_cost
     lower |= cost < best_cost
     np.copyto(best_cost, cost, where=lower)
-    np.copyto(best_rank, rank, where=lower)
+    np.copyto(best_label, label, where=lower)
 
 
 def chunked_dsv_execution(
@@ -580,12 +574,15 @@ def chunked_dsv_execution(
     float32 cost maps, is a cap and not the working size: each worker's
     batch holds at most 1/W of it. A budget below one map is an error, as
     are a negative radius or sigma (as in ``aggregate_costs`` and
-    ``regularize_dsv``) and fewer than one worker. A level holds float32
+    ``regularize_dsv``), fewer than one worker, and features so large that
+    a box-summed cost could overflow float32: 2 * C * (2r + 1)^3 * max |f|,
+    over both level copies, at or above ``np.finfo(np.float32).max`` (the
+    full cost volume would hold infinities there). A level holds float32
     channel-first copies of both feature volumes (the moving one padded by
     ceil(l_max) voxels per side) and, per worker, the SAD scratch, a batch
-    no larger than it, a best cost, best rank and merge mask (9 B per
+    no larger than it, a best cost, best label and merge mask (9 B per
     voxel), and on levels with fractional candidates one blended moving
-    copy and, with more units than workers, a unit's best cost and rank
+    copy and, with more units than workers, a unit's best cost and label
     (8 B per voxel), all allocated in the calling thread. The module
     docstring describes the units, batches and merges.
     """
@@ -605,35 +602,42 @@ def chunked_dsv_execution(
     n_workers = min(workers, disp.count, budget_maps)
 
     fixed, moving = _level_arrays(f_fixed, f_moving, disp)
-    order = disp.priority_order()
+    channels, box = fixed.shape[3], (2 * patch_radius + 1) ** 3
+    largest = float(max(max(a.max(), -a.min()) for a in (fixed, moving)))
+    if 2.0 * channels * box * largest >= float(np.finfo(SEARCH_DTYPE).max):
+        raise ValueError(
+            f"features too large for float32 costs: 2 x {channels} channels x {box} patch voxels"
+            f" x max |feature| {largest:.3g} reaches the float32 maximum; z-score them with"
+            " voxelreg features --descriptor external --zscore"
+        )
     # work units: each weight group cut into as few contiguous pieces as
     # keep it within 1/W of the candidates (an integer level gives W
     # slices; as W <= count, no piece is empty), longest first
     units = [
         piece
-        for ranks in _weight_groups(disp)
-        for piece in np.array_split(ranks, -(-len(ranks) * n_workers // disp.count))
+        for labels in _weight_groups(disp)
+        for piece in np.array_split(labels, -(-len(labels) * n_workers // disp.count))
     ]
     units.sort(key=len, reverse=True)
 
     # every worker's arrays are allocated here, in the calling thread: the
     # same blocks allocated inside the worker threads raised peak RSS by up
     # to a fifth, and by a different amount from run to run
-    scratch = _sad_scratch((nz, ny, nx), fixed.shape[3], n_workers)
+    scratch = _sad_scratch((nz, ny, nx), channels, n_workers)
     per_worker = min(budget_maps // n_workers, scratch.shape[1], len(units[0]))
     buffer = np.empty((n_workers, per_worker, nz, ny, nx), dtype=SEARCH_DTYPE)
     best_cost = np.full((n_workers, nz, ny, nx), np.inf, dtype=SEARCH_DTYPE)
-    best_rank = np.zeros((n_workers, nz, ny, nx), dtype=np.int32)
+    best_label = np.zeros((n_workers, nz, ny, nx), dtype=np.int32)
     improved = np.empty((n_workers, nz, ny, nx), dtype=bool)
     blended = [None] * n_workers  # integer candidates read the level copy itself
     if disp.fractional:
         blended = np.empty((n_workers, moving.size), dtype=SEARCH_DTYPE)
     spare = len(units) > n_workers  # some worker walks more than one unit
     unit_cost = np.empty_like(best_cost) if spare else None
-    unit_rank = np.empty_like(best_rank) if spare else None
+    unit_label = np.empty_like(best_label) if spare else None
 
     # worker w walks unit w into its best, then takes the remaining units
-    # one at a time, each walked into its unit best and merged by rank
+    # one at a time, each walked into its unit best and merged by label
     rest = iter(units[n_workers:])
     lock = threading.Lock()
 
@@ -643,27 +647,26 @@ def chunked_dsv_execution(
 
     # the kernels are looked up by module name at call time, so a wrapper
     # set on the module (the benchmark's tracer) sees every call
-    def walk(w, ranks, cost, rank):
-        source = _blend(moving, disp.displacements[order[ranks[0]]], blended[w], scratch[w])
-        for start in range(0, len(ranks), per_worker):
-            batch_ranks = ranks[start : start + per_worker]
-            batch = buffer[w, : len(batch_ranks)]
-            for bi, li in enumerate(order[batch_ranks]):
-                d = disp.displacements[li]
-                _label_cost_map(fixed, source, d, out=batch[bi], scratch=scratch[w])
+    def walk(w, labels, into_cost, into_label):
+        source = _blend(moving, disp.displacements[labels[0]], blended[w], scratch[w])
+        for start in range(0, len(labels), per_worker):
+            batch_labels = labels[start : start + per_worker]
+            batch = buffer[w, : len(batch_labels)]
+            for cost_map, d in zip(batch, disp.displacements[batch_labels]):
+                _label_cost_map(fixed, source, d, out=cost_map, scratch=scratch[w])
             if patch_radius > 0:
                 _box_sum_map(batch, patch_radius, scratch[w])
             if smooth_sigma > 0:
                 _smooth_map(batch, smooth_sigma, scratch[w])
-            for cost_map, r in zip(batch, batch_ranks):
-                _keep_better(cost_map, r, cost, rank, improved[w])
+            for cost_map, label in zip(batch, batch_labels):
+                _keep_better(cost_map, label, into_cost, into_label, improved[w])
 
     def search(w):
-        walk(w, units[w], best_cost[w], best_rank[w])
-        while (ranks := next_unit()) is not None:
+        walk(w, units[w], best_cost[w], best_label[w])
+        while (labels := next_unit()) is not None:
             unit_cost[w].fill(np.inf)
-            walk(w, ranks, unit_cost[w], unit_rank[w])
-            _keep_lower(unit_cost[w], unit_rank[w], best_cost[w], best_rank[w])
+            walk(w, labels, unit_cost[w], unit_label[w])
+            _keep_lower(unit_cost[w], unit_label[w], best_cost[w], best_label[w])
 
     if n_workers == 1:
         search(0)
@@ -671,8 +674,8 @@ def chunked_dsv_execution(
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             list(pool.map(search, range(n_workers)))  # re-raises a worker's exception
         for w in range(1, n_workers):
-            _keep_lower(best_cost[w], best_rank[w], best_cost[0], best_rank[0])
-    best_disp = disp.displacements[order[best_rank[0]]].astype(np.float32)
+            _keep_lower(best_cost[w], best_label[w], best_cost[0], best_label[0])
+    best_disp = disp.displacements[best_label[0]].astype(np.float32)
 
     header = VolumeHeader(f_fixed.dims, channels=3, dtype="float32")
     return DisplacementField(header, best_disp)

@@ -7,6 +7,7 @@ stops calling it through its module, leaves the benchmark reporting that
 layer as missing; this test makes the suite fail instead.
 """
 
+import functools
 import json
 import sys
 import threading
@@ -63,13 +64,28 @@ def test_every_traced_target_exists_and_is_called(tmp_path):
     assert not any(s.attrs.get("error") for s in tr.spans)
 
 
-def test_threaded_search_keeps_every_search_span():
+def test_threaded_search_keeps_every_search_span(monkeypatch):
     # two workers whatever the CPU count: the cost-kernel spans then come
     # from worker threads (each level's pool starts its own), and each must
     # still be recorded
     case = make_pair("translation", (12, 12, 12), 3, translation=(1.0, 0.0, 0.0),
                      num_blobs=3, min_radius=2.0, max_radius=3.0)
     cfg = RegistrationConfig(feature="ssc", levels=TWO_LEVELS, workers=2)
+
+    # a pool may run both workers of a tiny level on one thread; holding each
+    # thread's first kernel call until a second thread arrives keeps the first
+    # busy, so the pool starts a second thread for the other worker
+    kernel = regcore._label_cost_map
+    started, seen = threading.Barrier(2, timeout=30), threading.local()
+
+    @functools.wraps(kernel)
+    def first_call_waits(*args, **kwargs):
+        if not getattr(seen, "called", False):
+            seen.called = True
+            started.wait()
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(regcore, "_label_cost_map", first_call_waits)
     with tracer.Tracer(MODULES) as tr:
         pipeline.register(case["fixed"], case["moving"], cfg)
 

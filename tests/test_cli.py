@@ -220,6 +220,27 @@ def test_register_zscore_external_is_usage_error(tmp_path):
     assert "unrecognized arguments: --zscore-external" in res.stderr
 
 
+def test_register_external_features_that_overflow_costs_is_one_line_error(tmp_path):
+    # finite features whose box-summed SAD overflows float32 are refused, not
+    # searched into an all-zero field
+    from voxelreg.volume import FeatureVolume, VolumeHeader
+
+    rng = np.random.default_rng(15)
+    vol = smooth_random_volume((8, 8, 8), seed=15)
+    save_volume(vol, tmp_path / "vol")
+    for name in ("ef", "em"):
+        data = (1e37 * rng.choice([-1.0, 1.0], (8, 8, 8, 2))).astype(np.float32)
+        save_volume(FeatureVolume(VolumeHeader((8, 8, 8), channels=2), data), tmp_path / name)
+    res = run_cli(
+        "register", "--fixed", tmp_path / "vol", "--moving", tmp_path / "vol",
+        "--out-field", tmp_path / "field", "--levels", "1:1:1:1:1", "--feature", "external",
+        "--external-fixed", tmp_path / "ef", "--external-moving", tmp_path / "em",
+    )
+    assert_one_line_error(res, "features too large for float32 costs")
+    assert res.stderr.strip().endswith("z-score them with voxelreg features --descriptor external --zscore")
+    assert not (tmp_path / "field.raw").exists()
+
+
 def test_register_nonexistent_input_is_runtime_error(tmp_path):
     res = run_cli(
         "register", "--fixed", tmp_path / "nope", "--moving", tmp_path / "nope",

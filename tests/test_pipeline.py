@@ -274,6 +274,37 @@ def test_chunked_budget_below_one_map_errors():
             chunked_dsv_execution(f_fixed, f_moving, ds, 0, 0.0, budget)
 
 
+def signed_feature_pair(seed, scale, n=8, channels=2):
+    # features of +-scale, random signs: finite, with SADs of 2 * scale
+    from voxelreg.volume import FeatureVolume
+
+    rng = np.random.default_rng(seed)
+    return tuple(
+        FeatureVolume(VolumeHeader((n, n, n), channels=channels),
+                      (scale * rng.choice([-1.0, 1.0], (n, n, n, channels))).astype(np.float32))
+        for _ in range(2)
+    )
+
+
+@pytest.mark.parametrize("scale", [2e38, 1e37, 1e36])
+def test_chunked_features_that_overflow_float32_costs_error(scale):
+    # 2e38 overflows the SAD and 1e37 the r = 1 box sum: refused before the
+    # search, as the full cost volume refuses the infinities, with the remedy;
+    # at 1e36, 2 * 2 channels * 27 * 1e36 < float32 max and both paths agree
+    f_fixed, f_moving = signed_feature_pair(75, scale)
+    ds = regcore.build_displacement_set(1.0, 1.0)
+    if scale == 1e36:
+        got = chunked_dsv_execution(f_fixed, f_moving, ds, 1, 1.0, 1 << 20, workers=2)
+        assert np.array_equal(got.data, unchunked_field(f_fixed, f_moving, ds, 1, 1.0).data)
+        return
+    with pytest.raises(ValueError, match=r"^features too large for float32 costs: .*"
+                       r"voxelreg features --descriptor external --zscore$"):
+        chunked_dsv_execution(f_fixed, f_moving, ds, 1, 1.0, 1 << 20, workers=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="^costs must be finite and non-negative$"):
+            regcore.aggregate_costs(regcore.build_dsv(f_fixed, f_moving, ds), 1)
+
+
 @pytest.mark.parametrize("radius, sigma, workers, message", [
     (-1, 0.0, 1, "patch_radius must be >= 0"),
     (0, -1.0, 1, "smooth_sigma must be >= 0"),
@@ -341,8 +372,9 @@ def integer_feature_pair(seed, n=8, channels=2):
 
 @pytest.mark.parametrize("radius, sigma", [(0, 0.0), (1, 1.0)])
 def test_chunked_worker_counts_bit_identical(radius, sigma):
-    # integer-valued features tie often, so the slice merge decides many voxels;
-    # q = 0.5 puts fractional (8-corner) candidates in every slice
+    # integer-valued features tie often, so the unit merge decides many voxels;
+    # q = 0.5 gives 8 weight groups (7 of them read from blends), so there are
+    # more units than workers and the (cost, label) merges run at every count
     ds = regcore.build_displacement_set(0.5, 1.0)  # 125 labels
     map_bytes = 8 * 8 * 8 * regcore.SEARCH_DTYPE.itemsize  # one map: one worker
     for seed in (70, 71, 72):

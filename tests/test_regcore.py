@@ -74,18 +74,14 @@ def test_displacement_set_contains_zero_once_and_negations():
     assert set(rows) == {(-x, -y, -z) for x, y, z in rows}
 
 
-def test_displacement_set_order_is_lexicographic_zyx():
-    ds = build_displacement_set(1.0, 1.0)
-    keys = [(dz, dy, dx) for dx, dy, dz in ds.displacements.tolist()]
-    assert keys == sorted(keys)
-
-
-def test_priority_order_puts_zero_first():
+def test_displacement_set_labels_are_priority_ranks():
+    # label i is tie-break rank i: zero first, L1 never decreasing, and
+    # candidates of equal L1 in (dz, dy, dx) order
     ds = build_displacement_set(1.0, 2.0)
-    order = ds.priority_order()
-    assert ds.displacements[order[0]].tolist() == [0.0, 0.0, 0.0]
-    l1 = np.abs(ds.displacements[order]).sum(axis=1)
-    assert np.all(np.diff(l1) >= 0)
+    assert ds.displacements[0].tolist() == [0.0, 0.0, 0.0]
+    keys = [(abs(dx) + abs(dy) + abs(dz), dz, dy, dx) for dx, dy, dz in ds.displacements.tolist()]
+    assert np.all(np.diff([k[0] for k in keys]) >= 0)
+    assert keys == sorted(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -276,27 +272,29 @@ def test_regularize_impulse_matches_separable_oracle():
 # ---------------------------------------------------------------------------
 
 def make_line_set():
-    disp = np.array([[-1.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0]])
-    return DisplacementSet(q=1.0, l_max=1.0, displacements=disp)
+    # rows in priority order, so label i is row i
+    disp = np.array([[0.0, 0, 0], [-1.0, 0, 0], [1.0, 0, 0]])
+    ds = DisplacementSet(q=1.0, l_max=1.0, displacements=disp)
+    assert np.array_equal(ds.displacements, disp)
+    return ds
 
 
 def test_wta_tie_breaks_to_smaller_displacement():
     ds = make_line_set()
-    costs = np.array([3.0, 1.0, 1.0]).reshape(3, 1, 1, 1)
+    # costs of (0, -1, +1): zero ties with +1 at the lowest cost
+    costs = np.array([1.0, 3.0, 1.0]).reshape(3, 1, 1, 1)
     field = winner_takes_all(CostVolume((1, 1, 1), costs), ds)
     assert field.data[0, 0, 0].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_wta_plain_argmin():
     ds = make_line_set()
-    costs = np.array([2.0, 5.0, 1.0]).reshape(3, 1, 1, 1)
+    costs = np.array([5.0, 2.0, 1.0]).reshape(3, 1, 1, 1)
     field = winner_takes_all(CostVolume((1, 1, 1), costs), ds)
     assert field.data[0, 0, 0].tolist() == [1.0, 0.0, 0.0]
 
 
-def test_wta_matches_loop_oracle_with_ties():
-    rng = np.random.default_rng(47)
-    ds = build_displacement_set(1.0, 1.0)
+def check_wta_against_loop_oracle(rng, ds):
     # quantized costs force frequent ties
     costs = np.round(rng.uniform(0, 3, size=(27, 4, 4, 4)) * 4) / 4.0
     field = winner_takes_all(CostVolume((4, 4, 4), costs), ds)
@@ -311,6 +309,15 @@ def test_wta_matches_loop_oracle_with_ties():
                     if best is None or key < best[0]:
                         best = (key, (dx, dy, dz))
                 assert tuple(field.data[z, y, x].tolist()) == best[1]
+
+
+def test_wta_matches_loop_oracle_with_ties():
+    rng = np.random.default_rng(47)
+    cube = build_displacement_set(1.0, 1.0)
+    # the set sorts the rows it is given into priority order
+    shuffled = DisplacementSet(1.0, 1.0, np.random.default_rng(46).permutation(cube.displacements))
+    for ds in (cube, shuffled):
+        check_wta_against_loop_oracle(rng, ds)
 
 
 def test_wta_rejects_count_mismatch():
