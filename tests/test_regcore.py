@@ -74,14 +74,19 @@ def test_displacement_set_contains_zero_once_and_negations():
     assert set(rows) == {(-x, -y, -z) for x, y, z in rows}
 
 
-def test_displacement_set_labels_are_priority_ranks():
-    # label i is tie-break rank i: zero first, L1 never decreasing, and
-    # candidates of equal L1 in (dz, dy, dx) order
+def test_displacement_set_order_is_lexicographic_zyx():
+    # label i is tie-break rank i: rows sorted by L1, and candidates of
+    # equal L1 in lexicographic (dz, dy, dx) order
+    ds = build_displacement_set(1.0, 1.0)
+    keys = [(abs(dx) + abs(dy) + abs(dz), dz, dy, dx) for dx, dy, dz in ds.displacements.tolist()]
+    assert keys == sorted(keys)
+
+
+def test_priority_order_puts_zero_first():
     ds = build_displacement_set(1.0, 2.0)
     assert ds.displacements[0].tolist() == [0.0, 0.0, 0.0]
-    keys = [(abs(dx) + abs(dy) + abs(dz), dz, dy, dx) for dx, dy, dz in ds.displacements.tolist()]
-    assert np.all(np.diff([k[0] for k in keys]) >= 0)
-    assert keys == sorted(keys)
+    l1 = np.abs(ds.displacements).sum(axis=1)
+    assert np.all(np.diff(l1) >= 0)
 
 
 # ---------------------------------------------------------------------------
