@@ -100,13 +100,14 @@ def cmd_register(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_features(args) -> int:
+    # only intensity takes parameters on the command line
+    percentiles = _given(args, ("p_low", "p_high"))
+    if percentiles and args.descriptor != "intensity":
+        raise ValueError(f"--p-low/--p-high apply only to intensity, not {args.descriptor}")
     if args.descriptor == "external":
         fv = load_volume(args.infile, kind="feature")
     else:
-        vol = load_volume(args.infile, kind="scalar")
-        # only intensity takes parameters on the command line
-        kwargs = {"p_low": args.p_low, "p_high": args.p_high} if args.descriptor == "intensity" else {}
-        fv = DESCRIPTORS[args.descriptor](vol, **kwargs)
+        fv = DESCRIPTORS[args.descriptor](load_volume(args.infile, kind="scalar"), **percentiles)
     if args.zscore:
         fv = zscore_channels(fv)
     save_volume(fv, args.out)
@@ -207,6 +208,13 @@ def load_manifest(path) -> tuple[list[dict], RegistrationConfig, str | None]:
         raise ValueError(f"cannot parse manifest {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"manifest {path} must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - {"output_dir", "config", "pairs", "volumes", "pair_mode"})
+    if unknown:
+        raise ValueError(f"unknown manifest key(s) {unknown}")
+    if ("pairs" in data) == ("volumes" in data):
+        raise ValueError("manifest needs exactly one of 'pairs' and 'volumes'")
+    if "pair_mode" in data and "volumes" not in data:
+        raise ValueError("manifest pair_mode applies only to 'volumes', not 'pairs'")
     cfg = RegistrationConfig.from_dict(data.get("config", {}))
     if cfg.feature == "external":
         raise ValueError(
@@ -216,11 +224,9 @@ def load_manifest(path) -> tuple[list[dict], RegistrationConfig, str | None]:
     if "pairs" in data:
         pair_keys = ("pair_id", "fixed", "moving", "fixed_labels", "moving_labels")
         pairs = _checked_entries(data["pairs"], "pair", pair_keys)
-    elif "volumes" in data:
+    else:
         volumes = _checked_entries(data["volumes"], "volume", ("id", "image", "labels"))
         pairs = enumerate_pairs(volumes, data.get("pair_mode", "ordered"))
-    else:
-        raise ValueError("manifest needs a 'pairs' or 'volumes' entry")
     ids = [p["pair_id"] for p in pairs]
     if len(set(ids)) != len(ids):
         raise ValueError("manifest pair ids are not unique")
@@ -363,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_feat.add_argument("--in", dest="infile", required=True)
     p_feat.add_argument("--descriptor", required=True, choices=FEATURE_KINDS)
     p_feat.add_argument("--out", required=True)
-    p_feat.add_argument("--p-low", type=float, default=1.0)
-    p_feat.add_argument("--p-high", type=float, default=99.0)
+    p_feat.add_argument("--p-low", type=float, help="intensity only (default 1)")
+    p_feat.add_argument("--p-high", type=float, help="intensity only (default 99)")
     p_feat.add_argument("--zscore", action="store_true")
     p_feat.set_defaults(func=cmd_features)
 

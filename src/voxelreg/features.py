@@ -19,7 +19,6 @@ built-in or external, to zero mean and unit variance.
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 
 import numpy as np
@@ -54,7 +53,7 @@ def normalize_intensity(vol: ScalarVolume, p_low: float = 1.0, p_high: float = 9
         out = np.full(data.shape, 0.5, dtype=np.float32)
     else:
         out = np.clip((data - lo) / (hi - lo), 0.0, 1.0).astype(np.float32)
-    return FeatureVolume(vol.header, out[..., np.newaxis])
+    return FeatureVolume(out[..., np.newaxis], vol.spacing)
 
 
 _DECILES = np.arange(0.0, 101.0, 10.0)
@@ -87,7 +86,7 @@ def intensity_standardize(vol: ScalarVolume, reference: ScalarVolume) -> ScalarV
     hi_slope = (dst[-1] - dst[-2]) / (src[-1] - src[-2])
     out = np.where(values < src[0], dst[0] + (values - src[0]) * lo_slope, out)
     out = np.where(values > src[-1], dst[-1] + (values - src[-1]) * hi_slope, out)
-    return ScalarVolume(vol.header, out.astype(np.float32))
+    return ScalarVolume(out.astype(np.float32), vol.spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +107,7 @@ def edge_features(vol: ScalarVolume) -> FeatureVolume:
         data = (data - lo) / (hi - lo)
     gz, gy, gx = np.gradient(data, edge_order=1)
     mag = np.sqrt(gx * gx + gy * gy + gz * gz)
-    return FeatureVolume(vol.header, mag.astype(np.float32)[..., np.newaxis])
+    return FeatureVolume(mag.astype(np.float32)[..., np.newaxis], vol.spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +184,7 @@ def ssc_features(vol: ScalarVolume) -> FeatureVolume:
         np.negative(dist, out=dist)
         np.divide(dist, mean_dist, out=dist)
         out[..., k] = np.exp(dist, out=dist)
-    return FeatureVolume(dataclasses.replace(vol.header, channels=12), out)
+    return FeatureVolume(out, vol.spacing)
 
 
 # Built-in descriptors by name, each ScalarVolume -> FeatureVolume with its
@@ -215,5 +214,5 @@ def zscore_channels(fv: FeatureVolume) -> FeatureVolume:
     std = flat.std(axis=0)
     std = np.where(std > 0, std, 1.0)
     out = ((flat - mean) / std).reshape(data.shape).astype(np.float32)
-    return FeatureVolume(fv.header, out)
+    return FeatureVolume(out, fv.spacing)
 

@@ -77,7 +77,7 @@ class LevelParams:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            integral = f.name in ("factor", "patch_radius")
+            integral = f.type == "int"
             if integral:
                 ok = isinstance(value, numbers.Integral)
             else:
@@ -148,9 +148,9 @@ class RegistrationConfig:
         ):
             raise ValueError(f"config levels must be a list of levels, got {self.levels!r}")
         object.__setattr__(self, "levels", tuple(self.levels))
-        for name in ("external_fixed", "external_moving", "standardize_reference"):
-            if not isinstance(getattr(self, name), (str, type(None))):
-                raise ValueError(f"config {name} must be a string, got {getattr(self, name)!r}")
+        for f in fields(self):  # the path fields
+            if f.type == "str | None" and not isinstance(getattr(self, f.name), (str, type(None))):
+                raise ValueError(f"config {f.name} must be a string, got {getattr(self, f.name)!r}")
         if not isinstance(self.standardize, bool):
             raise ValueError(f"config standardize must be true or false, got {self.standardize!r}")
         mb = self.memory_budget_mb
@@ -210,8 +210,7 @@ def compose_fields(coarse_up: DisplacementField, increment: DisplacementField) -
     """Additive composition u(x) = coarse_up(x) + increment(x)."""
     if coarse_up.dims != increment.dims:
         raise ValueError(f"dims mismatch: {coarse_up.dims} vs {increment.dims}")
-    data = coarse_up.data + increment.data
-    return DisplacementField(coarse_up.header, data)
+    return DisplacementField(coarse_up.data + increment.data, coarse_up.spacing)
 
 
 def _featurize(vol: ScalarVolume, feature: str) -> FeatureVolume:
@@ -259,7 +258,7 @@ def register(
     # warping by the zero field returns a volume bit for bit, so level 0
     # warps nothing
     first = cfg.levels[0].factor
-    field = zero_field(level_dims[0], tuple(s * first for s in fixed.header.spacing))
+    field = zero_field(level_dims[0], tuple(s * first for s in fixed.spacing))
     for i, level in enumerate(cfg.levels):
         if cfg.feature == "external":
             f_fix = downsample_features(ext_fixed, level.factor)

@@ -86,13 +86,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from voxelreg.volume import (
-    DisplacementField,
-    FeatureVolume,
-    VolumeHeader,
-    _trilinear_zyx,
-    _warp_coords,
-)
+from voxelreg.volume import DisplacementField, FeatureVolume, warp_features
 
 # dtype of the per-level feature copies, cost maps, SAD scratch and cost volume
 SEARCH_DTYPE = np.dtype(np.float32)
@@ -158,20 +152,17 @@ class CostVolume:
     converted), all entries finite and non-negative.
     """
 
-    dims: tuple[int, int, int]  # (x, y, z) of the fixed grid
     costs: np.ndarray
 
     def __post_init__(self):
         costs = np.asarray(self.costs, dtype=SEARCH_DTYPE)
-        expected = (costs.shape[0], self.dims[2], self.dims[1], self.dims[0])
-        if costs.shape != expected:
-            raise ValueError(f"costs shape {costs.shape} != expected {expected}")
+        if costs.ndim != 4:
+            raise ValueError(f"costs must be 4-D (label, z, y, x), got shape {costs.shape}")
         if not np.isfinite(costs).all() or costs.min(initial=0.0) < 0.0:
             raise ValueError("costs must be finite and non-negative")
         costs = np.ascontiguousarray(costs)
         costs.setflags(write=False)
         object.__setattr__(self, "costs", costs)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
 
     @property
     def label_count(self) -> int:
@@ -370,7 +361,7 @@ def build_dsv(f_fixed: FeatureVolume, f_moving: FeatureVolume, disp: Displacemen
         source = _blend(moving, disp.displacements[labels[0]], blended, scratch)
         for label in labels:
             _label_cost_map(fixed, source, disp.displacements[label], out=costs[label], scratch=scratch)
-    return CostVolume(dims=f_fixed.dims, costs=costs)
+    return CostVolume(costs)
 
 
 # Largest 2-D product, in multiply-adds, that the filters hand to BLAS:
@@ -499,7 +490,7 @@ def aggregate_costs(dsv: CostVolume, patch_radius: int) -> CostVolume:
         raise ValueError("patch_radius must be >= 0")
     if patch_radius == 0:
         return dsv
-    return CostVolume(dims=dsv.dims, costs=_box_sum_map(dsv.costs.copy(), patch_radius))
+    return CostVolume(_box_sum_map(dsv.costs.copy(), patch_radius))
 
 
 def _smooth_map(costs: np.ndarray, sigma: float, scratch=None) -> np.ndarray:
@@ -521,7 +512,7 @@ def regularize_dsv(dsv: CostVolume, smooth_sigma: float) -> CostVolume:
         raise ValueError("smooth_sigma must be >= 0")
     if smooth_sigma == 0:
         return dsv
-    return CostVolume(dims=dsv.dims, costs=_smooth_map(dsv.costs.copy(), smooth_sigma))
+    return CostVolume(_smooth_map(dsv.costs.copy(), smooth_sigma))
 
 
 def winner_takes_all(dsv: CostVolume, disp: DisplacementSet) -> DisplacementField:
@@ -534,9 +525,7 @@ def winner_takes_all(dsv: CostVolume, disp: DisplacementSet) -> DisplacementFiel
     if dsv.label_count != disp.count:
         raise ValueError(f"label_count {dsv.label_count} != |displacements| {disp.count}")
     best = np.argmin(dsv.costs, axis=0)
-    field = disp.displacements[best].astype(np.float32)
-    header = VolumeHeader(dsv.dims, channels=3, dtype="float32")
-    return DisplacementField(header, field)
+    return DisplacementField(disp.displacements[best].astype(np.float32))
 
 
 def _keep_better(cost, label, best_cost, best_label, improved):
@@ -675,10 +664,7 @@ def chunked_dsv_execution(
             list(pool.map(search, range(n_workers)))  # re-raises a worker's exception
         for w in range(1, n_workers):
             _keep_lower(best_cost[w], best_label[w], best_cost[0], best_label[0])
-    best_disp = disp.displacements[best_label[0]].astype(np.float32)
-
-    header = VolumeHeader(f_fixed.dims, channels=3, dtype="float32")
-    return DisplacementField(header, best_disp)
+    return DisplacementField(disp.displacements[best_label[0]].astype(np.float32))
 
 
 def energy(f_fixed: FeatureVolume, f_moving: FeatureVolume, field: DisplacementField, alpha: float) -> float:
@@ -694,7 +680,7 @@ def energy(f_fixed: FeatureVolume, f_moving: FeatureVolume, field: DisplacementF
     _check_feature_pair(f_fixed, f_moving)
     if field.dims != f_fixed.dims:
         raise ValueError(f"field dims {field.dims} != volume dims {f_fixed.dims}")
-    warped = _trilinear_zyx(f_moving.data, _warp_coords(field.dims, field.data))
+    warped = warp_features(f_moving, field).data
     data_term = float(np.abs(f_fixed.data.astype(np.float64) - warped).sum())
 
     grad_term = 0.0

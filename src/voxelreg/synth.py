@@ -48,7 +48,7 @@ def smooth_random_volume(dims, seed: int, sigma: float = 2.5) -> ScalarVolume:
     data = ndimage.gaussian_filter(noise, sigma)
     lo, hi = data.min(), data.max()
     data = (data - lo) / (hi - lo)
-    return ScalarVolume(header, data.astype(np.float32))
+    return ScalarVolume(data.astype(np.float32))
 
 
 def translation_field(dims, t) -> DisplacementField:
@@ -56,8 +56,8 @@ def translation_field(dims, t) -> DisplacementField:
     t = np.asarray(t, dtype=np.float32)
     if t.shape != (3,):
         raise ValueError("translation must be a 3-vector (tx, ty, tz)")
-    header = VolumeHeader(tuple(dims), channels=3)
-    return DisplacementField(header, np.broadcast_to(t, header.shape_zyx + (3,)).copy())
+    header = VolumeHeader(tuple(dims))
+    return DisplacementField(np.broadcast_to(t, header.shape_zyx + (3,)).copy())
 
 
 def sinusoid_field(dims, amplitude: float, period: float, seed: int) -> DisplacementField:
@@ -69,7 +69,7 @@ def sinusoid_field(dims, amplitude: float, period: float, seed: int) -> Displace
     """
     if period <= 0:
         raise ValueError("period must be > 0")
-    header = VolumeHeader(tuple(dims), channels=3)
+    header = VolumeHeader(tuple(dims))
     rng = np.random.default_rng(seed)
     zz, yy, xx = np.indices(header.shape_zyx, dtype=np.float64, sparse=True)
     w = 2.0 * np.pi / period
@@ -77,7 +77,7 @@ def sinusoid_field(dims, amplitude: float, period: float, seed: int) -> Displace
     for _ in range(3):
         p1, p2, p3 = rng.uniform(0, 2 * np.pi, size=3)
         comps.append(amplitude * np.sin(w * xx + p1) * np.sin(w * yy + p2) * np.sin(w * zz + p3))
-    return DisplacementField(header, np.stack(comps, axis=-1).astype(np.float32))
+    return DisplacementField(np.stack(comps, axis=-1).astype(np.float32))
 
 
 def blob_labels(
@@ -93,7 +93,7 @@ def blob_labels(
     a structure can in principle vanish; callers that need the effective
     label set should read it from the volume.
     """
-    header = VolumeHeader(tuple(dims), dtype="int32")
+    header = VolumeHeader(tuple(dims))
     _check_blobs(num_structures, min_radius, max_radius)
     rng = np.random.default_rng(seed)
     nz, ny, nx = header.shape_zyx
@@ -106,7 +106,7 @@ def blob_labels(
         cx = rng.uniform(r, max(nx - 1 - r, r))
         mask = (zz - cz) ** 2 + (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
         data[mask] = label
-    return LabelVolume(header, data)
+    return LabelVolume(data)
 
 
 def make_pair(

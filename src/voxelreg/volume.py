@@ -9,8 +9,11 @@ In memory, payloads are numpy arrays of shape ``(z, y, x)`` (scalar/label)
 or ``(z, y, x, C)`` (feature volumes, displacement fields), which is the
 same element order as the file; labels are int32, all else float32. The
 four container classes share one base, ``Volume``, that checks and
-freezes the payload; ``load_volume`` picks the class from the kind
-table ``KINDS``. Every operation here is a pure function.
+freezes the payload. A volume is built from its array and spacing,
+``FeatureVolume(array, spacing)`` (a label volume also takes the integer
+dtype it is saved as), and derives its ``VolumeHeader``, the sidecar's
+contents. ``load_volume`` picks the class from the kind table ``KINDS``.
+Every operation here is a pure function.
 
 Warping is backward/pull: ``output(x) = moving(x + u(x))``. Warps and
 the energy's data term sample through ``ndimage.map_coordinates`` with
@@ -32,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field as dataclass_field
 from pathlib import Path
 from typing import ClassVar, Sequence
 
@@ -122,36 +125,41 @@ class VolumeHeader:
 class Volume:
     """Base of the four volume kinds; construct those, not this class.
 
-    The one copy of their validation. Subclasses set ``n_channels`` (1
-    means no channel axis) and override ``_cast``/``_check_payload``.
+    A volume is its array and its spacing (mm per voxel, x, y, z); its
+    header is derived from them and its saved ``dtype``, so it cannot
+    disagree with the array. The one copy of the kinds' validation.
+    Subclasses set ``n_channels`` (1 means a 3-D array, any other value
+    a 4-D one with a channel axis) and override ``_cast``/``_check_payload``.
     """
 
-    header: VolumeHeader
     data: np.ndarray
+    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    dtype: str = dataclass_field(default="float32", init=False)  # saved dtype; labels choose it
+    header: VolumeHeader = dataclass_field(init=False, repr=False)
 
     n_channels: ClassVar[int | None] = None  # required channel count; None allows any
 
     def __post_init__(self):
-        if self.n_channels is not None and self.header.channels != self.n_channels:
-            raise ValueError(f"{type(self).__name__} requires channels == {self.n_channels}")
         data = self._cast(self.data)
-        expected = self.header.shape_zyx
-        if self.n_channels != 1:
-            expected += (self.header.channels,)
-        if data.shape != expected:
-            raise ValueError(f"data shape {data.shape} != header shape {expected}")
+        channels = data.shape[3] if data.ndim == 4 else 1
+        if self.n_channels is not None and channels != self.n_channels:
+            raise ValueError(f"{type(self).__name__} requires channels == {self.n_channels}")
+        rank = 3 if self.n_channels == 1 else 4
+        if data.ndim != rank:
+            raise ValueError(f"{type(self).__name__} data must be {rank}-D, got shape {data.shape}")
+        header = VolumeHeader(data.shape[2::-1], self.spacing, channels, self.dtype)
         self._check_payload(data)
         data = np.ascontiguousarray(data)
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "spacing", header.spacing)
+        object.__setattr__(self, "header", header)
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.header.dims
 
     def _cast(self, data) -> np.ndarray:
-        if self.header.dtype != "float32":
-            raise ValueError(f"{type(self).__name__} requires dtype float32, got {self.header.dtype}")
         return np.asarray(data, dtype=np.float32)
 
     def _check_payload(self, data: np.ndarray):
@@ -179,11 +187,13 @@ class FeatureVolume(Volume):
 class LabelVolume(Volume):
     """Integer-labeled segmentation, shape (z, y, x), int32; 0 = background."""
 
+    dtype: str = "int32"  # the integer dtype the labels are saved as
+
     n_channels = 1
 
     def _cast(self, data) -> np.ndarray:
-        if self.header.dtype not in _INTEGER_DTYPES:
-            raise ValueError(f"LabelVolume requires an integer dtype, got {self.header.dtype}")
+        if self.dtype not in _INTEGER_DTYPES:
+            raise ValueError(f"LabelVolume requires an integer dtype, got {self.dtype}")
         data = np.asarray(data)
         if not np.issubdtype(data.dtype, np.integer):
             raise ValueError("label data must be integer")
@@ -207,8 +217,8 @@ class DisplacementField(Volume):
 
 
 def zero_field(dims: Sequence[int], spacing: Sequence[float] = (1.0, 1.0, 1.0)) -> DisplacementField:
-    header = VolumeHeader(dims=tuple(dims), spacing=tuple(spacing), channels=3, dtype="float32")
-    return DisplacementField(header, np.zeros(header.shape_zyx + (3,), dtype=np.float32))
+    shape = VolumeHeader(tuple(dims)).shape_zyx  # checks dims before allocating
+    return DisplacementField(np.zeros(shape + (3,), dtype=np.float32), tuple(spacing))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +245,8 @@ def load_volume(path, kind: str = "auto") -> Volume:
 
     ``path`` may name the payload, the sidecar, or the common stem.
     ``kind`` picks the class from the kind table ``KINDS``; every kind but
-    "label" gets a float32 header and payload. ``kind="auto"`` infers it
+    "label" reads its payload as float32, and a label volume keeps the
+    sidecar's dtype. ``kind="auto"`` infers it
     from the header: integer dtypes load as LabelVolume, float with
     channels == 1 as ScalarVolume, and float with any other channel count,
     3 included, as FeatureVolume. A payload the class rejects raises a
@@ -266,12 +277,11 @@ def load_volume(path, kind: str = "auto") -> Volume:
     if kind not in KINDS:
         raise ValueError(f"{payload}: unknown kind {kind!r}, expected one of {sorted(KINDS)}")
     cls = KINDS[kind]
-    if cls is not LabelVolume:
-        header = VolumeHeader(header.dims, header.spacing, header.channels, "float32")
     # a wrong channel count keeps its axis, so the class reports the count
     channel_axis = () if cls.n_channels == header.channels == 1 else (header.channels,)
+    label_dtype = (header.dtype,) if cls is LabelVolume else ()
     try:
-        return cls(header, raw.reshape(header.shape_zyx + channel_axis))
+        return cls(raw.reshape(header.shape_zyx + channel_axis), header.spacing, *label_dtype)
     except NonFiniteDataError as exc:
         raise NonFiniteDataError(f"{payload}: {exc}") from exc
     except ValueError as exc:
@@ -340,8 +350,7 @@ def warp_scalar(
     if field.dims != moving.dims:
         raise ValueError(f"field dims {field.dims} != volume dims {moving.dims}")
     out = _trilinear_zyx(moving.data, _warp_coords(field.dims, field.data), np.float32)
-    header = VolumeHeader(field.dims, moving.header.spacing, moving.header.channels, "float32")
-    return type(moving)(header, out)
+    return type(moving)(out, moving.spacing)
 
 
 warp_features = warp_scalar
@@ -359,7 +368,7 @@ def warp_labels(labels: LabelVolume, field: DisplacementField) -> LabelVolume:
     zi = np.clip(np.floor(zc + 0.5).astype(np.intp), 0, nz - 1)
     yi = np.clip(np.floor(yc + 0.5).astype(np.intp), 0, ny - 1)
     xi = np.clip(np.floor(xc + 0.5).astype(np.intp), 0, nx - 1)
-    return LabelVolume(labels.header, labels.data[zi, yi, xi])
+    return LabelVolume(labels.data[zi, yi, xi], labels.spacing, labels.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +400,7 @@ def downsample(vol: ScalarVolume | FeatureVolume, factor: int) -> ScalarVolume |
     for axis in range(3):  # a channel axis is never filtered
         out = ndimage.gaussian_filter1d(out, 0.5 * factor, axis=axis, output=np.float64, mode="nearest")
         out = out[(slice(None),) * axis + (slice(None, None, factor),)]
-    dims = downsampled_dims(vol.header.dims, factor)
-    spacing = tuple(s * factor for s in vol.header.spacing)
-    header = VolumeHeader(dims, spacing, vol.header.channels, "float32")
-    return type(vol)(header, out.astype(np.float32))
+    return type(vol)(out.astype(np.float32), tuple(s * factor for s in vol.spacing))
 
 
 downsample_features = downsample
@@ -459,6 +465,4 @@ def upsample_field(field: DisplacementField, factor: int, target_dims: Sequence[
             slab *= factor
             slab += 0.0  # -0.0 becomes 0.0, as in map_coordinates' sum from 0.0
             out[planes, :, :, c] = slab
-    spacing = tuple(s / factor for s in field.header.spacing)
-    header = VolumeHeader(target_dims, spacing, 3, "float32")
-    return DisplacementField(header, out)
+    return DisplacementField(out, tuple(s / factor for s in field.spacing))

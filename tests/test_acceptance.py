@@ -27,7 +27,6 @@ from voxelreg.volume import (
     FeatureVolume,
     LabelVolume,
     ScalarVolume,
-    VolumeHeader,
     save_volume,
     warp_labels,
     zero_field,
@@ -64,7 +63,7 @@ def smooth_feature_pair(seed, n=6, channels=2, sigma=1.2):
             [ndimage.gaussian_filter(rng.standard_normal((n, n, n)), sigma) for _ in range(channels)],
             axis=-1,
         ).astype(np.float32)
-        return FeatureVolume(VolumeHeader((n, n, n), channels=channels), data)
+        return FeatureVolume(data)
 
     return mk(), mk()
 
@@ -129,14 +128,8 @@ def test_criterion_03_dsv_bruteforce_equivalence():
     disp_rows = ds.displacements.tolist()
     for trial in range(100):
         rng = np.random.default_rng(2000 + trial)
-        f_fixed = FeatureVolume(
-            VolumeHeader((8, 8, 8), channels=2),
-            rng.uniform(0, 1, size=(8, 8, 8, 2)).astype(np.float32),
-        )
-        f_moving = FeatureVolume(
-            VolumeHeader((8, 8, 8), channels=2),
-            rng.uniform(0, 1, size=(8, 8, 8, 2)).astype(np.float32),
-        )
+        f_fixed = FeatureVolume(rng.uniform(0, 1, size=(8, 8, 8, 2)).astype(np.float32))
+        f_moving = FeatureVolume(rng.uniform(0, 1, size=(8, 8, 8, 2)).astype(np.float32))
         dsv = regcore.build_dsv(f_fixed, f_moving, ds)
         want_costs = dsv_oracle(f_fixed.data, f_moving.data, disp_rows)
         assert np.abs(dsv.costs - want_costs).max() < 1e-5, trial
@@ -200,7 +193,7 @@ def test_criterion_05_ssc_affine_invariance():
         for _ in range(5):
             a = float(np.exp(rng.uniform(np.log(0.5), np.log(2.0))))
             b = float(rng.uniform(-2.0, 2.0))
-            scaled = ScalarVolume(vol.header, a * vol.data + b)
+            scaled = ScalarVolume(a * vol.data + b, vol.spacing)
             dev = float(np.abs(ssc_features(scaled).data - base).max())
             worst = max(worst, dev)
             assert dev < 1e-5, (trial, a, b, dev)
@@ -213,9 +206,7 @@ def test_criterion_05_ssc_affine_invariance():
 
 def test_criterion_06_jaccard_correctness():
     def labels_of(arr):
-        arr = np.asarray(arr, dtype=np.int32)
-        nz, ny, nx = arr.shape
-        return LabelVolume(VolumeHeader((nx, ny, nz), dtype="int32"), arr)
+        return LabelVolume(np.asarray(arr, dtype=np.int32))
 
     same = labels_of(np.ones((3, 3, 3)))
     assert jaccard(same, same, 1) == 100.0

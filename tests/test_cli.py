@@ -223,14 +223,14 @@ def test_register_zscore_external_is_usage_error(tmp_path):
 def test_register_external_features_that_overflow_costs_is_one_line_error(tmp_path):
     # finite features whose box-summed SAD overflows float32 are refused, not
     # searched into an all-zero field
-    from voxelreg.volume import FeatureVolume, VolumeHeader
+    from voxelreg.volume import FeatureVolume
 
     rng = np.random.default_rng(15)
     vol = smooth_random_volume((8, 8, 8), seed=15)
     save_volume(vol, tmp_path / "vol")
     for name in ("ef", "em"):
         data = (1e37 * rng.choice([-1.0, 1.0], (8, 8, 8, 2))).astype(np.float32)
-        save_volume(FeatureVolume(VolumeHeader((8, 8, 8), channels=2), data), tmp_path / name)
+        save_volume(FeatureVolume(data), tmp_path / name)
     res = run_cli(
         "register", "--fixed", tmp_path / "vol", "--moving", tmp_path / "vol",
         "--out-field", tmp_path / "field", "--levels", "1:1:1:1:1", "--feature", "external",
@@ -390,9 +390,9 @@ def test_register_ignores_budget_env(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_features_ssc_of_constant_is_all_ones(tmp_path):
-    from voxelreg.volume import ScalarVolume, VolumeHeader
+    from voxelreg.volume import ScalarVolume
 
-    vol = ScalarVolume(VolumeHeader((8, 8, 8)), np.full((8, 8, 8), 2.0, dtype=np.float32))
+    vol = ScalarVolume(np.full((8, 8, 8), 2.0, dtype=np.float32))
     save_volume(vol, tmp_path / "const")
     res = run_cli("features", "--in", tmp_path / "const", "--descriptor", "ssc",
                   "--out", tmp_path / "ssc")
@@ -403,11 +403,11 @@ def test_features_ssc_of_constant_is_all_ones(tmp_path):
 
 
 def test_features_edge_of_ramp_is_constant_interior(tmp_path):
-    from voxelreg.volume import ScalarVolume, VolumeHeader
+    from voxelreg.volume import ScalarVolume
 
     nx = 8
     ramp = np.broadcast_to(np.arange(nx, dtype=np.float32), (nx, nx, nx)).copy()
-    save_volume(ScalarVolume(VolumeHeader((nx, nx, nx)), ramp), tmp_path / "ramp")
+    save_volume(ScalarVolume(ramp), tmp_path / "ramp")
     res = run_cli("features", "--in", tmp_path / "ramp", "--descriptor", "edge",
                   "--out", tmp_path / "edge")
     assert res.returncode == 0, res.stderr
@@ -426,6 +426,25 @@ def test_features_intensity_passes_percentiles(tmp_path):
     assert not np.array_equal(got, normalize_intensity(vol).data)
 
 
+@pytest.mark.parametrize(
+    "flags, needle",
+    [
+        (["--descriptor", "intensity", "--p-low", "99", "--p-high", "1"],
+         "need 0 <= p_low < p_high <= 100, got 99.0, 1.0"),
+        # every other descriptor ignored the flags and wrote the same bytes
+        (["--descriptor", "ssc", "--p-low", "5"], "--p-low/--p-high apply only to intensity, not ssc"),
+        (["--descriptor", "external", "--p-high", "95"],
+         "--p-low/--p-high apply only to intensity, not external"),
+    ],
+    ids=["reversed", "ssc", "external"],
+)
+def test_features_bad_percentile_flags_are_one_line_errors(tmp_path, flags, needle):
+    save_volume(smooth_random_volume((8, 8, 8), seed=17), tmp_path / "vol")
+    res = run_cli("features", "--in", tmp_path / "vol", "--out", tmp_path / "out", *flags)
+    assert_one_line_error(res, needle)
+    assert not (tmp_path / "out.raw").exists()
+
+
 def test_features_unknown_descriptor_is_usage_error(tmp_path):
     res = run_cli("features", "--in", tmp_path / "x", "--descriptor", "gabor",
                   "--out", tmp_path / "y")
@@ -434,10 +453,10 @@ def test_features_unknown_descriptor_is_usage_error(tmp_path):
 
 def test_features_external_passthrough_with_zscore(tmp_path):
     rng = np.random.default_rng(13)
-    from voxelreg.volume import FeatureVolume, VolumeHeader
+    from voxelreg.volume import FeatureVolume
 
     data = rng.normal(5, 2, size=(6, 6, 6, 4)).astype(np.float32)
-    save_volume(FeatureVolume(VolumeHeader((6, 6, 6), channels=4), data), tmp_path / "ext")
+    save_volume(FeatureVolume(data), tmp_path / "ext")
     res = run_cli("features", "--in", tmp_path / "ext", "--descriptor", "external",
                   "--out", tmp_path / "z", "--zscore")
     assert res.returncode == 0, res.stderr
@@ -477,14 +496,14 @@ def test_evaluate_identical_labels_scores_hundred(translation_case, tmp_path):
 
 
 def test_evaluate_disjoint_labels_scores_zero(tmp_path):
-    from voxelreg.volume import LabelVolume, VolumeHeader
+    from voxelreg.volume import LabelVolume
 
     a = np.zeros((4, 4, 4), dtype=np.int32)
     b = np.zeros((4, 4, 4), dtype=np.int32)
     a[0] = 1
     b[3] = 1
-    save_volume(LabelVolume(VolumeHeader((4, 4, 4), dtype="int32"), a), tmp_path / "a")
-    save_volume(LabelVolume(VolumeHeader((4, 4, 4), dtype="int32"), b), tmp_path / "b")
+    save_volume(LabelVolume(a), tmp_path / "a")
+    save_volume(LabelVolume(b), tmp_path / "b")
     res = run_cli("evaluate", "--fixed-labels", tmp_path / "a", "--warped-labels", tmp_path / "b",
                   "--out-report", tmp_path / "report.json")
     assert res.returncode == 0, res.stderr
@@ -626,6 +645,12 @@ def test_batch_manifest_parse_failure_errors(tmp_path):
         ({"config": {"memory_budget_mb": 0}, "pairs": [{"pair_id": "p", "fixed": "f",
           "moving": "m", "fixed_labels": "fl", "moving_labels": "ml"}]},
          "config memory_budget_mb must be positive, got 0"),
+        # a misspelt key would otherwise run with its default
+        ({"outptu_dir": "out", "volumes": [{"id": 1, "image": "a", "labels": "b"}]},
+         "unknown manifest key(s) ['outptu_dir']"),
+        ({"pairs": [], "pair_mode": "include-self"},
+         "manifest pair_mode applies only to 'volumes', not 'pairs'"),
+        ({"pairs": [], "volumes": []}, "manifest needs exactly one of 'pairs' and 'volumes'"),
     ],
 )
 def test_batch_manifest_bad_shape_is_one_line_error(tmp_path, manifest, needle):

@@ -17,13 +17,7 @@ from voxelreg.evaluation import (
     write_report_json,
 )
 from voxelreg.synth import blob_labels
-from voxelreg.volume import LabelVolume, VolumeHeader
-
-
-def make_labels(data):
-    data = np.asarray(data, dtype=np.int32)
-    nz, ny, nx = data.shape
-    return LabelVolume(VolumeHeader((nx, ny, nz), dtype="int32"), data)
+from voxelreg.volume import LabelVolume
 
 
 # ---------------------------------------------------------------------------
@@ -31,13 +25,13 @@ def make_labels(data):
 # ---------------------------------------------------------------------------
 
 def test_jaccard_identical_masks():
-    labels = make_labels(np.array([[[0, 1, 1, 0]]]))
+    labels = LabelVolume(np.array([[[0, 1, 1, 0]]]))
     assert jaccard(labels, labels, 1) == 100.0
 
 
 def test_jaccard_disjoint_masks():
-    a = make_labels(np.array([[[1, 1, 0, 0]]]))
-    b = make_labels(np.array([[[0, 0, 1, 1]]]))
+    a = LabelVolume(np.array([[[1, 1, 0, 0]]]))
+    b = LabelVolume(np.array([[[0, 0, 1, 1]]]))
     assert jaccard(a, b, 1) == 0.0
 
 
@@ -47,14 +41,14 @@ def test_jaccard_partial_overlap_formula():
     b = np.zeros((1, 1, 20), dtype=np.int32)
     a[0, 0, 0:10] = 1
     b[0, 0, 5:15] = 1
-    got = jaccard(make_labels(a), make_labels(b), 1)
+    got = jaccard(LabelVolume(a), LabelVolume(b), 1)
     assert got == pytest.approx(100.0 * 5 / 15, abs=0.01)
 
 
 def test_jaccard_matches_intersection_over_union_of_masks():
     rng = np.random.default_rng(3)
-    a = make_labels(rng.integers(0, 5, size=(6, 7, 8)))
-    b = make_labels(rng.integers(0, 5, size=(6, 7, 8)))
+    a = LabelVolume(rng.integers(0, 5, size=(6, 7, 8)))
+    b = LabelVolume(rng.integers(0, 5, size=(6, 7, 8)))
     for label in range(1, 5):
         mask_a, mask_b = a.data == label, b.data == label
         want = 100.0 * np.logical_and(mask_a, mask_b).sum() / np.logical_or(mask_a, mask_b).sum()
@@ -63,34 +57,34 @@ def test_jaccard_matches_intersection_over_union_of_masks():
 
 
 def test_jaccard_empty_in_both_is_skipped():
-    a = make_labels(np.zeros((2, 2, 2), dtype=np.int32))
+    a = LabelVolume(np.zeros((2, 2, 2), dtype=np.int32))
     assert jaccard(a, a, 3) is None
 
 
 def test_jaccard_empty_in_one_scores_zero():
-    a = make_labels(np.ones((2, 2, 2), dtype=np.int32))
-    b = make_labels(np.zeros((2, 2, 2), dtype=np.int32))
+    a = LabelVolume(np.ones((2, 2, 2), dtype=np.int32))
+    b = LabelVolume(np.zeros((2, 2, 2), dtype=np.int32))
     assert jaccard(a, b, 1) == 0.0
 
 
 def test_jaccard_rejects_dim_mismatch():
-    a = make_labels(np.zeros((2, 2, 2), dtype=np.int32))
-    b = make_labels(np.zeros((3, 3, 3), dtype=np.int32))
+    a = LabelVolume(np.zeros((2, 2, 2), dtype=np.int32))
+    b = LabelVolume(np.zeros((3, 3, 3), dtype=np.int32))
     with pytest.raises(ValueError):
         jaccard(a, b, 1)
 
 
 def test_jaccard_is_symmetric():
     rng = np.random.default_rng(80)
-    a = make_labels(rng.integers(0, 4, size=(5, 5, 5)))
-    b = make_labels(rng.integers(0, 4, size=(5, 5, 5)))
+    a = LabelVolume(rng.integers(0, 4, size=(5, 5, 5)))
+    b = LabelVolume(rng.integers(0, 4, size=(5, 5, 5)))
     for label in (1, 2, 3):
         assert jaccard(a, b, label) == jaccard(b, a, label)
 
 
 def test_jaccard_self_is_hundred_for_nonempty():
     rng = np.random.default_rng(81)
-    a = make_labels(rng.integers(0, 4, size=(5, 5, 5)))
+    a = LabelVolume(rng.integers(0, 4, size=(5, 5, 5)))
     for label in (1, 2, 3):
         assert jaccard(a, a, label) == 100.0
 
@@ -106,7 +100,7 @@ def test_mean_pair_two_structures():
     b[0, 0, 2:5] = 1  # inter {2,3} = 2, union {0..4} = 5 -> 40
     a[0, 0, 10:13] = 2
     b[0, 0, 10:15] = 2  # inter 3, union 5 -> 60
-    mean, per = mean_jc_pair(make_labels(a), make_labels(b), [1, 2])
+    mean, per = mean_jc_pair(LabelVolume(a), LabelVolume(b), [1, 2])
     assert per[1] == pytest.approx(40.0)
     assert per[2] == pytest.approx(60.0)
     assert mean == pytest.approx(50.0)
@@ -117,19 +111,19 @@ def test_mean_pair_skips_absent_structures():
     a[0, 0, 0:5] = 1
     b = a.copy()
     b[0, 0, 4] = 0  # inter 4, union 5 -> 80
-    mean, per = mean_jc_pair(make_labels(a), make_labels(b), [1, 7])
+    mean, per = mean_jc_pair(LabelVolume(a), LabelVolume(b), [1, 7])
     assert 7 not in per
     assert mean == pytest.approx(80.0)
 
 
 def test_mean_pair_rejects_effectively_empty_list():
-    a = make_labels(np.zeros((2, 2, 2), dtype=np.int32))
+    a = LabelVolume(np.zeros((2, 2, 2), dtype=np.int32))
     with pytest.raises(ValueError):
         mean_jc_pair(a, a, [1, 2, 3])
 
 
 def test_mean_pair_excludes_background():
-    a = make_labels(np.zeros((2, 2, 2), dtype=np.int32))
+    a = LabelVolume(np.zeros((2, 2, 2), dtype=np.int32))
     with pytest.raises(ValueError):
         mean_jc_pair(a, a, [0])
 
@@ -141,7 +135,7 @@ def test_mean_pair_130_structures_matches_loop_oracle():
     # corrupt a random subset of voxels to create partial overlaps
     mask = rng.uniform(size=noise.shape) < 0.1
     noise[mask] = rng.integers(0, 131, size=int(mask.sum()))
-    moved = make_labels(noise)
+    moved = LabelVolume(noise)
 
     labels = sorted(set(np.unique(fixed.data)) | set(np.unique(moved.data)))
     labels = [l for l in labels if l != 0]

@@ -21,16 +21,9 @@ from voxelreg.volume import (
     FeatureVolume,
     NonFiniteDataError,
     ScalarVolume,
-    VolumeHeader,
     load_volume,
     save_volume,
 )
-
-
-def make_scalar(data):
-    data = np.asarray(data, dtype=np.float32)
-    nz, ny, nx = data.shape
-    return ScalarVolume(VolumeHeader((nx, ny, nz)), data)
 
 
 def smooth_noise(rng, shape, sigma=1.5):
@@ -45,19 +38,19 @@ def smooth_noise(rng, shape, sigma=1.5):
 
 def test_normalize_full_range_is_linear():
     vals = np.arange(100, dtype=np.float32).reshape(4, 5, 5)
-    out = normalize_intensity(make_scalar(vals), 0.0, 100.0)
+    out = normalize_intensity(ScalarVolume(vals), 0.0, 100.0)
     assert np.allclose(out.data[..., 0], vals / 99.0, atol=1e-7)
 
 
 def test_normalize_constant_volume_warns_and_returns_half():
-    vol = make_scalar(np.full((3, 3, 3), 7.0))
+    vol = ScalarVolume(np.full((3, 3, 3), 7.0))
     with pytest.warns(DegenerateInputWarning):
         out = normalize_intensity(vol, 1.0, 99.0)
     assert np.all(out.data == 0.5)
 
 
 def test_normalize_bad_percentiles_rejected():
-    vol = make_scalar(np.zeros((2, 2, 2)))
+    vol = ScalarVolume(np.zeros((2, 2, 2)))
     with pytest.raises(ValueError):
         normalize_intensity(vol, 50.0, 50.0)
     with pytest.raises(ValueError):
@@ -78,7 +71,7 @@ def percentile_oracle(values, p):
 def test_normalize_matches_sort_based_oracle():
     rng = np.random.default_rng(21)
     data = rng.uniform(-50, 120, size=(6, 7, 8)).astype(np.float32)
-    out = normalize_intensity(make_scalar(data), 1.0, 99.0)
+    out = normalize_intensity(ScalarVolume(data), 1.0, 99.0)
     lo = percentile_oracle(data, 1.0)
     hi = percentile_oracle(data, 99.0)
     want = np.clip((data.astype(np.float64) - lo) / (hi - lo), 0.0, 1.0)
@@ -89,7 +82,7 @@ def test_normalize_output_always_in_unit_interval():
     rng = np.random.default_rng(22)
     for _ in range(5):
         data = rng.normal(scale=rng.uniform(0.1, 100), size=(5, 5, 5)).astype(np.float32)
-        out = normalize_intensity(make_scalar(data), 2.0, 98.0)
+        out = normalize_intensity(ScalarVolume(data), 2.0, 98.0)
         assert out.data.min() >= 0.0 and out.data.max() <= 1.0
 
 
@@ -99,7 +92,7 @@ def test_normalize_output_always_in_unit_interval():
 
 def test_standardize_self_is_identity():
     rng = np.random.default_rng(23)
-    vol = make_scalar(rng.uniform(0, 100, size=(6, 6, 6)).astype(np.float32))
+    vol = ScalarVolume(rng.uniform(0, 100, size=(6, 6, 6)).astype(np.float32))
     out = intensity_standardize(vol, vol)
     assert np.allclose(out.data, vol.data, atol=1e-5)
 
@@ -107,8 +100,8 @@ def test_standardize_self_is_identity():
 def test_standardize_doubled_volume_recovers_reference_deciles():
     rng = np.random.default_rng(24)
     ref_data = rng.uniform(10, 200, size=(7, 7, 7)).astype(np.float32)
-    ref = make_scalar(ref_data)
-    vol = make_scalar(ref_data * 2.0)
+    ref = ScalarVolume(ref_data)
+    vol = ScalarVolume(ref_data * 2.0)
     out = intensity_standardize(vol, ref)
 
     thresh = percentile_oracle(out.data, 5.0)
@@ -120,8 +113,8 @@ def test_standardize_doubled_volume_recovers_reference_deciles():
 
 
 def test_standardize_constant_input_errors():
-    ref = make_scalar(np.arange(27, dtype=np.float32).reshape(3, 3, 3))
-    const = make_scalar(np.full((3, 3, 3), 5.0))
+    ref = ScalarVolume(np.arange(27, dtype=np.float32).reshape(3, 3, 3))
+    const = ScalarVolume(np.full((3, 3, 3), 5.0))
     with pytest.raises(ValueError):
         intensity_standardize(const, ref)
     with pytest.raises(ValueError):
@@ -130,8 +123,8 @@ def test_standardize_constant_input_errors():
 
 def test_standardize_output_deciles_within_two_percent_of_reference():
     rng = np.random.default_rng(25)
-    ref = make_scalar((smooth_noise(rng, (10, 10, 10)) * 80 + 100))
-    vol = make_scalar((smooth_noise(rng, (10, 10, 10)) * 55 + 30))
+    ref = ScalarVolume((smooth_noise(rng, (10, 10, 10)) * 80 + 100))
+    vol = ScalarVolume((smooth_noise(rng, (10, 10, 10)) * 55 + 30))
     out = intensity_standardize(vol, ref)
 
     def foreground_deciles(data):
@@ -148,20 +141,20 @@ def test_standardize_output_deciles_within_two_percent_of_reference():
 # ---------------------------------------------------------------------------
 
 def test_edge_constant_volume_is_zero():
-    out = edge_features(make_scalar(np.full((4, 4, 4), 3.0)))
+    out = edge_features(ScalarVolume(np.full((4, 4, 4), 3.0)))
     assert np.all(out.data == 0.0)
 
 
 def test_edge_ramp_has_uniform_magnitude():
     nx, ny, nz = 6, 5, 4
     ramp = np.broadcast_to(np.arange(nx, dtype=np.float32) / (nx - 1), (nz, ny, nx)).copy()
-    out = edge_features(make_scalar(ramp))
+    out = edge_features(ScalarVolume(ramp))
     assert np.allclose(out.data[..., 0], 1.0 / (nx - 1), atol=1e-7)
 
 
 def test_edge_rejects_tiny_volume():
     with pytest.raises(ValueError):
-        edge_features(make_scalar(np.zeros((2, 4, 4))))
+        edge_features(ScalarVolume(np.zeros((2, 4, 4))))
 
 
 def edge_oracle(data):
@@ -200,7 +193,7 @@ def edge_oracle(data):
 def test_edge_matches_finite_difference_oracle():
     rng = np.random.default_rng(26)
     data = rng.uniform(0, 10, size=(4, 5, 6)).astype(np.float32)
-    out = edge_features(make_scalar(data))
+    out = edge_features(ScalarVolume(data))
     want = edge_oracle(data)
     assert np.array_equal(out.data[..., 0], want.astype(np.float32))
 
@@ -218,29 +211,29 @@ def test_ssc_pair_table_shape():
 
 
 def test_ssc_constant_volume_is_all_ones():
-    out = ssc_features(make_scalar(np.full((5, 5, 5), 4.0)))
+    out = ssc_features(ScalarVolume(np.full((5, 5, 5), 4.0)))
     assert out.channels == 12
     assert np.all(out.data == 1.0)
 
 
 def test_ssc_range_is_zero_one():
     rng = np.random.default_rng(27)
-    out = ssc_features(make_scalar(smooth_noise(rng, (6, 6, 6))))
+    out = ssc_features(ScalarVolume(smooth_noise(rng, (6, 6, 6))))
     assert out.data.min() > 0.0
     assert out.data.max() <= 1.0
 
 
 def test_ssc_rejects_tiny_volume():
     with pytest.raises(ValueError):
-        ssc_features(make_scalar(np.zeros((4, 5, 5))))
+        ssc_features(ScalarVolume(np.zeros((4, 5, 5))))
 
 
 def test_ssc_affine_intensity_invariance():
     rng = np.random.default_rng(28)
     vol = smooth_noise(rng, (7, 7, 7))
-    base = ssc_features(make_scalar(vol)).data
+    base = ssc_features(ScalarVolume(vol)).data
     for a, b in [(2.0, 0.0), (0.5, 3.0), (3.7, -11.0)]:
-        other = ssc_features(make_scalar(a * vol + b)).data
+        other = ssc_features(ScalarVolume(a * vol + b)).data
         assert np.abs(other - base).max() < 1e-5
 
 
@@ -284,7 +277,7 @@ def ssc_oracle(data, patch_radius=1, noise_floor=1e-6):
 def test_ssc_single_bright_voxel_matches_bruteforce():
     data = np.zeros((5, 5, 5), dtype=np.float32)
     data[2, 2, 2] = 1.0
-    got = ssc_features(make_scalar(data)).data
+    got = ssc_features(ScalarVolume(data)).data
     want = ssc_oracle(data)
     neighbors = [(2 + o[0], 2 + o[1], 2 + o[2]) for o in SIX_NEIGHBORHOOD]
     for z, y, x in neighbors:
@@ -294,7 +287,7 @@ def test_ssc_single_bright_voxel_matches_bruteforce():
 def test_ssc_random_volume_matches_bruteforce():
     rng = np.random.default_rng(29)
     data = rng.uniform(0, 1, size=(5, 6, 5)).astype(np.float32)
-    got = ssc_features(make_scalar(data)).data
+    got = ssc_features(ScalarVolume(data)).data
     want = ssc_oracle(data)
     assert np.allclose(got, want, atol=1e-6)
 
@@ -321,7 +314,7 @@ def ssc_whole_array(data):
 def test_ssc_per_channel_equals_whole_array_bit_for_bit(shape):
     rng = np.random.default_rng(31)
     for data in (smooth_noise(rng, shape), rng.uniform(0, 1, size=shape).astype(np.float32)):
-        got = ssc_features(make_scalar(data)).data
+        got = ssc_features(ScalarVolume(data)).data
         assert np.array_equal(got.view(np.uint32), ssc_whole_array(data).view(np.uint32))
 
 
@@ -330,7 +323,7 @@ def test_ssc_peak_memory_is_four_outputs():
     # float32 output), the output, and the float64 channel mean and padded
     # input (a sixth of it each, near enough)
     rng = np.random.default_rng(32)
-    vol = make_scalar(smooth_noise(rng, (36, 38, 35)))
+    vol = ScalarVolume(smooth_noise(rng, (36, 38, 35)))
     tracemalloc.start()
     try:
         out = ssc_features(vol)
@@ -346,7 +339,7 @@ def test_ssc_peak_memory_is_four_outputs():
 
 def test_external_single_channel_equals_normalized_intensity(tmp_path):
     rng = np.random.default_rng(30)
-    vol = make_scalar(rng.uniform(0, 50, size=(4, 4, 4)).astype(np.float32))
+    vol = ScalarVolume(rng.uniform(0, 50, size=(4, 4, 4)).astype(np.float32))
     fv = normalize_intensity(vol, 1.0, 99.0)
     stem = tmp_path / "feat"
     save_volume(fv, stem)
@@ -359,7 +352,7 @@ def test_external_many_channels_preserved(tmp_path):
     rng = np.random.default_rng(31)
     logits = rng.uniform(0, 1, size=(3, 3, 3, 135))
     softmax = (logits / logits.sum(axis=-1, keepdims=True)).astype(np.float32)
-    fv = FeatureVolume(VolumeHeader((3, 3, 3), channels=135), softmax)
+    fv = FeatureVolume(softmax)
     stem = tmp_path / "softmax"
     save_volume(fv, stem)
     back = load_volume(stem, kind="feature")
@@ -388,7 +381,7 @@ def test_zscore_channels():
         ],
         axis=-1,
     ).astype(np.float32)
-    fv = FeatureVolume(VolumeHeader((4, 4, 4), channels=2), data)
+    fv = FeatureVolume(data)
     out = zscore_channels(fv)
     flat = out.data.reshape(-1, 2)
     assert abs(flat[:, 0].mean()) < 1e-5

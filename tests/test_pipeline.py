@@ -2,16 +2,17 @@
 
 import ast
 import dataclasses
-import inspect
 import math
 import os
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import voxelreg
 from voxelreg import pipeline, regcore
 from voxelreg.pipeline import (
     LevelParams,
@@ -24,7 +25,6 @@ from voxelreg.pipeline import (
 from voxelreg.synth import make_pair, smooth_random_volume
 from voxelreg.volume import (
     DisplacementField,
-    VolumeHeader,
     save_volume,
     warp_labels,
     zero_field,
@@ -174,14 +174,8 @@ def test_compose_zero_fields():
 
 
 def test_compose_constant_fields():
-    a = DisplacementField(
-        VolumeHeader((2, 2, 2), channels=3),
-        np.broadcast_to(np.array([1.0, 0, 0], np.float32), (2, 2, 2, 3)).copy(),
-    )
-    b = DisplacementField(
-        VolumeHeader((2, 2, 2), channels=3),
-        np.broadcast_to(np.array([0.0, 2.0, 0], np.float32), (2, 2, 2, 3)).copy(),
-    )
+    a = DisplacementField(np.broadcast_to(np.array([1.0, 0, 0], np.float32), (2, 2, 2, 3)).copy())
+    b = DisplacementField(np.broadcast_to(np.array([0.0, 2.0, 0], np.float32), (2, 2, 2, 3)).copy())
     out = compose_fields(a, b)
     assert np.allclose(out.data, [1.0, 2.0, 0.0])
 
@@ -190,8 +184,7 @@ def test_compose_matches_sum_oracle():
     rng = np.random.default_rng(60)
     da = rng.uniform(-2, 2, size=(3, 4, 5, 3)).astype(np.float32)
     db = rng.uniform(-2, 2, size=(3, 4, 5, 3)).astype(np.float32)
-    header = VolumeHeader((5, 4, 3), channels=3)
-    out = compose_fields(DisplacementField(header, da), DisplacementField(header, db))
+    out = compose_fields(DisplacementField(da), DisplacementField(db))
     assert np.array_equal(out.data, da + db)
 
 
@@ -221,30 +214,44 @@ def random_feature_pair(seed, n=8, channels=2):
             [ndimage.gaussian_filter(rng.standard_normal((n, n, n)), 1.2) for _ in range(channels)],
             axis=-1,
         ).astype(np.float32)
-        return FeatureVolume(VolumeHeader((n, n, n), channels=channels), data)
+        return FeatureVolume(data)
 
     return mk(), mk()
 
 
-def test_pipeline_uses_no_private_regcore_name():
-    # the level search and its kernels live together in regcore; the driver
-    # reaches only its public names
-    tree = ast.parse(inspect.getsource(pipeline))
-    private = [
-        node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "regcore"
-        and node.attr.startswith("_")
-    ] + [
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "voxelreg.regcore"
-        for alias in node.names
-        if alias.name.startswith("_")
-    ]
-    assert private == []
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_uses_another_modules_private_name():
+    # each voxelreg module reaches the others only through their public
+    # names: no `from voxelreg.x import _name`, and no `alias._name` where
+    # the alias is an imported voxelreg module (such as `feat`)
+    found = []
+    for path in sorted(Path(voxelreg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()  # names bound to voxelreg modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "voxelreg"
+            ):
+                for alias in node.names:
+                    if _private(alias.name):
+                        found.append(f"{path.name}: from {node.module} import {alias.name}")
+                    if node.module == "voxelreg":
+                        modules.add(alias.asname or alias.name)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "voxelreg":
+                        modules.add(alias.asname or "voxelreg")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and _private(node.attr):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in modules:
+                    found.append(f"{path.name}: {ast.unparse(node)}")
+    assert found == []
 
 
 def test_chunked_big_budget_matches_unchunked():
@@ -280,8 +287,7 @@ def signed_feature_pair(seed, scale, n=8, channels=2):
 
     rng = np.random.default_rng(seed)
     return tuple(
-        FeatureVolume(VolumeHeader((n, n, n), channels=channels),
-                      (scale * rng.choice([-1.0, 1.0], (n, n, n, channels))).astype(np.float32))
+        FeatureVolume((scale * rng.choice([-1.0, 1.0], (n, n, n, channels))).astype(np.float32))
         for _ in range(2)
     )
 
@@ -364,8 +370,7 @@ def integer_feature_pair(seed, n=8, channels=2):
 
     rng = np.random.default_rng(seed)
     return tuple(
-        FeatureVolume(VolumeHeader((n, n, n), channels=channels),
-                      rng.integers(0, 3, (n, n, n, channels)).astype(np.float32))
+        FeatureVolume(rng.integers(0, 3, (n, n, n, channels)).astype(np.float32))
         for _ in range(2)
     )
 
@@ -450,7 +455,7 @@ def test_chunked_ties_across_weight_groups_go_to_the_zero_shift(workers):
     # the zero shift wins whichever worker walks its unit, and when
     from voxelreg.volume import FeatureVolume
 
-    fv = FeatureVolume(VolumeHeader((6, 6, 6), channels=2), np.full((6, 6, 6, 2), 0.5, np.float32))
+    fv = FeatureVolume(np.full((6, 6, 6, 2), 0.5, np.float32))
     ds = regcore.build_displacement_set(0.5, 1.0)  # 8 weight groups
     want = regcore.winner_takes_all(regcore.build_dsv(fv, fv, ds), ds)
     assert np.all(want.data == 0.0)
@@ -499,7 +504,7 @@ def test_chunked_preserves_tiebreak_on_constant_features():
     from voxelreg.volume import FeatureVolume
 
     data = np.full((6, 6, 6, 2), 0.5, dtype=np.float32)
-    fv = FeatureVolume(VolumeHeader((6, 6, 6), channels=2), data)
+    fv = FeatureVolume(data)
     ds = regcore.build_displacement_set(1.0, 2.0)
     budget = 40 * 6 * 6 * 6 * regcore.SEARCH_DTYPE.itemsize  # 40 cost maps
     got = chunked_dsv_execution(fv, fv, ds, 1, 1.0, budget)
@@ -667,7 +672,7 @@ def test_register_with_standardization():
     # rescale the moving intensities; standardization should undo this
     from voxelreg.volume import ScalarVolume
 
-    scaled = ScalarVolume(moving_scaled.header, moving_scaled.data * 3.0 + 10.0)
+    scaled = ScalarVolume(moving_scaled.data * 3.0 + 10.0, moving_scaled.spacing)
     cfg = single_level(
         q=1.0, l_max=2.0, patch_radius=1, alpha=0.0, feature="intensity", standardize=True
     )
@@ -685,7 +690,7 @@ def test_register_with_standardization_reference(tmp_path, monkeypatch):
 
     vol = smooth_random_volume((16, 16, 16), seed=5)
     ref = smooth_random_volume((16, 16, 16), seed=6)
-    ref = ScalarVolume(ref.header, ref.data * 2.0 + 5.0)
+    ref = ScalarVolume(ref.data * 2.0 + 5.0, ref.spacing)
     save_volume(ref, tmp_path / "ref")
     references = []
     real_standardize = features.intensity_standardize

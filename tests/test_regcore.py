@@ -18,15 +18,12 @@ from voxelreg.regcore import (
     regularize_dsv,
     winner_takes_all,
 )
-from voxelreg.volume import FeatureVolume, VolumeHeader, zero_field
+from voxelreg.volume import DisplacementField, FeatureVolume, zero_field
 
 
 def make_features(data):
     data = np.asarray(data, dtype=np.float32)
-    if data.ndim == 3:
-        data = data[..., np.newaxis]
-    nz, ny, nx, c = data.shape
-    return FeatureVolume(VolumeHeader((nx, ny, nz), channels=c), data)
+    return FeatureVolume(data[..., np.newaxis] if data.ndim == 3 else data)
 
 
 def smooth_features(rng, shape, channels=1, sigma=1.5):
@@ -188,18 +185,31 @@ def test_dsv_fractional_displacement_matches_trilinear_oracle():
                     assert dsv.costs[li, z, y, x] == pytest.approx(acc, abs=1e-6)
 
 
+def test_cost_volume_is_built_from_its_array():
+    dsv = CostVolume(np.zeros((2, 3, 4, 5), np.float64))
+    assert dsv.costs.shape == (2, 3, 4, 5) and dsv.label_count == 2
+    assert dsv.costs.dtype == regcore.SEARCH_DTYPE and not dsv.costs.flags.writeable
+    bad_nan = np.zeros((1, 2, 2, 2))
+    bad_nan[0, 1, 1, 1] = np.nan
+    with pytest.raises(ValueError, match=r"costs must be 4-D \(label, z, y, x\), got shape \(2, 2, 2\)"):
+        CostVolume(np.zeros((2, 2, 2)))
+    for bad in (bad_nan, np.full((1, 2, 2, 2), -1.0)):
+        with pytest.raises(ValueError, match="costs must be finite and non-negative"):
+            CostVolume(bad)
+
+
 # ---------------------------------------------------------------------------
 # Aggregation and regularization
 # ---------------------------------------------------------------------------
 
 def test_aggregate_radius_zero_is_identity():
     rng = np.random.default_rng(44)
-    dsv = CostVolume((3, 3, 3), rng.uniform(0, 1, size=(2, 3, 3, 3)))
+    dsv = CostVolume(rng.uniform(0, 1, size=(2, 3, 3, 3)))
     assert aggregate_costs(dsv, 0) is dsv
 
 
 def test_aggregate_constant_map_interior():
-    dsv = CostVolume((5, 5, 5), np.full((1, 5, 5, 5), 0.5))
+    dsv = CostVolume(np.full((1, 5, 5, 5), 0.5))
     out = aggregate_costs(dsv, 1)
     assert out.costs[0, 2, 2, 2] == pytest.approx(27 * 0.5, abs=1e-9)
 
@@ -225,7 +235,7 @@ def box_sum_oracle(cost_map, radius):
 def test_aggregate_matches_window_sum_oracle():
     rng = np.random.default_rng(45)
     costs = rng.uniform(0, 2, size=(3, 6, 5, 4))
-    dsv = CostVolume((4, 5, 6), costs)
+    dsv = CostVolume(costs)
     out = aggregate_costs(dsv, 1)
     for li in range(3):
         want = box_sum_oracle(costs[li], 1)
@@ -234,12 +244,12 @@ def test_aggregate_matches_window_sum_oracle():
 
 def test_regularize_sigma_zero_is_identity():
     rng = np.random.default_rng(46)
-    dsv = CostVolume((3, 3, 3), rng.uniform(0, 1, size=(2, 3, 3, 3)))
+    dsv = CostVolume(rng.uniform(0, 1, size=(2, 3, 3, 3)))
     assert regularize_dsv(dsv, 0.0) is dsv
 
 
 def test_regularize_constant_map_unchanged():
-    dsv = CostVolume((5, 5, 5), np.full((1, 5, 5, 5), 0.75))
+    dsv = CostVolume(np.full((1, 5, 5, 5), 0.75))
     out = regularize_dsv(dsv, 1.0)
     assert np.abs(out.costs - 0.75).max() < 1e-6
 
@@ -266,7 +276,7 @@ def gaussian_smooth_oracle(cost_map, sigma):
 def test_regularize_impulse_matches_separable_oracle():
     impulse = np.zeros((1, 7, 7, 7))
     impulse[0, 3, 3, 3] = 1.0
-    dsv = CostVolume((7, 7, 7), impulse)
+    dsv = CostVolume(impulse)
     out = regularize_dsv(dsv, 1.0)
     want = gaussian_smooth_oracle(impulse[0], 1.0)
     assert np.abs(out.costs[0] - want).max() < 1e-5
@@ -288,21 +298,21 @@ def test_wta_tie_breaks_to_smaller_displacement():
     ds = make_line_set()
     # costs of (0, -1, +1): zero ties with +1 at the lowest cost
     costs = np.array([1.0, 3.0, 1.0]).reshape(3, 1, 1, 1)
-    field = winner_takes_all(CostVolume((1, 1, 1), costs), ds)
+    field = winner_takes_all(CostVolume(costs), ds)
     assert field.data[0, 0, 0].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_wta_plain_argmin():
     ds = make_line_set()
     costs = np.array([5.0, 2.0, 1.0]).reshape(3, 1, 1, 1)
-    field = winner_takes_all(CostVolume((1, 1, 1), costs), ds)
+    field = winner_takes_all(CostVolume(costs), ds)
     assert field.data[0, 0, 0].tolist() == [1.0, 0.0, 0.0]
 
 
 def check_wta_against_loop_oracle(rng, ds):
     # quantized costs force frequent ties
     costs = np.round(rng.uniform(0, 3, size=(27, 4, 4, 4)) * 4) / 4.0
-    field = winner_takes_all(CostVolume((4, 4, 4), costs), ds)
+    field = winner_takes_all(CostVolume(costs), ds)
     disp = ds.displacements
     for z in range(4):
         for y in range(4):
@@ -328,7 +338,7 @@ def test_wta_matches_loop_oracle_with_ties():
 def test_wta_rejects_count_mismatch():
     ds = build_displacement_set(1.0, 1.0)
     with pytest.raises(ValueError):
-        winner_takes_all(CostVolume((2, 2, 2), np.zeros((5, 2, 2, 2))), ds)
+        winner_takes_all(CostVolume(np.zeros((5, 2, 2, 2))), ds)
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +355,7 @@ def test_energy_constant_field_has_zero_gradient_term():
     rng = np.random.default_rng(49)
     f = smooth_features(rng, (5, 5, 5))
     const = np.broadcast_to(np.array([1.0, 0, 0], np.float32), (5, 5, 5, 3)).copy()
-    header = VolumeHeader((5, 5, 5), channels=3)
-    from voxelreg.volume import DisplacementField
-
-    field = DisplacementField(header, const)
+    field = DisplacementField(const)
     e1 = energy(f, f, field, alpha=0.0)
     e2 = energy(f, f, field, alpha=100.0)
     assert e1 == e2  # gradient of a constant field contributes nothing
@@ -361,9 +368,7 @@ def test_energy_matches_scalar_oracle():
     f_fixed = smooth_features(rng, (4, 4, 4), channels=2)
     f_moving = smooth_features(rng, (4, 4, 4), channels=2)
     field_data = rng.uniform(-1.5, 1.5, size=(4, 4, 4, 3)).astype(np.float32)
-    from voxelreg.volume import DisplacementField
-
-    field = DisplacementField(VolumeHeader((4, 4, 4), channels=3), field_data)
+    field = DisplacementField(field_data)
     alpha = 1.7
 
     data_term = 0.0

@@ -35,24 +35,6 @@ from voxelreg.volume import (
 )
 
 
-def make_scalar(data, spacing=(1.0, 1.0, 1.0)):
-    data = np.asarray(data, dtype=np.float32)
-    nz, ny, nx = data.shape
-    return ScalarVolume(VolumeHeader((nx, ny, nz), spacing), data)
-
-
-def make_field(data):
-    data = np.asarray(data, dtype=np.float32)
-    nz, ny, nx = data.shape[:3]
-    return DisplacementField(VolumeHeader((nx, ny, nz), channels=3), data)
-
-
-def make_labels(data, dtype="int32"):
-    data = np.asarray(data, dtype=np.int32)
-    nz, ny, nx = data.shape
-    return LabelVolume(VolumeHeader((nx, ny, nz), dtype=dtype), data)
-
-
 def smooth_noise(rng, shape, sigma=2.0):
     from scipy import ndimage
 
@@ -82,13 +64,56 @@ def test_header_counts_must_be_integers():
             VolumeHeader(dims, channels=channels)
 
 
-@pytest.mark.parametrize("cls, channels", [(ScalarVolume, 1), (FeatureVolume, 2), (DisplacementField, 3)])
-def test_float_volumes_reject_integer_header_dtype(cls, channels):
-    # an integer header dtype would make save_volume truncate the float payload
-    header = VolumeHeader((2, 1, 1), channels=channels, dtype="uint8")
-    data = np.full(header.shape_zyx + ((channels,) if channels > 1 else ()), 0.7)
-    with pytest.raises(ValueError, match=f"{cls.__name__} requires dtype float32, got uint8"):
-        cls(header, data)
+@pytest.mark.parametrize(
+    "cls, data, spacing",
+    [
+        (ScalarVolume, np.zeros((2, 1, 1), np.uint8), (1.0, 2.0, 0.5)),
+        (FeatureVolume, np.full((1, 2, 3, 5), 0.7), (1.0, 1.0, 1.0)),
+        (DisplacementField, np.zeros((3, 1, 2, 3), np.float64), (2.0, 2.0, 2.0)),
+    ],
+)
+def test_float_volume_header_is_read_off_its_array(cls, data, spacing):
+    # the saved dtype is float32 whatever the array's, so a float payload
+    # is never written as integers
+    vol = cls(data, spacing)
+    channels = data.shape[3] if data.ndim == 4 else 1
+    assert vol.header == VolumeHeader(data.shape[2::-1], spacing, channels, "float32")
+    assert vol.data.dtype == np.float32 and vol.dims == data.shape[2::-1]
+    assert vol.spacing == spacing
+
+
+def test_label_volume_header_takes_its_save_dtype():
+    vol = LabelVolume(np.zeros((2, 3, 4), np.uint8), (0.5, 1.0, 2.0), "uint16")
+    assert vol.header == VolumeHeader((4, 3, 2), (0.5, 1.0, 2.0), 1, "uint16")
+    assert vol.data.dtype == np.int32
+    assert LabelVolume(np.zeros((1, 1, 1), np.int64)).header.dtype == "int32"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ScalarVolume(np.zeros((1, 2, 2, 3))), "ScalarVolume requires channels == 1"),
+        (lambda: ScalarVolume(np.zeros((2, 2))), r"ScalarVolume data must be 3-D, got shape \(2, 2\)"),
+        (lambda: LabelVolume(np.zeros((2, 2, 2, 1), np.int32)), "LabelVolume data must be 3-D"),
+        (lambda: FeatureVolume(np.zeros((2, 2, 2))), "FeatureVolume data must be 4-D"),
+        (lambda: DisplacementField(np.zeros((2, 2, 2, 2))), "DisplacementField requires channels == 3"),
+        (lambda: FeatureVolume(np.zeros((2, 2, 2, 0))), "channels must be >= 1"),
+        (lambda: ScalarVolume(np.zeros((0, 2, 2))), "dims must be three positive integers"),
+        (lambda: ScalarVolume(np.zeros((2, 2, 2)), (1.0, -1.0, 1.0)), "spacing must be three finite"),
+        (lambda: LabelVolume(np.zeros((2, 2, 2), np.int32), dtype="float32"),
+         "LabelVolume requires an integer dtype, got float32"),
+        (lambda: LabelVolume(np.zeros((2, 2, 2))), "label data must be integer"),
+        (lambda: LabelVolume(np.full((2, 2, 2), -1)), "labels must be non-negative"),
+        (lambda: zero_field((2.5, 2, 2)), "dims and channels must be integers"),
+        (lambda: zero_field((2, 2)), "dims must be three positive integers"),
+    ],
+    ids=["scalar_channels", "scalar_rank", "label_rank", "feature_rank", "field_channels",
+         "no_channels", "empty_axis", "bad_spacing", "label_float_dtype", "label_float_data",
+         "negative_label", "zero_field_float_dims", "zero_field_two_dims"],
+)
+def test_bad_array_or_spacing_is_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_header_roundtrips_via_dict():
@@ -100,11 +125,11 @@ def test_scalar_volume_rejects_nan():
     data = np.zeros((2, 2, 2), dtype=np.float32)
     data[0, 0, 0] = np.nan
     with pytest.raises(NonFiniteDataError):
-        ScalarVolume(VolumeHeader((2, 2, 2)), data)
+        ScalarVolume(data)
 
 
 def test_volume_data_is_readonly():
-    vol = make_scalar(np.zeros((2, 2, 2)))
+    vol = ScalarVolume(np.zeros((2, 2, 2)))
     with pytest.raises(ValueError):
         vol.data[0, 0, 0] = 1.0
 
@@ -207,13 +232,13 @@ def test_load_mismatch_is_volume_error_naming_payload(tmp_path, values, channels
 
 def test_containers_are_frozen():
     containers = [
-        make_scalar(np.zeros((1, 1, 2))),
-        FeatureVolume(VolumeHeader((2, 1, 1), channels=2), np.zeros((1, 1, 2, 2))),
-        make_labels(np.zeros((1, 1, 2))),
-        make_field(np.zeros((1, 1, 2, 3))),
+        ScalarVolume(np.zeros((1, 1, 2))),
+        FeatureVolume(np.zeros((1, 1, 2, 2))),
+        LabelVolume(np.zeros((1, 1, 2), np.int32)),
+        DisplacementField(np.zeros((1, 1, 2, 3))),
     ]
     for vol in containers:
-        for name in ("header", "data", "extra"):
+        for name in ("header", "data", "spacing", "extra"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(vol, name, None)
 
@@ -222,7 +247,7 @@ def test_uint16_labels_roundtrip(tmp_path):
     # write-then-read oracle: the label set written is the label set read
     rng = np.random.default_rng(7)
     raw = rng.integers(0, 3, size=(3, 3, 3)).astype(np.int32)
-    vol = make_labels(raw, dtype="uint16")
+    vol = LabelVolume(raw, dtype="uint16")
     stem = tmp_path / "labels"
     save_volume(vol, stem)
     back = load_volume(stem)
@@ -234,7 +259,7 @@ def test_uint16_labels_roundtrip(tmp_path):
 
 def test_scalar_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
-    vol = make_scalar(rng.standard_normal((5, 5, 5)).astype(np.float32), spacing=(0.5, 2.0, 1.5))
+    vol = ScalarVolume(rng.standard_normal((5, 5, 5)), (0.5, 2.0, 1.5))
     stem = tmp_path / "vol"
     save_volume(vol, stem)
     back = load_volume(stem)
@@ -246,7 +271,7 @@ def test_scalar_roundtrip_bit_exact(tmp_path):
 def test_feature_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
     data = rng.standard_normal((4, 3, 2, 12)).astype(np.float32)
-    vol = FeatureVolume(VolumeHeader((2, 3, 4), channels=12), data)
+    vol = FeatureVolume(data)
     stem = tmp_path / "feat"
     save_volume(vol, stem)
     back = load_volume(stem)
@@ -257,7 +282,7 @@ def test_feature_roundtrip_bit_exact(tmp_path):
 
 def test_field_roundtrip(tmp_path):
     rng = np.random.default_rng(2)
-    field = make_field(rng.uniform(-2, 2, size=(3, 4, 5, 3)).astype(np.float32))
+    field = DisplacementField(rng.uniform(-2, 2, size=(3, 4, 5, 3)).astype(np.float32))
     stem = tmp_path / "field"
     save_volume(field, stem)
     back = load_field(stem)
@@ -265,7 +290,7 @@ def test_field_roundtrip(tmp_path):
 
 
 def test_save_to_unwritable_path_errors(tmp_path):
-    vol = make_scalar(np.zeros((2, 2, 2)))
+    vol = ScalarVolume(np.zeros((2, 2, 2)))
     with pytest.raises(VolumeError):
         save_volume(vol, tmp_path / "missing-dir" / "x")
 
@@ -273,7 +298,7 @@ def test_save_to_unwritable_path_errors(tmp_path):
 def test_file_element_order_is_x_fastest_channels_inner(tmp_path):
     # 2x1x1 voxels, 2 channels: file order must be v000c0 v000c1 v100c0 v100c1
     data = np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float32)  # (z=1,y=1,x=2,c=2)
-    vol = FeatureVolume(VolumeHeader((2, 1, 1), channels=2), data)
+    vol = FeatureVolume(data)
     stem = tmp_path / "order"
     save_volume(vol, stem)
     flat = np.fromfile(stem.with_suffix(".raw"), dtype="<f4")
@@ -304,7 +329,7 @@ def trilinear_oracle(data, x, y, z):
 
 def test_warp_scalar_zero_field_is_identity():
     rng = np.random.default_rng(6)
-    vol = make_scalar(rng.standard_normal((4, 5, 6)).astype(np.float32))
+    vol = ScalarVolume(rng.standard_normal((4, 5, 6)).astype(np.float32))
     out = warp_scalar(vol, zero_field(vol.dims))
     assert np.array_equal(out.data, vol.data)
 
@@ -315,9 +340,9 @@ def test_warp_scalar_constant_shift_of_ramp():
     # axis to the first / last voxel
     nx, ny, nz = 5, 4, 3
     zz, yy, xx = np.indices((nz, ny, nx), dtype=np.float32)
-    vol = make_scalar(xx + 10 * yy + 100 * zz)
+    vol = ScalarVolume(xx + 10 * yy + 100 * zz)
     for s in (1.0, 0.5, -5.0, 9.0):
-        field = make_field(np.full((nz, ny, nx, 3), s, np.float32))
+        field = DisplacementField(np.full((nz, ny, nx, 3), s, np.float32))
         out = warp_scalar(vol, field)
         expected = (
             np.clip(xx + s, 0, nx - 1) + 10 * np.clip(yy + s, 0, ny - 1) + 100 * np.clip(zz + s, 0, nz - 1)
@@ -327,11 +352,11 @@ def test_warp_scalar_constant_shift_of_ramp():
 
 def test_warp_scalar_matches_loop_oracle():
     rng = np.random.default_rng(7)
-    vol = make_scalar(smooth_noise(rng, (6, 7, 8)))
+    vol = ScalarVolume(smooth_noise(rng, (6, 7, 8)))
     smooth = smooth_noise(rng, (6, 7, 8, 3)) * 2.0
     # the second field reaches up to 5 voxels past every face
     wild = rng.uniform(-5, 5, size=(6, 7, 8, 3)).astype(np.float32)
-    for field in (make_field(smooth), make_field(wild)):
+    for field in (DisplacementField(smooth), DisplacementField(wild)):
         out = warp_scalar(vol, field)
         for z in range(6):
             for y in range(7):
@@ -342,7 +367,7 @@ def test_warp_scalar_matches_loop_oracle():
 
 
 def test_warp_scalar_rejects_dim_mismatch():
-    vol = make_scalar(np.zeros((3, 3, 3)))
+    vol = ScalarVolume(np.zeros((3, 3, 3)))
     with pytest.raises(ValueError):
         warp_scalar(vol, zero_field((4, 4, 4)))
 
@@ -351,12 +376,12 @@ def test_warp_scalar_rejects_dim_mismatch():
 def test_warp_features_equals_per_channel_warp_scalar(channels):
     rng = np.random.default_rng(14)
     data = rng.standard_normal((5, 6, 7, channels)).astype(np.float32)
-    fv = FeatureVolume(VolumeHeader((7, 6, 5), (1.0, 2.0, 0.5), channels=channels), data)
-    field = make_field(rng.uniform(-8, 8, size=(5, 6, 7, 3)))
+    fv = FeatureVolume(data, (1.0, 2.0, 0.5))
+    field = DisplacementField(rng.uniform(-8, 8, size=(5, 6, 7, 3)))
     out = warp_features(fv, field)
     assert isinstance(out, FeatureVolume) and out.header == fv.header
     for c in range(channels):
-        want = warp_scalar(make_scalar(data[..., c], spacing=(1.0, 2.0, 0.5)), field)
+        want = warp_scalar(ScalarVolume(data[..., c], (1.0, 2.0, 0.5)), field)
         assert np.array_equal(out.data[..., c], want.data), c
 
 
@@ -367,10 +392,10 @@ def test_warp_samples_straight_into_float32(channels):
     # include integer shifts and reach up to 6 voxels past every face
     rng = np.random.default_rng(15)
     data = rng.standard_normal((7, 6, 5, channels)).astype(np.float32)
-    fv = FeatureVolume(VolumeHeader((5, 6, 7), channels=channels), data)
+    fv = FeatureVolume(data)
     u = rng.uniform(-6, 6, size=(7, 6, 5, 3)).astype(np.float32)
     u[::2] = np.round(u[::2])
-    field = make_field(u)
+    field = DisplacementField(u)
     out = warp_features(fv, field)
     coords = volume._warp_coords(field.dims, field.data)
     want = volume._trilinear_zyx(fv.data, coords).astype(np.float32)
@@ -379,29 +404,29 @@ def test_warp_samples_straight_into_float32(channels):
 
 
 def test_warp_features_rejects_dim_mismatch():
-    fv = FeatureVolume(VolumeHeader((3, 3, 3), channels=2), np.zeros((3, 3, 3, 2)))
+    fv = FeatureVolume(np.zeros((3, 3, 3, 2)))
     with pytest.raises(ValueError):
         warp_features(fv, zero_field((3, 3, 4)))
 
 
 def test_warp_labels_zero_field_is_identity():
     rng = np.random.default_rng(8)
-    labels = make_labels(rng.integers(0, 4, size=(4, 4, 4)))
+    labels = LabelVolume(rng.integers(0, 4, size=(4, 4, 4)))
     out = warp_labels(labels, zero_field(labels.dims))
     assert np.array_equal(out.data, labels.data)
 
 
 def test_warp_labels_constant_integer_shift():
-    labels = make_labels(np.arange(5).reshape(1, 1, 5))
-    field = make_field(np.broadcast_to(np.array([2.0, 0, 0], np.float32), (1, 1, 5, 3)).copy())
+    labels = LabelVolume(np.arange(5).reshape(1, 1, 5))
+    field = DisplacementField(np.broadcast_to(np.array([2.0, 0, 0], np.float32), (1, 1, 5, 3)).copy())
     out = warp_labels(labels, field)
     assert out.data.reshape(-1).tolist() == [2, 3, 4, 4, 4]
 
 
 def test_warp_labels_matches_nearest_neighbor_oracle():
     rng = np.random.default_rng(9)
-    labels = make_labels(rng.integers(0, 5, size=(5, 6, 7)))
-    field = make_field(smooth_noise(rng, (5, 6, 7, 3)) * 3.0)
+    labels = LabelVolume(rng.integers(0, 5, size=(5, 6, 7)))
+    field = DisplacementField(smooth_noise(rng, (5, 6, 7, 3)) * 3.0)
     out = warp_labels(labels, field)
     nz, ny, nx = labels.data.shape
     for z in range(nz):
@@ -416,8 +441,8 @@ def test_warp_labels_matches_nearest_neighbor_oracle():
 
 def test_warp_labels_never_invents_labels():
     rng = np.random.default_rng(10)
-    labels = make_labels(rng.integers(0, 6, size=(6, 6, 6)))
-    field = make_field(rng.uniform(-3, 3, size=(6, 6, 6, 3)).astype(np.float32))
+    labels = LabelVolume(rng.integers(0, 6, size=(6, 6, 6)))
+    field = DisplacementField(rng.uniform(-3, 3, size=(6, 6, 6, 3)).astype(np.float32))
     out = warp_labels(labels, field)
     assert set(np.unique(out.data)) <= set(np.unique(labels.data))
 
@@ -428,7 +453,7 @@ def test_warp_labels_never_invents_labels():
 
 def test_downsample_factor_one_is_identity():
     rng = np.random.default_rng(11)
-    vol = make_scalar(rng.standard_normal((5, 5, 5)).astype(np.float32))
+    vol = ScalarVolume(rng.standard_normal((5, 5, 5)).astype(np.float32))
     assert downsample(vol, 1) is vol
 
 
@@ -437,13 +462,13 @@ def test_downsample_grid_is_the_level_grid(factor):
     # register() upsamples each level's field onto the next level's grid, so
     # the grid downsample makes must be the one downsampled_dims names
     dims = (7, 9, 11)
-    vol = make_scalar(np.zeros(dims[::-1], dtype=np.float32))
+    vol = ScalarVolume(np.zeros(dims[::-1], dtype=np.float32))
     assert downsample(vol, factor).dims == downsampled_dims(dims, factor)
     assert downsampled_dims(dims, factor) == tuple(math.ceil(d / factor) for d in dims)
 
 
 def test_downsample_constant_preserves_value_and_halves_dims():
-    vol = make_scalar(np.full((6, 5, 4), 3.25, dtype=np.float32))
+    vol = ScalarVolume(np.full((6, 5, 4), 3.25, dtype=np.float32))
     out = downsample(vol, 2)
     assert out.dims == (2, 3, 3)
     assert out.header.spacing == (2.0, 2.0, 2.0)
@@ -454,10 +479,10 @@ def test_downsample_constant_preserves_value_and_halves_dims():
 def test_downsample_features_equals_per_channel_downsample(factor):
     rng = np.random.default_rng(12)
     data = rng.standard_normal((7, 9, 11, 3)).astype(np.float32)
-    fv = FeatureVolume(VolumeHeader((11, 9, 7), (1.0, 2.0, 0.5), channels=3), data)
+    fv = FeatureVolume(data, (1.0, 2.0, 0.5))
     out = downsample_features(fv, factor)
     for c in range(3):
-        want = downsample(make_scalar(data[..., c], spacing=(1.0, 2.0, 0.5)), factor)
+        want = downsample(ScalarVolume(data[..., c], (1.0, 2.0, 0.5)), factor)
         assert np.array_equal(out.data[..., c], want.data), c
     assert out.dims == want.dims
     assert out.header.spacing == want.header.spacing
@@ -469,9 +494,9 @@ def test_downsample_is_the_whole_filter_then_subsample_byte_for_byte(factor, cha
     rng = np.random.default_rng(16)
     data = rng.standard_normal((9, 10, 11, channels)).astype(np.float32)
     if channels == 1:
-        vol = make_scalar(data[..., 0])
+        vol = ScalarVolume(data[..., 0])
     else:
-        vol = FeatureVolume(VolumeHeader((11, 10, 9), channels=channels), data)
+        vol = FeatureVolume(data)
     sigma = (0.5 * factor,) * 3 + (0.0,) * (vol.data.ndim - 3)
     whole = ndimage.gaussian_filter(vol.data.astype(np.float64), sigma=sigma, mode="nearest")
     want = whole[::factor, ::factor, ::factor].astype(np.float32)
@@ -504,7 +529,7 @@ def convolve_1d_replicate(arr, kernel, axis):
 def test_downsample_ramp_matches_separable_oracle():
     nx, ny, nz = 9, 7, 6
     ramp = np.broadcast_to(np.arange(nx, dtype=np.float64), (nz, ny, nx)).copy()
-    vol = make_scalar(ramp.astype(np.float32))
+    vol = ScalarVolume(ramp.astype(np.float32))
     out = downsample(vol, 2)
 
     kernel = gaussian_kernel_1d(1.0)
@@ -523,14 +548,14 @@ def test_upsample_field_zero_stays_zero():
 
 def test_upsample_field_rescales_constant():
     nz = ny = nx = 3
-    field = make_field(np.broadcast_to(np.array([1.0, 1.0, 1.0], np.float32), (nz, ny, nx, 3)).copy())
+    field = DisplacementField(np.broadcast_to(np.array([1.0, 1.0, 1.0], np.float32), (nz, ny, nx, 3)).copy())
     out = upsample_field(field, 2, (6, 6, 6))
     assert np.allclose(out.data, 2.0)
 
 
 def test_upsample_field_matches_trilinear_oracle():
     rng = np.random.default_rng(12)
-    field = make_field(rng.uniform(-2, 2, size=(3, 4, 5, 3)).astype(np.float32))
+    field = DisplacementField(rng.uniform(-2, 2, size=(3, 4, 5, 3)).astype(np.float32))
     target = (10, 8, 6)
     out = upsample_field(field, 2, target)
     for z in range(target[2]):
@@ -555,7 +580,7 @@ def test_upsample_field_is_the_trilinear_lookup_byte_for_byte(factor):
     data = rng.uniform(-3, 3, size=(5, 7, 3, 3)).astype(np.float32)
     data[2, 3, 1] = -0.0
     data[2, 3, 2] = -1.0
-    field = make_field(data)
+    field = DisplacementField(data)
     for target in ((3 * factor, 7 * factor, 5 * factor), (3 * factor - 1, 7 * factor - 1, 4 * factor + 1)):
         got = upsample_field(field, factor, target).data
         want = trilinear_upsample(field, factor, target)
@@ -566,7 +591,7 @@ def test_upsample_field_at_ratio_three_is_within_one_ulp():
     # thirds are not exact in float64, so the per-axis sums may round
     # differently from the eight-corner sum
     rng = np.random.default_rng(18)
-    field = make_field(rng.uniform(-3, 3, size=(10, 9, 11, 3)).astype(np.float32))
+    field = DisplacementField(rng.uniform(-3, 3, size=(10, 9, 11, 3)).astype(np.float32))
     target = (31, 27, 30)
     got = upsample_field(field, 3, target).data
     want = trilinear_upsample(field, 3, target)
@@ -578,7 +603,7 @@ def test_upsample_field_peak_memory_is_under_three_outputs():
     # per component: the float64 x and y passes (a sixth and a third of
     # the output at ratio 2) and one z slab; no (3, z, y, x) index grid
     rng = np.random.default_rng(19)
-    field = make_field(rng.uniform(-3, 3, size=(32, 32, 32, 3)).astype(np.float32))
+    field = DisplacementField(rng.uniform(-3, 3, size=(32, 32, 32, 3)).astype(np.float32))
     upsample_field(field, 2, (64, 64, 64))  # warm numpy's allocator and caches
     tracemalloc.start()
     try:
@@ -594,7 +619,7 @@ def test_roundtrip_property_random_volumes(tmp_path):
     for trial in range(5):
         dims = tuple(int(d) for d in rng.integers(1, 7, size=3))
         data = rng.standard_normal((dims[2], dims[1], dims[0])).astype(np.float32)
-        vol = ScalarVolume(VolumeHeader(dims), data)
+        vol = ScalarVolume(data)
         stem = tmp_path / f"t{trial}"
         save_volume(vol, stem)
         back = load_volume(stem)
