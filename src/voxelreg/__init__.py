@@ -15,7 +15,6 @@ from voxelreg.volume import (
     LabelVolume,
     ScalarVolume,
     VolumeHeader,
-    load_field,
     load_volume,
     save_volume,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "RegistrationConfig",
     "ScalarVolume",
     "VolumeHeader",
-    "load_field",
     "load_volume",
     "register",
     "save_volume",

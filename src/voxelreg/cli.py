@@ -29,7 +29,6 @@ from voxelreg.pipeline import (
 )
 from voxelreg.volume import (
     VolumeError,
-    load_field,
     load_volume,
     save_volume,
     warp_labels,
@@ -119,31 +118,26 @@ def cmd_features(args) -> int:
 # evaluate
 # ---------------------------------------------------------------------------
 
-def _write_report(report: evaluation.JcReport, out) -> Path:
-    """Write ``report`` to ``out`` with a .json and with a .csv suffix; returns the JSON path."""
-    json_path = Path(out).with_suffix(".json")
-    evaluation.write_report_json(report, json_path)
-    evaluation.write_report_csv(report, json_path.with_suffix(".csv"))
-    return json_path
-
-
 def cmd_evaluate(args) -> int:
     try:
         labels = [int(v) for v in args.labels.split(",")] if args.labels else None
     except ValueError:
         raise ValueError(f"bad --labels {args.labels!r}, expected comma-separated integers") from None
+    if args.warped_labels and (args.moving_labels or args.field):
+        raise ValueError("give --warped-labels or --moving-labels with --field, not both")
+    if not (args.warped_labels or (args.moving_labels and args.field)):
+        raise ValueError("need --warped-labels, or --moving-labels together with --field")
     fixed_labels = load_volume(args.fixed_labels, kind="label")
     if args.warped_labels:
         warped = load_volume(args.warped_labels, kind="label")
-    elif args.moving_labels and args.field:
-        warped = warp_labels(load_volume(args.moving_labels, kind="label"), load_field(args.field))
     else:
-        raise ValueError("need --warped-labels, or --moving-labels together with --field")
+        moving_labels = load_volume(args.moving_labels, kind="label")
+        warped = warp_labels(moving_labels, load_volume(args.field, kind="field"))
     result = evaluation.pair_result(
         args.fixed_labels, args.warped_labels or args.moving_labels, fixed_labels, warped, labels
     )
-    report = evaluation.build_report([result])
-    json_path = _write_report(report, args.out_report)
+    report = evaluation.JcReport((result,))
+    json_path = evaluation.write_report(report, args.out_report)
     logger.info("mean JC %.2f, report written to %s", report.dataset_mean, json_path)
     return 0
 
@@ -286,8 +280,8 @@ def cmd_batch(args) -> int:
     if not results:
         raise ValueError("every pair failed; no report to write")
     scored = [results[pid] for pid in sorted(results)]
-    report = evaluation.build_report(scored, skipped_pairs=sorted(failures))
-    _write_report(report, out_dir / "report.json")
+    report = evaluation.JcReport(scored, sorted(failures))
+    evaluation.write_report(report, out_dir / "report.json")
     logger.info(
         "batch done: %d pairs scored, %d skipped, dataset mean JC %.2f",
         len(results), len(failures), report.dataset_mean,

@@ -9,13 +9,17 @@ pooled voxel-level mean.
 Structures absent from both volumes are skipped (excluded from N);
 structures present in exactly one volume score 0. Background label 0 is
 never scored.
+
+``PairResult`` and ``JcReport`` read their means off their parts;
+``write_report`` writes a report as ``<stem>.json`` and ``<stem>.csv``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -70,10 +74,11 @@ def mean_jc_dataset(pair_means) -> float:
 
 @dataclass(frozen=True)
 class PairResult:
+    """One pair's per-structure scores; ``mean`` is read off them."""
+
     fixed_id: str
     moving_id: str
     per_structure: dict[int, float]
-    mean: float
 
     def __post_init__(self):
         if not self.per_structure:
@@ -81,32 +86,36 @@ class PairResult:
         for label, jc in self.per_structure.items():
             if not (0.0 <= jc <= 100.0):
                 raise ValueError(f"JC for label {label} out of [0, 100]: {jc}")
-        expected = sum(self.per_structure.values()) / len(self.per_structure)
-        if abs(expected - self.mean) > 1e-9:
-            raise ValueError("pair mean does not equal the mean of its structures")
+
+    @property
+    def mean(self) -> float:  # the expression mean_jc_pair uses, so the same float
+        return sum(self.per_structure.values()) / len(self.per_structure)
 
 
 @dataclass(frozen=True)
 class JcReport:
-    """Dataset-level report: per-pair results plus their mean."""
+    """Scored pairs (at least one) and skipped pair ids; ``dataset_mean`` is read off the pairs."""
 
     pairs: tuple[PairResult, ...]
-    dataset_mean: float
-    skipped_pairs: tuple[str, ...] = field(default_factory=tuple)
+    skipped_pairs: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        object.__setattr__(self, "pairs", tuple(self.pairs))
+        object.__setattr__(self, "skipped_pairs", tuple(self.skipped_pairs))
+        if not self.pairs:
+            raise ValueError("a JC report needs at least one scored pair")
 
-def build_report(pair_results, skipped_pairs=()) -> JcReport:
-    pairs = tuple(pair_results)
-    dataset_mean = mean_jc_dataset(p.mean for p in pairs)
-    return JcReport(pairs=pairs, dataset_mean=dataset_mean, skipped_pairs=tuple(skipped_pairs))
+    @property
+    def dataset_mean(self) -> float:
+        return mean_jc_dataset(p.mean for p in self.pairs)
 
 
 def pair_result(fixed_id, moving_id, fixed_labels, warped_labels, label_list=None) -> PairResult:
     """Score one registered pair; default label list is every nonzero label."""
     if label_list is None:
         label_list = sorted(set(fixed_labels.labels()) | set(warped_labels.labels()))
-    mean, per_structure = mean_jc_pair(fixed_labels, warped_labels, label_list)
-    return PairResult(str(fixed_id), str(moving_id), per_structure, mean)
+    _, per_structure = mean_jc_pair(fixed_labels, warped_labels, label_list)
+    return PairResult(str(fixed_id), str(moving_id), per_structure)
 
 
 def report_to_dict(report: JcReport) -> dict:
@@ -129,15 +138,14 @@ def report_to_dict(report: JcReport) -> dict:
     return out
 
 
-def write_report_json(report: JcReport, path) -> None:
-    with open(path, "w") as fh:
+def write_report(report: JcReport, path) -> Path:
+    """Write ``<stem>.json`` and ``<stem>.csv``; returns the JSON path."""
+    json_path = Path(path).with_suffix(".json")
+    with open(json_path, "w") as fh:
         json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def write_report_csv(report: JcReport, path) -> None:
-    """Spreadsheet form: one row per structure, then per-pair and dataset means."""
-    with open(path, "w", newline="") as fh:
+    # spreadsheet form: one row per structure, then per-pair and dataset means
+    with open(json_path.with_suffix(".csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["fixed", "moving", "label", "jc"])
         for p in report.pairs:
@@ -145,3 +153,4 @@ def write_report_csv(report: JcReport, path) -> None:
                 writer.writerow([p.fixed_id, p.moving_id, label, repr(p.per_structure[label])])
             writer.writerow([p.fixed_id, p.moving_id, "mean", repr(p.mean)])
         writer.writerow(["dataset", "", "mean", repr(report.dataset_mean)])
+    return json_path

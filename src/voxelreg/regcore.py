@@ -92,7 +92,7 @@ from voxelreg.volume import DisplacementField, FeatureVolume, warp_features
 SEARCH_DTYPE = np.dtype(np.float32)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DisplacementSet:
     """The quantized displacement candidates, in tie-break priority order.
 
@@ -143,7 +143,7 @@ def build_displacement_set(q: float, l_max: float) -> DisplacementSet:
     return DisplacementSet(q=float(q), l_max=float(l_max), displacements=disp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostVolume:
     """Per-voxel, per-candidate similarity costs, label-major.
 

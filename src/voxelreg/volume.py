@@ -121,7 +121,7 @@ class VolumeHeader:
             raise SidecarError(f"invalid sidecar header: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Volume:
     """Base of the four volume kinds; construct those, not this class.
 
@@ -130,6 +130,7 @@ class Volume:
     disagree with the array. The one copy of the kinds' validation.
     Subclasses set ``n_channels`` (1 means a 3-D array, any other value
     a 4-D one with a channel axis) and override ``_cast``/``_check_payload``.
+    Volumes compare (``==``) and hash by identity, not by their arrays.
     """
 
     data: np.ndarray
@@ -167,14 +168,14 @@ class Volume:
             raise NonFiniteDataError(f"{type(self).__name__} contains non-finite values")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarVolume(Volume):
     """Single-channel 3-D volume of real values, shape (z, y, x), float32."""
 
     n_channels = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureVolume(Volume):
     """Per-voxel feature vectors, shape (z, y, x, C), float32."""
 
@@ -183,7 +184,7 @@ class FeatureVolume(Volume):
         return self.header.channels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelVolume(Volume):
     """Integer-labeled segmentation, shape (z, y, x), int32; 0 = background."""
 
@@ -209,7 +210,7 @@ class LabelVolume(Volume):
         return [int(v) for v in present if v != 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DisplacementField(Volume):
     """Per-voxel displacement (dx, dy, dz) in voxel units, shape (z, y, x, 3)."""
 
@@ -286,11 +287,6 @@ def load_volume(path, kind: str = "auto") -> Volume:
         raise NonFiniteDataError(f"{payload}: {exc}") from exc
     except ValueError as exc:
         raise VolumeError(f"{payload}: {exc}") from exc
-
-
-def load_field(path) -> DisplacementField:
-    """Load a displacement field: a 3-channel volume, read as float32."""
-    return load_volume(path, kind="field")
 
 
 def save_volume(vol: Volume, path) -> None:

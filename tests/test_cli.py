@@ -21,7 +21,7 @@ from voxelreg.cli import (
 )
 from voxelreg.features import normalize_intensity, zscore_channels
 from voxelreg.pipeline import LevelParams, RegistrationConfig
-from voxelreg.volume import load_field, load_volume, save_volume
+from voxelreg.volume import load_volume, save_volume
 from voxelreg.synth import make_pair, smooth_random_volume
 
 
@@ -201,7 +201,7 @@ def test_register_self_gives_zero_field(tmp_path):
         "--levels", "1:1:2:1:1", "--feature", "intensity",
     )
     assert res.returncode == 0, res.stderr
-    field = load_field(tmp_path / "field")
+    field = load_volume(tmp_path / "field", kind="field")
     assert np.all(field.data == 0.0)
     warped = load_volume(tmp_path / "warped")
     assert np.array_equal(warped.data, vol.data)
@@ -260,7 +260,7 @@ def test_register_recovers_synth_translation(translation_case, tmp_path):
         "--levels", "1:1:2:1:0", "--feature", "intensity",
     )
     assert res.returncode == 0, res.stderr
-    field = load_field(tmp_path / "field")
+    field = load_volume(tmp_path / "field", kind="field")
     m = 3
     interior = field.data[m:-m, m:-m, m:-m]
     assert np.all(interior == np.array([2.0, 0.0, 0.0], dtype=np.float32))
@@ -279,7 +279,7 @@ def test_register_with_config_file(tmp_path):
         "--config", tmp_path / "cfg.json", "--out-field", tmp_path / "field",
     )
     assert res.returncode == 0, res.stderr
-    assert np.all(load_field(tmp_path / "field").data == 0.0)
+    assert np.all(load_volume(tmp_path / "field", kind="field").data == 0.0)
 
 
 @pytest.mark.parametrize(
@@ -381,7 +381,7 @@ def test_register_ignores_budget_env(tmp_path):
             "--levels", "1:1:1:1:1", "--out-field", out, env=env,
         )
         assert res.returncode == 0, res.stderr
-        fields.append(load_field(out).data)
+        fields.append(load_volume(out, kind="field").data)
     assert all(np.array_equal(f, fields[0]) for f in fields)
 
 
@@ -529,6 +529,18 @@ def test_evaluate_requires_warp_source(tmp_path):
     res = run_cli("evaluate", "--fixed-labels", tmp_path / "a",
                   "--out-report", tmp_path / "r.json")
     assert res.returncode == 1
+
+
+@pytest.mark.parametrize("extra", [["--moving-labels", "m"], ["--field", "f"],
+                                   ["--moving-labels", "m", "--field", "f"]],
+                         ids=["moving_labels", "field", "both"])
+def test_evaluate_refuses_warped_labels_with_a_warp_source(translation_case, tmp_path, extra):
+    prefix = translation_case
+    labels = prefix.parent / f"{prefix.name}_fixed_labels"
+    res = run_cli("evaluate", "--fixed-labels", labels, "--warped-labels", labels, *extra,
+                  "--out-report", tmp_path / "report.json")
+    assert_one_line_error(res, "give --warped-labels or --moving-labels with --field, not both")
+    assert not (tmp_path / "report.json").exists()
 
 
 # ---------------------------------------------------------------------------

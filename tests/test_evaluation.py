@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from voxelreg.evaluation import (
+    JcReport,
     PairResult,
-    build_report,
     jaccard,
     mean_jc_dataset,
     mean_jc_pair,
     pair_result,
-    write_report_csv,
-    write_report_json,
+    write_report,
 )
 from voxelreg.synth import blob_labels
 from voxelreg.volume import LabelVolume
@@ -169,10 +168,23 @@ def test_dataset_mean_many_pairs_matches_oracle():
 
 def test_aggregation_is_mean_of_pair_means_not_pooled():
     # pair 1: one structure at 100; pair 2: three structures at 0
-    p1 = PairResult("a", "b", {1: 100.0}, 100.0)
-    p2 = PairResult("a", "c", {1: 0.0, 2: 0.0, 3: 0.0}, 0.0)
-    report = build_report([p1, p2])
+    p1 = PairResult("a", "b", {1: 100.0})
+    p2 = PairResult("a", "c", {1: 0.0, 2: 0.0, 3: 0.0})
+    report = JcReport((p1, p2))
     assert report.dataset_mean == 50.0  # pooled mean would be 25
+
+
+def test_report_without_pairs_is_a_value_error():
+    with pytest.raises(ValueError, match="^a JC report needs at least one scored pair$"):
+        JcReport(())
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_pair_result_mean_is_exactly_mean_jc_pair(seed):
+    fixed = blob_labels((16, 16, 16), 5, seed=seed)
+    moving = blob_labels((16, 16, 16), 5, seed=seed + 100)
+    labels = sorted(set(fixed.labels()) | set(moving.labels()))
+    assert pair_result("f", "m", fixed, moving).mean == mean_jc_pair(fixed, moving, labels)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -181,23 +193,21 @@ def test_aggregation_is_mean_of_pair_means_not_pooled():
 
 def test_pair_result_validates_mean():
     with pytest.raises(ValueError):
-        PairResult("a", "b", {1: 40.0, 2: 60.0}, 99.0)
-    with pytest.raises(ValueError):
-        PairResult("a", "b", {1: 140.0}, 140.0)
+        PairResult("a", "b", {1: 140.0})
 
 
 def test_pair_result_without_structures_is_a_value_error():
     # the mean of no structures is undefined: a one-line error, not a division by zero
     with pytest.raises(ValueError, match="^pair a -> b has no scored structures$"):
-        PairResult("a", "b", {}, 0.0)
+        PairResult("a", "b", {})
 
 
 def test_report_json_schema(tmp_path):
     labels = blob_labels((16, 16, 16), 4, seed=85)
     pr = pair_result("f1", "m1", labels, labels)
-    report = build_report([pr])
-    path = tmp_path / "report.json"
-    write_report_json(report, path)
+    report = JcReport((pr,))
+    path = write_report(report, tmp_path / "report.json")
+    assert path == tmp_path / "report.json"
     data = json.loads(path.read_text())
     assert data["schema"] == 1
     assert data["N_policy"] == "skip-empty"
@@ -210,9 +220,9 @@ def test_report_json_schema(tmp_path):
 def test_report_csv_roundtrip(tmp_path):
     labels = blob_labels((16, 16, 16), 3, seed=86)
     pr = pair_result("f1", "m1", labels, labels)
-    report = build_report([pr])
+    report = JcReport((pr,))
+    write_report(report, tmp_path / "report.json")
     path = tmp_path / "report.csv"
-    write_report_csv(report, path)
     rows = list(csv.reader(path.read_text().splitlines()))
     assert rows[0] == ["fixed", "moving", "label", "jc"]
     assert rows[-1][0] == "dataset"
@@ -230,3 +240,56 @@ def test_perfect_registration_restores_full_overlap():
     labels = case["fixed_labels"].labels()
     mean, per = mean_jc_pair(case["fixed_labels"], restored, labels)
     assert mean == 100.0
+
+
+GOLDEN_JSON = """{
+  "N_policy": "skip-empty",
+  "dataset_mean": 30.555555555555557,
+  "pairs": [
+    {
+      "fixed": "f1",
+      "mean": 61.111111111111114,
+      "moving": "m1",
+      "per_structure": {
+        "1": 100.0,
+        "10": 50.0,
+        "2": 33.333333333333336
+      }
+    },
+    {
+      "fixed": "f2",
+      "mean": 0.0,
+      "moving": "m2",
+      "per_structure": {
+        "1": 0.0
+      }
+    }
+  ],
+  "schema": 1,
+  "skipped_pairs": [
+    "f3__m3"
+  ]
+}
+"""
+
+GOLDEN_CSV = (
+    "fixed,moving,label,jc\r\n"
+    "f1,m1,1,100.0\r\n"
+    "f1,m1,2,33.333333333333336\r\n"
+    "f1,m1,10,50.0\r\n"
+    "f1,m1,mean,61.111111111111114\r\n"
+    "f2,m2,1,0.0\r\n"
+    "f2,m2,mean,0.0\r\n"
+    "dataset,,mean,30.555555555555557\r\n"
+)
+
+
+def test_report_files_match_golden_text(tmp_path):
+    # pins sorted keys, indent, float repr, label row order and the skipped pairs
+    p1 = PairResult("f1", "m1", {10: 50.0, 2: 100 / 3, 1: 100.0})
+    p2 = PairResult("f2", "m2", {1: 0.0})
+    report = JcReport((p1, p2), ["f3__m3"])
+    assert report.skipped_pairs == ("f3__m3",)
+    write_report(report, tmp_path / "report")
+    assert (tmp_path / "report.json").read_bytes().decode() == GOLDEN_JSON
+    assert (tmp_path / "report.csv").read_bytes().decode() == GOLDEN_CSV

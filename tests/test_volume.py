@@ -10,6 +10,7 @@ import pytest
 from scipy import ndimage
 
 from voxelreg import volume
+from voxelreg.regcore import CostVolume, DisplacementSet
 from voxelreg.volume import (
     DTYPES,
     DisplacementField,
@@ -24,7 +25,6 @@ from voxelreg.volume import (
     downsample,
     downsample_features,
     downsampled_dims,
-    load_field,
     load_volume,
     save_volume,
     upsample_field,
@@ -213,7 +213,7 @@ def test_nan_payload_is_reported(tmp_path):
     [
         ([0, 1, 2, 3, 4, 5], 3, "float32", lambda stem: load_volume(stem, kind="scalar")),
         ([0, 1], 1, "float32", lambda stem: load_volume(stem, kind="label")),
-        ([0, 1], 1, "float32", load_field),
+        ([0, 1], 1, "float32", lambda stem: load_volume(stem, kind="field")),
         ([-1, 1], 1, "int32", load_volume),
     ],
     ids=["scalar_of_3_channels", "label_of_float32", "field_of_1_channel", "negative_label"],
@@ -241,6 +241,29 @@ def test_containers_are_frozen():
         for name in ("header", "data", "spacing", "extra"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(vol, name, None)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ScalarVolume(np.zeros((1, 1, 2))),
+        lambda: FeatureVolume(np.zeros((1, 1, 2, 2))),
+        lambda: LabelVolume(np.zeros((1, 1, 2), np.int32)),
+        lambda: DisplacementField(np.zeros((1, 1, 2, 3))),
+        lambda: CostVolume(np.zeros((2, 1, 1, 2))),
+        lambda: DisplacementSet(1.0, 1.0, np.zeros((2, 3))),
+    ],
+    ids=["ScalarVolume", "FeatureVolume", "LabelVolume", "DisplacementField", "CostVolume",
+         "DisplacementSet"],
+)
+def test_array_records_compare_by_identity_and_hash(make):
+    # the generated __eq__ would compare the arrays and raise on their truth value
+    a, b = make(), make()
+    assert not (a == b)
+    assert a != b
+    assert a == a
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
 
 
 def test_uint16_labels_roundtrip(tmp_path):
@@ -285,7 +308,7 @@ def test_field_roundtrip(tmp_path):
     field = DisplacementField(rng.uniform(-2, 2, size=(3, 4, 5, 3)).astype(np.float32))
     stem = tmp_path / "field"
     save_volume(field, stem)
-    back = load_field(stem)
+    back = load_volume(stem, kind="field")
     assert np.array_equal(back.data, field.data)
 
 
