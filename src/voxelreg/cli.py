@@ -41,24 +41,24 @@ logger = logging.getLogger("voxelreg")
 # register
 # ---------------------------------------------------------------------------
 
-# register flags whose argparse dest is the RegistrationConfig / LevelParams
-# field they override; a level flag applies to every level
+# register flags whose argparse dest is the RegistrationConfig field they
+# set; level fields come only from --levels or the config's levels
 CONFIG_FLAGS = ("feature", "memory_budget_mb", "standardize", "standardize_reference",
                 "external_fixed", "external_moving")
-LEVEL_FLAGS = ("q", "l_max", "alpha", "patch_radius")
 # the --levels fields: those of LevelParams, in spec order, with their types
 LEVEL_SPEC = tuple(typing.get_type_hints(LevelParams).items())
+LEVEL_FORMAT = ":".join(name for name, _ in LEVEL_SPEC)
 
 
 def _parse_levels(spec: str) -> tuple[LevelParams, ...]:
-    """Parse 'factor:q:lmax:radius:alpha[,...]' into a level schedule."""
+    """Parse comma-separated ``LEVEL_FORMAT`` specs into a level schedule."""
     levels = []
     for part in spec.split(","):
         values = part.split(":")
         try:
             kwargs = {name: cast(v) for (name, cast), v in zip(LEVEL_SPEC, values, strict=True)}
         except ValueError:
-            raise ValueError(f"bad level spec {part!r}, expected factor:q:lmax:radius:alpha") from None
+            raise ValueError(f"bad level spec {part!r}, expected {LEVEL_FORMAT}") from None
         levels.append(LevelParams(**kwargs))
     return tuple(levels)
 
@@ -73,13 +73,7 @@ def _config_from_args(args) -> RegistrationConfig:
     overrides = _given(args, CONFIG_FLAGS)
     if args.levels:
         overrides["levels"] = _parse_levels(args.levels)
-    if "standardize_reference" in overrides:
-        overrides["standardize"] = True
-    # the config is checked before the level flags, so its errors are reported first
-    cfg = dataclasses.replace(cfg, **overrides)
-    level_overrides = _given(args, LEVEL_FLAGS)
-    levels = tuple(dataclasses.replace(lv, **level_overrides) for lv in cfg.levels)
-    return dataclasses.replace(cfg, levels=levels)
+    return dataclasses.replace(cfg, **overrides)
 
 
 def cmd_register(args) -> int:
@@ -347,11 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--out-field", required=True)
     p_reg.add_argument("--out-warped")
     p_reg.add_argument("--feature", choices=FEATURE_KINDS)
-    p_reg.add_argument("--levels", help="override schedule: factor:q:lmax:radius:alpha[,...]")
-    p_reg.add_argument("--q", type=float)
-    p_reg.add_argument("--lmax", dest="l_max", type=float, metavar="LMAX")
-    p_reg.add_argument("--alpha", type=float)
-    p_reg.add_argument("--patch-radius", type=int)
+    p_reg.add_argument("--levels", help=f"override schedule: {LEVEL_FORMAT}[,...]")
     p_reg.add_argument("--memory-budget", dest="memory_budget_mb", type=int, metavar="MB")
     p_reg.add_argument("--standardize", action="store_true", default=None)
     p_reg.add_argument("--standardize-reference")

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from voxelreg.volume import LabelVolume
+from voxelreg.volume import LabelVolume, with_extension
 
 REPORT_SCHEMA = 1
 N_POLICY = "skip-empty"
@@ -139,13 +139,13 @@ def report_to_dict(report: JcReport) -> dict:
 
 
 def write_report(report: JcReport, path) -> Path:
-    """Write ``<stem>.json`` and ``<stem>.csv``; returns the JSON path."""
-    json_path = Path(path).with_suffix(".json")
+    """Write ``<stem>.json`` and ``<stem>.csv`` (named by ``with_extension``); returns the JSON path."""
+    json_path = with_extension(path, ".json", (".json", ".csv"))
     with open(json_path, "w") as fh:
         json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
     # spreadsheet form: one row per structure, then per-pair and dataset means
-    with open(json_path.with_suffix(".csv"), "w", newline="") as fh:
+    with open(with_extension(json_path, ".csv", (".json",)), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["fixed", "moving", "label", "jc"])
         for p in report.pairs:

@@ -125,12 +125,12 @@ class RegistrationConfig:
     moving image's intensity scale onto the fixed image (or, when
     ``standardize_reference`` names a volume, remaps both onto that
     reference; a reference requires ``standardize``). External features
-    are supplied as raw+JSON paths, one per image, and are searched as
-    saved (``voxelreg features --zscore`` z-scores them), so they do not
-    take ``standardize``. Paths are strings or None, ``standardize`` a
-    bool, the budget (MB; None means 1024) a positive integer or None, and
-    ``workers`` (search threads; None means two, or one when the process
-    may use a single CPU) a positive integer or None.
+    are supplied as raw+JSON paths, one per image, that only they take, and
+    are searched as saved (``voxelreg features --zscore`` z-scores them),
+    so they do not take ``standardize``. Paths are strings or None,
+    ``standardize`` a bool, the budget (MB; None means 1024) a positive
+    integer or None, and ``workers`` (search threads; None means two, or
+    one when the process may use a single CPU) a positive integer or None.
     """
 
     feature: str = "ssc"
@@ -179,6 +179,8 @@ class RegistrationConfig:
             raise ValueError("external feature requires external_fixed and external_moving paths")
         if self.feature == "external" and self.standardize:
             raise ValueError("config standardize does not apply to external features")
+        if self.feature != "external" and (self.external_fixed or self.external_moving):
+            raise ValueError(f"config external paths apply only to external features, not {self.feature}")
 
     def budget_bytes(self) -> int:
         return (self.memory_budget_mb or DEFAULT_MEMORY_BUDGET_MB) * 1024 * 1024

@@ -39,6 +39,20 @@ def _check_blobs(num_structures: int, min_radius: float, max_radius: float):
         raise ValueError(f"need 0 <= min_radius <= max_radius, got {min_radius}, {max_radius}")
 
 
+def _translation_vector(t) -> np.ndarray:
+    t = np.asarray(t, dtype=np.float32)
+    if t.shape != (3,) or not np.isfinite(t).all():
+        raise ValueError(f"translation must be 3 finite numbers (tx, ty, tz), got {t.tolist()}")
+    return t
+
+
+def _check_sinusoid(amplitude: float, period: float):
+    if not np.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
+    if not period > 0:
+        raise ValueError(f"period must be > 0, got {period}")
+
+
 def smooth_random_volume(dims, seed: int, sigma: float = 2.5) -> ScalarVolume:
     """Gaussian-filtered white noise, min-max rescaled to [0, 1]."""
     header = VolumeHeader(tuple(dims))
@@ -53,9 +67,7 @@ def smooth_random_volume(dims, seed: int, sigma: float = 2.5) -> ScalarVolume:
 
 def translation_field(dims, t) -> DisplacementField:
     """Constant displacement t = (tx, ty, tz) at every voxel."""
-    t = np.asarray(t, dtype=np.float32)
-    if t.shape != (3,):
-        raise ValueError("translation must be a 3-vector (tx, ty, tz)")
+    t = _translation_vector(t)
     header = VolumeHeader(tuple(dims))
     return DisplacementField(np.broadcast_to(t, header.shape_zyx + (3,)).copy())
 
@@ -67,8 +79,7 @@ def sinusoid_field(dims, amplitude: float, period: float, seed: int) -> Displace
     sin(...z...) with seeded random phases, so |u| <= amplitude everywhere
     and the spatial frequency content is set by ``period``.
     """
-    if period <= 0:
-        raise ValueError("period must be > 0")
+    _check_sinusoid(amplitude, period)
     header = VolumeHeader(tuple(dims))
     rng = np.random.default_rng(seed)
     zz, yy, xx = np.indices(header.shape_zyx, dtype=np.float64, sparse=True)
@@ -133,12 +144,10 @@ def make_pair(
     # every input is checked before any volume is made
     header = VolumeHeader(tuple(dims))
     _check_blobs(num_blobs, min_radius, max_radius)
-    if kind == "sinusoid" and period <= 0:
-        raise ValueError("period must be > 0")
+    _translation_vector(translation)
+    _check_sinusoid(amplitude, period)
     if kind == "blobs":
-        return {
-            "labels": blob_labels(dims, num_blobs, seed, min_radius, max_radius)
-        }
+        return {"labels": blob_labels(dims, num_blobs, seed, min_radius, max_radius)}
 
     _check_smooth(header, noise_sigma)
     moving = smooth_random_volume(dims, seed, sigma=noise_sigma)

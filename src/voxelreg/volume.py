@@ -226,11 +226,12 @@ def zero_field(dims: Sequence[int], spacing: Sequence[float] = (1.0, 1.0, 1.0)) 
 # File I/O
 # ---------------------------------------------------------------------------
 
-def _stem(path) -> Path:
+def with_extension(path, extension: str, known: Sequence[str] = (".raw", ".json")) -> Path:
+    """``path`` with one ``known`` extension stripped, then ``extension`` appended: f.v2 -> f.v2.json."""
     path = Path(path)
-    if path.suffix in (".raw", ".json"):
-        return path.with_suffix("")
-    return path
+    if path.suffix in known:
+        path = path.with_suffix("")
+    return path.with_name(path.name + extension)
 
 
 KINDS = {
@@ -253,9 +254,7 @@ def load_volume(path, kind: str = "auto") -> Volume:
     3 included, as FeatureVolume. A payload the class rejects raises a
     VolumeError that names the payload file.
     """
-    stem = _stem(path)
-    sidecar = stem.with_suffix(".json")
-    payload = stem.with_suffix(".raw")
+    sidecar, payload = with_extension(path, ".json"), with_extension(path, ".raw")
     if not sidecar.exists():
         raise SidecarError(f"missing sidecar {sidecar}")
     try:
@@ -291,7 +290,6 @@ def load_volume(path, kind: str = "auto") -> Volume:
 
 def save_volume(vol: Volume, path) -> None:
     """Write ``<stem>.raw`` + ``<stem>.json``; float32 payloads round-trip bit-exactly."""
-    stem = _stem(path)
     header = vol.header
     disk_dtype = DTYPES[header.dtype]
     data = vol.data
@@ -301,10 +299,10 @@ def save_volume(vol: Volume, path) -> None:
             raise VolumeError(f"labels out of range for dtype {header.dtype}")
     out = np.ascontiguousarray(data.astype(disk_dtype, copy=False))
     try:
-        stem.with_suffix(".json").write_text(json.dumps(header.to_dict()) + "\n")
-        out.tofile(stem.with_suffix(".raw"))
+        with_extension(path, ".json").write_text(json.dumps(header.to_dict()) + "\n")
+        out.tofile(with_extension(path, ".raw"))
     except OSError as exc:
-        raise VolumeError(f"cannot write {stem}: {exc}") from exc
+        raise VolumeError(f"cannot write {with_extension(path, '')}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

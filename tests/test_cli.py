@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,14 +14,13 @@ import pytest
 import voxelreg
 from voxelreg.cli import (
     CONFIG_FLAGS,
-    LEVEL_FLAGS,
     _config_from_args,
     build_parser,
     enumerate_pairs,
     load_manifest,
 )
 from voxelreg.features import normalize_intensity, zscore_channels
-from voxelreg.pipeline import LevelParams, RegistrationConfig
+from voxelreg.pipeline import RegistrationConfig
 from voxelreg.volume import load_volume, save_volume
 from voxelreg.synth import make_pair, smooth_random_volume
 
@@ -119,12 +119,29 @@ def test_synth_bad_dims_fails(tmp_path):
     (["--dims", "8,8"], "bad --dims '8,8', expected 1 or 3 comma-separated int values"),
     (["--dims", "8", "--translation", "a"],
      "bad --translation 'a', expected 1 or 3 comma-separated float values"),
+    (["--dims", "8", "--amplitude", "nan"], "amplitude must be finite, got nan"),
+    (["--dims", "8", "--period", "nan"], "period must be > 0, got nan"),
+    (["--dims", "8", "--translation", "1,nan,0"],
+     "translation must be 3 finite numbers (tx, ty, tz), got [1.0, nan, 0.0]"),
 ])
 def test_synth_bad_input_is_one_line_error(tmp_path, flags, needle):
     res = run_cli("synth", "--kind", "translation", "--seed", "1",
                   "--out-prefix", tmp_path / "x", *flags)
     assert_one_line_error(res, needle)
     assert not list(tmp_path.iterdir())
+
+
+def test_synth_dotted_prefix_keeps_its_dots(tmp_path):
+    # each part gets its own files: the dot in the prefix is not an extension
+    res = run_cli("synth", "--kind", "translation", "--dims", "8", "--seed", "1",
+                  "--out-prefix", tmp_path / "case.7", "--num-blobs", "2",
+                  "--min-radius", "1", "--max-radius", "2")
+    assert res.returncode == 0, res.stderr
+    parts = ("fixed", "moving", "fixed_labels", "moving_labels", "field")
+    expected = {f"case.7_{p}.{ext}" for p in parts for ext in ("raw", "json")}
+    assert {f.name for f in tmp_path.iterdir()} == expected | {"case.7_meta.json"}
+    assert np.all(load_volume(tmp_path / "case.7_field", kind="field").data == [2.0, 0.0, 0.0])
+    assert load_volume(tmp_path / "case.7_fixed_labels").header.dtype == "int32"
 
 
 # ---------------------------------------------------------------------------
@@ -139,57 +156,87 @@ FLAG_CONFIG = {
 }
 
 
+LEVELS = "2:2:4:1:1,1:1:2:1:1"
+LEVELS_EXPECTED = [
+    {"factor": 2, "q": 2.0, "l_max": 4.0, "patch_radius": 1, "alpha": 1.0},
+    {"factor": 1, "q": 1.0, "l_max": 2.0, "patch_radius": 1, "alpha": 1.0},
+]
+PATHS = ["--external-fixed", "ef", "--external-moving", "em"]
+
+
 @pytest.mark.parametrize(
     "flags, expected",
     [
+        # over the defaults
         ([], {}),
-        (["--q", "0.5"], {"q": [0.5, 0.5]}),
-        (["--lmax", "4"], {"l_max": [4.0, 4.0]}),
-        (["--alpha", "0.25"], {"alpha": [0.25, 0.25]}),
-        (["--config", "CFG", "--alpha", "0.25"], {"alpha": [0.25]}),
-        (["--patch-radius", "0"], {"patch_radius": [0, 0]}),
+        (["--feature", "intensity"], {"feature": "intensity"}),
         (["--memory-budget", "64"], {"memory_budget_mb": 64}),
         (["--standardize"], {"standardize": True}),
-        (["--standardize-reference", "ref"], {"standardize": True, "standardize_reference": "ref"}),
-        (["--external-fixed", "ef", "--external-moving", "em"],
-         {"external_fixed": "ef", "external_moving": "em"}),
-        (["--config", "CFG", "--q", "0.5", "--lmax", "4"], {"q": [0.5], "l_max": [4.0]}),
-        (["--feature", "intensity"], {"feature": "intensity"}),
-        (["--feature", "external", "--external-fixed", "ef", "--external-moving", "em"],
+        (["--standardize", "--standardize-reference", "ref"],
+         {"standardize": True, "standardize_reference": "ref"}),
+        (["--feature", "external", *PATHS],
          {"feature": "external", "external_fixed": "ef", "external_moving": "em"}),
+        (["--levels", LEVELS], {"levels": LEVELS_EXPECTED}),
+        # over --config
         (["--config", "CFG"], {}),
-        (["--config", "CFG", "--feature", "ssc", "--memory-budget", "8", "--patch-radius", "2"],
-         {"feature": "ssc", "memory_budget_mb": 8, "patch_radius": [2]}),
-        (["--levels", "2:2:4:1:1,1:1:2:1:1", "--q", "0.5"],
-         {"levels": [
-             {"factor": 2, "q": 0.5, "l_max": 4.0, "patch_radius": 1, "alpha": 1.0},
-             {"factor": 1, "q": 0.5, "l_max": 2.0, "patch_radius": 1, "alpha": 1.0},
-         ]}),
+        (["--config", "CFG", "--feature", "ssc", "--memory-budget", "8"],
+         {"feature": "ssc", "memory_budget_mb": 8}),
+        (["--config", "CFG", "--levels", LEVELS], {"levels": LEVELS_EXPECTED}),
+        (["--config", "CFG", "--standardize", "--standardize-reference", "ref"],
+         {"standardize": True, "standardize_reference": "ref"}),
+        (["--config", "CFG", "--feature", "external", *PATHS],
+         {"feature": "external", "external_fixed": "ef", "external_moving": "em"}),
+        # alongside --levels
+        (["--levels", LEVELS, "--feature", "intensity", "--memory-budget", "64", "--standardize"],
+         {"levels": LEVELS_EXPECTED, "feature": "intensity", "memory_budget_mb": 64,
+          "standardize": True}),
     ],
 )
 def test_register_flags_override_config_fields(tmp_path, flags, expected):
-    """Each register flag sets exactly its config field, over defaults, --config or --levels."""
+    """Each register flag sets exactly its config field, over defaults or --config."""
     (tmp_path / "cfg.json").write_text(json.dumps(FLAG_CONFIG))
     flags = [str(tmp_path / "cfg.json") if f == "CFG" else f for f in flags]
     cfg = _config_from_args(build_parser().parse_args(REGISTER_ARGS + flags))
 
     base = RegistrationConfig.from_dict(FLAG_CONFIG if "--config" in flags else {})
-    want = base.to_dict()
-    level_names = {f.name for f in dataclasses.fields(LevelParams)}
-    for name, value in expected.items():
-        if name in level_names:
-            for level, level_value in zip(want["levels"], value, strict=True):
-                level[name] = level_value
-        else:
-            want[name] = value
-    assert cfg.to_dict() == want
+    assert cfg.to_dict() == {**base.to_dict(), **expected}
 
 
 def test_register_flag_names_are_config_fields():
-    dests = set(vars(build_parser().parse_args(REGISTER_ARGS)))
-    for names, cls in ((CONFIG_FLAGS, RegistrationConfig), (LEVEL_FLAGS, LevelParams)):
-        assert set(names) <= {f.name for f in dataclasses.fields(cls)}
-        assert set(names) <= dests
+    # I/O paths, --config and --levels aside, every register option is a
+    # CONFIG_FLAGS name that sets the config field of that name
+    dests = set(vars(build_parser().parse_args(REGISTER_ARGS))) - {"command", "func"}
+    io = {"fixed", "moving", "out_field", "out_warped"}
+    assert dests == io | {"config", "levels"} | set(CONFIG_FLAGS)
+    assert set(CONFIG_FLAGS) <= {f.name for f in dataclasses.fields(RegistrationConfig)}
+
+
+@pytest.mark.parametrize("flag", ["--q", "--lmax", "--alpha", "--patch-radius"])
+def test_register_level_field_flag_is_usage_error(tmp_path, flag):
+    # level fields come only from --levels or the config's levels
+    res = run_cli("register", "--fixed", tmp_path / "f", "--moving", tmp_path / "m",
+                  "--out-field", tmp_path / "o", flag, "1")
+    assert res.returncode == 2
+    assert f"unrecognized arguments: {flag} 1" in res.stderr
+
+
+def test_register_reference_without_standardize_is_one_line_error(tmp_path):
+    # the flag sets only standardize_reference, so the config's own rule applies
+    res = run_cli("register", "--fixed", tmp_path / "f", "--moving", tmp_path / "m",
+                  "--out-field", tmp_path / "o", "--standardize-reference", tmp_path / "ref")
+    assert_one_line_error(res, "config standardize_reference requires standardize")
+
+
+def test_readme_register_flags_are_register_options(capsys):
+    # the README's configuration section documents no flag the parser lacks
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = re.split(r"^##+ ", readme.split("### Registration configuration", 1)[1], flags=re.M)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["register", "--help"])
+    usage = capsys.readouterr().out
+    missing = {flag for flag in named if not re.search(rf"{flag}(?![\w-])", usage)}
+    assert named and not missing, missing
 
 
 def test_register_self_gives_zero_field(tmp_path):
@@ -316,6 +363,10 @@ def test_register_with_config_file(tmp_path):
         ({"levels": None}, "config levels must be a list of levels, got None"),
         ({"feature": "external", "external_fixed": "f", "external_moving": "m", "standardize": True},
          "config standardize does not apply to external features"),
+        ({"external_fixed": "ef", "external_moving": "em"},
+         "config external paths apply only to external features, not ssc"),
+        ({"feature": "edge", "external_moving": "em"},
+         "config external paths apply only to external features, not edge"),
     ],
 )
 def test_register_bad_config_is_one_line_error(tmp_path, cfg, needle):
@@ -331,9 +382,9 @@ def test_register_bad_config_is_one_line_error(tmp_path, cfg, needle):
 
 @pytest.mark.parametrize("args, needle", [
     (["register", "--levels", "1:a:2:2:2"],
-     "bad level spec '1:a:2:2:2', expected factor:q:lmax:radius:alpha"),
+     "bad level spec '1:a:2:2:2', expected factor:q:l_max:patch_radius:alpha"),
     (["register", "--levels", "2:2:4:1:1,1.5:1:2:1:1"],
-     "bad level spec '1.5:1:2:1:1', expected factor:q:lmax:radius:alpha"),
+     "bad level spec '1.5:1:2:1:1', expected factor:q:l_max:patch_radius:alpha"),
     (["register", "--levels", "1:1:2:1"], "bad level spec '1:1:2:1'"),
     (["evaluate", "--labels", "1,,2"], "bad --labels '1,,2', expected comma-separated integers"),
 ])

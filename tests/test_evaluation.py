@@ -229,6 +229,16 @@ def test_report_csv_roundtrip(tmp_path):
     assert float(rows[-1][3]) == 100.0
 
 
+@pytest.mark.parametrize("name, written", [
+    ("run.v2", "run.v2"), ("run.v2.json", "run.v2"), ("run.v2.csv", "run.v2"), ("report", "report"),
+])
+def test_report_name_keeps_its_dots(tmp_path, name, written):
+    # only a trailing .json/.csv is replaced, so run.v1 and run.v2 do not collide
+    report = JcReport((PairResult("f1", "m1", {1: 50.0}),))
+    assert write_report(report, tmp_path / name) == tmp_path / f"{written}.json"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{written}.csv", f"{written}.json"]
+
+
 def test_perfect_registration_restores_full_overlap():
     # warping labels by the ground-truth field restores JC 100 exactly,
     # because the synthetic fixed labels are that warp by construction

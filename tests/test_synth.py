@@ -110,6 +110,12 @@ def test_bad_generator_input_is_named(make, needle):
     ("translation", {"dims": (8.5, 8, 8)}, "dims and channels must be integers"),
     ("sinusoid", {"dims": (8, 8, 9.9)}, "dims and channels must be integers"),
     ("blobs", {"dims": (8, 8.0, 8)}, "dims and channels must be integers"),
+    ("translation", {"translation": (1.0, 2.0)}, "translation must be 3 finite numbers"),
+    ("translation", {"translation": (1.0, float("nan"), 0.0)}, "translation must be 3 finite numbers"),
+    ("sinusoid", {"period": float("nan")}, "period must be > 0, got nan"),
+    ("sinusoid", {"amplitude": float("nan")}, "amplitude must be finite, got nan"),
+    ("sinusoid", {"amplitude": float("inf")}, "amplitude must be finite, got inf"),
+    ("blobs", {"period": -1.0}, "period must be > 0, got -1.0"),
 ])
 def test_make_pair_checks_inputs_before_any_work(monkeypatch, kind, params, needle):
     def no_work(*args, **kwargs):

@@ -312,6 +312,17 @@ def test_field_roundtrip(tmp_path):
     assert np.array_equal(back.data, field.data)
 
 
+def test_dotted_names_keep_their_dots(tmp_path):
+    # only a trailing .raw/.json is an extension: f.v1 and f.v2 are two volumes
+    a, b = ScalarVolume(np.zeros((2, 2, 2))), ScalarVolume(np.ones((2, 2, 2)))
+    save_volume(a, tmp_path / "f.v1")
+    save_volume(b, tmp_path / "f.v2")
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["f.v1.json", "f.v1.raw", "f.v2.json", "f.v2.raw"]
+    for name, vol in (("f.v1", a), ("f.v2", b), ("f.v1.raw", a), ("f.v2.json", b)):
+        assert np.array_equal(load_volume(tmp_path / name).data, vol.data), name
+
+
 def test_save_to_unwritable_path_errors(tmp_path):
     vol = ScalarVolume(np.zeros((2, 2, 2)))
     with pytest.raises(VolumeError):
