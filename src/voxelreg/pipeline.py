@@ -242,8 +242,8 @@ def register(
     if fixed.dims != moving.dims:
         raise ValueError(f"fixed dims {fixed.dims} != moving dims {moving.dims}")
     level_dims = [_check_level_dims(fixed.dims, level) for level in cfg.levels]
-    budget = cfg.budget_bytes()
-    workers = cfg.worker_count()
+    budget, workers = cfg.budget_bytes(), cfg.worker_count()
+    regcore.budget_maps(fixed.dims, budget)  # the finest level's grid, before any level runs
 
     if cfg.feature == "external":
         ext_fixed = load_volume(cfg.external_fixed, kind="feature")

@@ -49,11 +49,10 @@ per-voxel (best cost, best label) pair where it is strictly lower
 (``_sad_scratch``, one block of k maps), so the filters take a batch in
 one pass over that scratch, free once the batch is scored. A worker
 walks its first unit into its best and each later one into a unit best,
-merged into its best where (cost, label) is lower, costs compared first
-(``_keep_lower``); the workers' bests are merged the same way. The
-lowest (cost, label) is what one strict less-than scan over all labels
-keeps, so the winner does not depend on which worker took which unit,
-or when. The threads share
+merged into its best where (cost, label) is lower (``_keep_lower``, with
+no memory beyond the worker's mask), as the workers' bests are. The lowest
+(cost, label) is what one strict less-than scan over all labels keeps, so
+the winner does not depend on which worker took which unit, or when. The threads share
 one interpreter lock, which numpy releases only inside its array loops,
 so any Python work between array calls runs on one thread at a time.
 That work is cached: a shift's corners (``_corners``) and its window's
@@ -176,13 +175,22 @@ def _check_feature_pair(f_fixed: FeatureVolume, f_moving: FeatureVolume):
         raise ValueError(f"channel mismatch: {f_fixed.channels} vs {f_moving.channels}")
 
 
-def _level_arrays(f_fixed: FeatureVolume, f_moving: FeatureVolume, disp: DisplacementSet):
+def _check_cost_bound(terms: str, scale: int, *arrays):
+    """Refuse ``arrays`` whose largest |value| times ``scale`` (``terms``) could make an infinite cost."""
+    largest = float(max(max(a.max(initial=0.0), -a.min(initial=0.0)) for a in arrays))
+    if scale * largest >= float(np.finfo(SEARCH_DTYPE).max):
+        raise ValueError(f"features too large for float32 costs: {terms} {largest:.3g} reaches the float32"
+                         " maximum; z-score them with voxelreg features --descriptor external --zscore")
+
+
+def _level_arrays(f_fixed: FeatureVolume, f_moving: FeatureVolume, disp: DisplacementSet, box: int = 1):
     """Float32 (z, y, x, C) views of channel-first copies of both volumes.
 
     The moving copy is edge-padded by ceil(max |d|), the reach of the
     farthest trilinear corner. It is allocated once at its padded shape:
     the interior is copied in, then each axis's two faces replicate the
-    edge planes, z, y, x in turn, as ``np.pad(mode="edge")`` does.
+    edge planes, z, y, x in turn, as ``np.pad(mode="edge")`` does. Refuses
+    features whose SAD summed over ``box`` voxels could overflow float32.
     """
     _check_feature_pair(f_fixed, f_moving)
     pad = math.ceil(np.abs(disp.displacements).max(initial=0.0))
@@ -197,6 +205,8 @@ def _level_arrays(f_fixed: FeatureVolume, f_moving: FeatureVolume, disp: Displac
         face = np.moveaxis(moving, axis, 0)
         face[:pad] = face[pad].copy()
         face[pad + n :] = face[pad + n - 1].copy()
+    c = fixed.shape[0]
+    _check_cost_bound(f"2 x {c} channels x {box} patch voxels x max |feature|", 2 * c * box, fixed, moving)
     return np.moveaxis(fixed, 0, -1), np.moveaxis(moving, 0, -1)
 
 
@@ -270,7 +280,7 @@ def _weight_groups(disp: DisplacementSet) -> list[np.ndarray]:
 _BLEND_PIECE = 2**17
 
 
-def _blend(moving64: np.ndarray, d: np.ndarray, out=None, scratch=None) -> np.ndarray:
+def _blend(moving64: np.ndarray, d: np.ndarray, out, scratch) -> np.ndarray:
     """The padded moving copy blended with the trilinear weights of ``d``'s
     weight group, a (z, y, x, C) view as ``moving64`` is.
 
@@ -284,9 +294,9 @@ def _blend(moving64: np.ndarray, d: np.ndarray, out=None, scratch=None) -> np.nd
     far face reads the next row, plane or channel; no window reads those
     (along a fractional axis, ceil(d) <= pad ends each window a voxel
     short of the far face), and the last ones, with no corner to read,
-    are copied. ``out`` (any
-    contiguous float32 array of the copy's size) defaults to a new array;
-    the products go through ``scratch`` (any contiguous float32 array, as
+    are copied. The result is written to ``out`` (any contiguous float32
+    array of the copy's size; an integer ``d`` never reads it), and the
+    products go through ``scratch`` (any contiguous float32 array, as
     ``_sad_scratch`` makes it), a piece of at most ``_BLEND_PIECE`` values
     or the scratch's size at a time.
     """
@@ -295,10 +305,9 @@ def _blend(moving64: np.ndarray, d: np.ndarray, out=None, scratch=None) -> np.nd
         return moving64
     src = moving64.transpose(3, 0, 1, 2)
     flat = src.reshape(-1)
-    dst = np.empty_like(flat) if out is None else out.reshape(-1)
+    dst = out.reshape(-1)
     ny, nx = src.shape[2:]
-    tmp = np.empty(_BLEND_PIECE, SEARCH_DTYPE) if scratch is None else scratch.reshape(-1)
-    tmp = tmp[:_BLEND_PIECE]
+    tmp = scratch.reshape(-1)[:_BLEND_PIECE]
     offsets = [(w, (oz * ny + oy) * nx + ox) for w, (oz, oy, ox) in rest]
     end = flat.size - offsets[-1][1]  # the last corner reaches farthest
     for start in range(0, end, tmp.size):
@@ -310,9 +319,7 @@ def _blend(moving64: np.ndarray, d: np.ndarray, out=None, scratch=None) -> np.nd
     return dst.reshape(src.shape).transpose(1, 2, 3, 0)
 
 
-def _label_cost_map(
-    fixed64: np.ndarray, moving64: np.ndarray, d: np.ndarray, out=None, scratch=None
-) -> np.ndarray:
+def _label_cost_map(fixed64: np.ndarray, moving64: np.ndarray, d: np.ndarray, out, scratch) -> np.ndarray:
     """Per-voxel SAD between fixed(x) and moving(x + d), shape (z, y, x), into ``out``.
 
     Both inputs are (z, y, x, C) views as ``_level_arrays`` returns them
@@ -321,22 +328,17 @@ def _label_cost_map(
     level copy itself for an integer ``d``). ``d`` is an array (dx, dy, dz).
     The kernel reads one window of ``moving64``, at floor(d), whose slices
     come from ``_window`` (the pad is read off the shape difference), so a
-    cached candidate costs only its array operations. ``out`` defaults to a
-    new map of the inputs' dtype.
+    cached candidate costs only its array operations. ``out`` is a (z, y, x)
+    map of the inputs' dtype.
 
-    Channels are taken k at a time, k read off ``scratch`` (as
-    ``_sad_scratch`` makes it; allocated here when not given), so each
-    group costs one subtract and one abs over a (k, z, y, x) window. The
-    first group is reduced into ``out`` along the channel axis, later ones
-    are added to it row by row: the sum runs in channel order either way.
+    Channels are taken k at a time, k read off ``scratch`` (as ``_sad_scratch``
+    makes it), so each group costs one subtract and one abs over a (k, z, y, x)
+    window. The first group is reduced into ``out`` along the channel axis, later
+    ones are added to it row by row: the sum runs in channel order either way.
     """
     fixed, moving = fixed64.transpose(3, 0, 1, 2), moving64.transpose(3, 0, 1, 2)
     channels, dims = fixed.shape[0], fixed.shape[1:]
     window = _window(tuple(d.tolist()), (moving.shape[1] - dims[0]) // 2, dims)
-
-    out = np.empty(dims, fixed.dtype) if out is None else out
-    if scratch is None:
-        scratch = _sad_scratch(dims, channels)
     k = scratch.shape[0]
     for c0 in range(0, channels, k):
         n = min(k, channels - c0)
@@ -356,7 +358,7 @@ def build_dsv(f_fixed: FeatureVolume, f_moving: FeatureVolume, disp: Displacemen
     fixed, moving = _level_arrays(f_fixed, f_moving, disp)
     costs = np.empty((disp.count,) + fixed.shape[:3], dtype=SEARCH_DTYPE)
     scratch = _sad_scratch(fixed.shape[:3], fixed.shape[3])
-    blended = np.empty(moving.size, SEARCH_DTYPE) if disp.fractional else None
+    blended = np.empty(moving.size if disp.fractional else 0, SEARCH_DTYPE)
     for labels in _weight_groups(disp):
         source = _blend(moving, disp.displacements[labels[0]], blended, scratch)
         for label in labels:
@@ -484,12 +486,14 @@ def aggregate_costs(dsv: CostVolume, patch_radius: int) -> CostVolume:
     """Box-sum each candidate's cost map over the (2r+1)^3 window.
 
     Window positions past the border are clamped (edge replication);
-    radius 0 is the identity.
+    radius 0 is the identity; box sums that could overflow float32 are refused.
     """
     if patch_radius < 0:
         raise ValueError("patch_radius must be >= 0")
     if patch_radius == 0:
         return dsv
+    box = (2 * patch_radius + 1) ** 3
+    _check_cost_bound(f"{box} patch voxels x max cost", box, dsv.costs)
     return CostVolume(_box_sum_map(dsv.costs.copy(), patch_radius))
 
 
@@ -524,8 +528,12 @@ def winner_takes_all(dsv: CostVolume, disp: DisplacementSet) -> DisplacementFiel
     """
     if dsv.label_count != disp.count:
         raise ValueError(f"label_count {dsv.label_count} != |displacements| {disp.count}")
-    best = np.argmin(dsv.costs, axis=0)
-    return DisplacementField(disp.displacements[best].astype(np.float32))
+    return _field_from_labels(disp, np.argmin(dsv.costs, axis=0))
+
+
+def _field_from_labels(disp: DisplacementSet, labels: np.ndarray) -> DisplacementField:
+    """Each voxel's displacement, gathered in float32: the bits of a float64 gather, cast."""
+    return DisplacementField(disp.displacements.astype(np.float32)[labels])
 
 
 def _keep_better(cost, label, best_cost, best_label, improved):
@@ -535,14 +543,20 @@ def _keep_better(cost, label, best_cost, best_label, improved):
     np.copyto(best_label, label, where=improved)
 
 
-def _keep_lower(cost, label, best_cost, best_label):
-    """Where (``cost``, ``label``) is below (``best_cost``, ``best_label``),
-    costs compared first, take both."""
-    lower = label < best_label
-    lower &= cost == best_cost
-    lower |= cost < best_cost
-    np.copyto(best_cost, cost, where=lower)
-    np.copyto(best_label, label, where=lower)
+def _keep_lower(cost, label, best_cost, best_label, mask):
+    """Where (``cost``, ``label``) is below (``best_cost``, ``best_label``), take both: the
+    lower label where costs tie, then ``_keep_better``, each step through ``mask``."""
+    np.equal(cost, best_cost, out=mask)
+    np.minimum(best_label, label, out=best_label, where=mask)
+    _keep_better(cost, label, best_cost, best_label, mask)
+
+
+def budget_maps(dims, budget: int) -> int:
+    """How many float32 cost maps of a ``dims`` grid ``budget`` bytes hold; none is an error."""
+    map_bytes = math.prod(dims) * SEARCH_DTYPE.itemsize
+    if budget < map_bytes:
+        raise ValueError(f"memory budget {budget} B is smaller than one cost map ({map_bytes} B)")
+    return int(budget // map_bytes)
 
 
 def chunked_dsv_execution(
@@ -559,21 +573,20 @@ def chunked_dsv_execution(
     The field is bit-identical to ``build_dsv``, ``aggregate_costs``,
     ``regularize_dsv`` and ``winner_takes_all`` in turn, for every worker
     count and budget. ``workers`` threads search, never more than the
-    candidates or the cost maps the budget holds. The budget, counted in
-    float32 cost maps, is a cap and not the working size: each worker's
-    batch holds at most 1/W of it. A budget below one map is an error, as
-    are a negative radius or sigma (as in ``aggregate_costs`` and
-    ``regularize_dsv``), fewer than one worker, and features so large that
-    a box-summed cost could overflow float32: 2 * C * (2r + 1)^3 * max |f|,
-    over both level copies, at or above ``np.finfo(np.float32).max`` (the
-    full cost volume would hold infinities there). A level holds float32
-    channel-first copies of both feature volumes (the moving one padded by
-    ceil(l_max) voxels per side) and, per worker, the SAD scratch, a batch
-    no larger than it, a best cost, best label and merge mask (9 B per
-    voxel), and on levels with fractional candidates one blended moving
-    copy and, with more units than workers, a unit's best cost and label
-    (8 B per voxel), all allocated in the calling thread. The module
-    docstring describes the units, batches and merges.
+    candidates or the float32 cost maps the budget holds (``budget_maps``),
+    a cap and not the working size: each worker's batch holds at most 1/W
+    of it. A budget below one map is an error, as are a negative radius or
+    sigma (as in ``aggregate_costs`` and ``regularize_dsv``), fewer than
+    one worker, and features whose box-summed costs could overflow float32
+    (``_level_arrays``). A level holds float32 channel-first copies of both
+    feature volumes (the moving one padded by ceil(l_max) voxels per side)
+    and, per worker, the SAD scratch, a batch no larger than it, a best
+    cost, best label and mask (9 B per voxel), and on levels with
+    fractional candidates one blended moving copy and, with more units than
+    workers, a unit's best cost and label (8 B per voxel), all allocated in
+    the calling thread. A merge needs only the worker's mask, and the field
+    is gathered in float32. The module docstring describes the units,
+    batches and merges.
     """
     if patch_radius < 0:
         raise ValueError("patch_radius must be >= 0")
@@ -582,23 +595,10 @@ def chunked_dsv_execution(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     nz, ny, nx = f_fixed.data.shape[:3]
-    map_bytes = nz * ny * nx * SEARCH_DTYPE.itemsize
-    budget_maps = int(memory_budget_bytes // map_bytes)
-    if budget_maps < 1:
-        raise ValueError(
-            f"memory budget {memory_budget_bytes} B is smaller than one cost map ({map_bytes} B)"
-        )
-    n_workers = min(workers, disp.count, budget_maps)
+    maps = budget_maps((nz, ny, nx), memory_budget_bytes)
+    n_workers = min(workers, disp.count, maps)
 
-    fixed, moving = _level_arrays(f_fixed, f_moving, disp)
-    channels, box = fixed.shape[3], (2 * patch_radius + 1) ** 3
-    largest = float(max(max(a.max(), -a.min()) for a in (fixed, moving)))
-    if 2.0 * channels * box * largest >= float(np.finfo(SEARCH_DTYPE).max):
-        raise ValueError(
-            f"features too large for float32 costs: 2 x {channels} channels x {box} patch voxels"
-            f" x max |feature| {largest:.3g} reaches the float32 maximum; z-score them with"
-            " voxelreg features --descriptor external --zscore"
-        )
+    fixed, moving = _level_arrays(f_fixed, f_moving, disp, (2 * patch_radius + 1) ** 3)
     # work units: each weight group cut into as few contiguous pieces as
     # keep it within 1/W of the candidates (an integer level gives W
     # slices; as W <= count, no piece is empty), longest first
@@ -612,15 +612,13 @@ def chunked_dsv_execution(
     # every worker's arrays are allocated here, in the calling thread: the
     # same blocks allocated inside the worker threads raised peak RSS by up
     # to a fifth, and by a different amount from run to run
-    scratch = _sad_scratch((nz, ny, nx), channels, n_workers)
-    per_worker = min(budget_maps // n_workers, scratch.shape[1], len(units[0]))
+    scratch = _sad_scratch((nz, ny, nx), fixed.shape[3], n_workers)
+    per_worker = min(maps // n_workers, scratch.shape[1], len(units[0]))
     buffer = np.empty((n_workers, per_worker, nz, ny, nx), dtype=SEARCH_DTYPE)
     best_cost = np.full((n_workers, nz, ny, nx), np.inf, dtype=SEARCH_DTYPE)
     best_label = np.zeros((n_workers, nz, ny, nx), dtype=np.int32)
     improved = np.empty((n_workers, nz, ny, nx), dtype=bool)
-    blended = [None] * n_workers  # integer candidates read the level copy itself
-    if disp.fractional:
-        blended = np.empty((n_workers, moving.size), dtype=SEARCH_DTYPE)
+    blended = np.empty((n_workers, moving.size if disp.fractional else 0), SEARCH_DTYPE)
     spare = len(units) > n_workers  # some worker walks more than one unit
     unit_cost = np.empty_like(best_cost) if spare else None
     unit_label = np.empty_like(best_label) if spare else None
@@ -655,7 +653,7 @@ def chunked_dsv_execution(
         while (labels := next_unit()) is not None:
             unit_cost[w].fill(np.inf)
             walk(w, labels, unit_cost[w], unit_label[w])
-            _keep_lower(unit_cost[w], unit_label[w], best_cost[w], best_label[w])
+            _keep_lower(unit_cost[w], unit_label[w], best_cost[w], best_label[w], improved[w])
 
     if n_workers == 1:
         search(0)
@@ -663,8 +661,8 @@ def chunked_dsv_execution(
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             list(pool.map(search, range(n_workers)))  # re-raises a worker's exception
         for w in range(1, n_workers):
-            _keep_lower(best_cost[w], best_label[w], best_cost[0], best_label[0])
-    return DisplacementField(disp.displacements[best_label[0]].astype(np.float32))
+            _keep_lower(best_cost[w], best_label[w], best_cost[0], best_label[0], improved[w])
+    return _field_from_labels(disp, best_label[0])
 
 
 def energy(f_fixed: FeatureVolume, f_moving: FeatureVolume, field: DisplacementField, alpha: float) -> float:

@@ -25,11 +25,14 @@ from voxelreg.volume import (
 SYNTH_KINDS = ("translation", "sinusoid", "blobs")
 
 
-def _check_smooth(header: VolumeHeader, sigma: float):
+def _check_smooth(header: VolumeHeader):
     if header.n_voxels < 2:
         raise ValueError(f"dims must hold at least 2 voxels for a smooth volume, got {header.dims}")
-    if not sigma >= 0:
-        raise ValueError(f"noise sigma must be >= 0, got {sigma}")
+
+
+def _check_noise(sigma: float):
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"noise sigma must be {'finite' if sigma > 0 else '>= 0'}, got {sigma}")
 
 
 def _check_blobs(num_structures: int, min_radius: float, max_radius: float):
@@ -37,6 +40,8 @@ def _check_blobs(num_structures: int, min_radius: float, max_radius: float):
         raise ValueError("num_structures must be >= 1")
     if not 0 <= min_radius <= max_radius:
         raise ValueError(f"need 0 <= min_radius <= max_radius, got {min_radius}, {max_radius}")
+    if np.isinf(max_radius):
+        raise ValueError(f"max_radius must be finite, got {max_radius}")
 
 
 def _translation_vector(t) -> np.ndarray:
@@ -49,14 +54,15 @@ def _translation_vector(t) -> np.ndarray:
 def _check_sinusoid(amplitude: float, period: float):
     if not np.isfinite(amplitude):
         raise ValueError(f"amplitude must be finite, got {amplitude}")
-    if not period > 0:
-        raise ValueError(f"period must be > 0, got {period}")
+    if not 0 < period < np.inf:
+        raise ValueError(f"period must be {'finite' if period > 0 else '> 0'}, got {period}")
 
 
 def smooth_random_volume(dims, seed: int, sigma: float = 2.5) -> ScalarVolume:
     """Gaussian-filtered white noise, min-max rescaled to [0, 1]."""
     header = VolumeHeader(tuple(dims))
-    _check_smooth(header, sigma)
+    _check_smooth(header)
+    _check_noise(sigma)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(header.shape_zyx)
     data = ndimage.gaussian_filter(noise, sigma)
@@ -146,10 +152,11 @@ def make_pair(
     _check_blobs(num_blobs, min_radius, max_radius)
     _translation_vector(translation)
     _check_sinusoid(amplitude, period)
+    _check_noise(noise_sigma)
     if kind == "blobs":
         return {"labels": blob_labels(dims, num_blobs, seed, min_radius, max_radius)}
 
-    _check_smooth(header, noise_sigma)
+    _check_smooth(header)
     moving = smooth_random_volume(dims, seed, sigma=noise_sigma)
     if kind == "translation":
         field = translation_field(dims, translation)
@@ -158,11 +165,6 @@ def make_pair(
     moving_labels = blob_labels(dims, num_blobs, seed + 2, min_radius, max_radius)
     fixed = warp_scalar(moving, field)
     fixed_labels = warp_labels(moving_labels, field)
-    return {
-        "moving": moving,
-        "fixed": fixed,
-        "field": field,
-        "moving_labels": moving_labels,
-        "fixed_labels": fixed_labels,
-    }
+    return {"moving": moving, "fixed": fixed, "field": field,
+            "moving_labels": moving_labels, "fixed_labels": fixed_labels}
 

@@ -123,6 +123,11 @@ def test_synth_bad_dims_fails(tmp_path):
     (["--dims", "8", "--period", "nan"], "period must be > 0, got nan"),
     (["--dims", "8", "--translation", "1,nan,0"],
      "translation must be 3 finite numbers (tx, ty, tz), got [1.0, nan, 0.0]"),
+    # a second --kind replaces the first; none of these writes meta or a traceback
+    (["--kind", "blobs", "--dims", "8", "--noise-sigma", "nan"], "noise sigma must be >= 0, got nan"),
+    (["--kind", "sinusoid", "--dims", "8", "--period", "inf"], "period must be finite, got inf"),
+    (["--kind", "blobs", "--dims", "8", "--max-radius", "inf"], "max_radius must be finite, got inf"),
+    (["--kind", "sinusoid", "--dims", "8", "--noise-sigma", "inf"], "noise sigma must be finite, got inf"),
 ])
 def test_synth_bad_input_is_one_line_error(tmp_path, flags, needle):
     res = run_cli("synth", "--kind", "translation", "--seed", "1",
@@ -237,6 +242,18 @@ def test_readme_register_flags_are_register_options(capsys):
     usage = capsys.readouterr().out
     missing = {flag for flag in named if not re.search(rf"{flag}(?![\w-])", usage)}
     assert named and not missing, missing
+
+
+def test_readme_config_example_is_a_default_config():
+    # the configuration section's JSON example parses, names every config
+    # field and no other, and holds the default levels, so a field cannot
+    # be added to the config without the README showing it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Registration configuration", 1)[1]
+    example = json.loads(re.search(r"^```json\n(.*?)^```", section, flags=re.M | re.S).group(1))
+    cfg = RegistrationConfig.from_dict(example)
+    assert set(example) == {f.name for f in dataclasses.fields(RegistrationConfig)}
+    assert cfg.levels == RegistrationConfig().levels
 
 
 def test_register_self_gives_zero_field(tmp_path):

@@ -295,7 +295,8 @@ def signed_feature_pair(seed, scale, n=8, channels=2):
 @pytest.mark.parametrize("scale", [2e38, 1e37, 1e36])
 def test_chunked_features_that_overflow_float32_costs_error(scale):
     # 2e38 overflows the SAD and 1e37 the r = 1 box sum: refused before the
-    # search, as the full cost volume refuses the infinities, with the remedy;
+    # search, with the remedy, and by the reference path (build_dsv at 2e38,
+    # aggregate_costs at 1e37) before numpy overflows, which would warn;
     # at 1e36, 2 * 2 channels * 27 * 1e36 < float32 max and both paths agree
     f_fixed, f_moving = signed_feature_pair(75, scale)
     ds = regcore.build_displacement_set(1.0, 1.0)
@@ -303,12 +304,11 @@ def test_chunked_features_that_overflow_float32_costs_error(scale):
         got = chunked_dsv_execution(f_fixed, f_moving, ds, 1, 1.0, 1 << 20, workers=2)
         assert np.array_equal(got.data, unchunked_field(f_fixed, f_moving, ds, 1, 1.0).data)
         return
-    with pytest.raises(ValueError, match=r"^features too large for float32 costs: .*"
-                       r"voxelreg features --descriptor external --zscore$"):
+    refused = r"^features too large for float32 costs: .*voxelreg features --descriptor external --zscore$"
+    with pytest.raises(ValueError, match=refused):
         chunked_dsv_execution(f_fixed, f_moving, ds, 1, 1.0, 1 << 20, workers=2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="^costs must be finite and non-negative$"):
-            regcore.aggregate_costs(regcore.build_dsv(f_fixed, f_moving, ds), 1)
+    with pytest.raises(ValueError, match=refused):
+        regcore.aggregate_costs(regcore.build_dsv(f_fixed, f_moving, ds), 1)
 
 
 @pytest.mark.parametrize("radius, sigma, workers, message", [
@@ -404,7 +404,7 @@ def test_chunked_peak_memory_does_not_grow_with_the_budget():
     scratch = regcore._sad_scratch((n, n, n), channels).nbytes  # = one batch
     # per worker: float32 best cost, int32 best rank and bool mask, 9 B per voxel
     bound = features + workers * (scratch + scratch + 9 * voxels)
-    slack = 1 << 20  # the returned field, its float64 lookup, operators, labels
+    slack = 1 << 20  # the returned field, its float32 lookup, operators, labels
     # one untimed call fills the window and filter-plan caches, which would
     # otherwise count against the first measured call only
     chunked_dsv_execution(f_fixed, f_moving, ds, 2, 1.0, 16 << 20, workers)
@@ -432,9 +432,9 @@ def test_chunked_fractional_peak_holds_one_blend_per_worker():
     scratch = regcore._sad_scratch((n, n, n), channels).nbytes  # = one batch
     # per worker: scratch, batch, blend, float32 best cost, int32 best rank
     # and bool mask (9 B per voxel); the rank merge: each worker's unit best
-    # cost and rank (8 B per voxel) and the merge's two masks
-    bound = features + workers * (2 * scratch + moving + 9 * voxels) + (workers * 8 + 2) * voxels
-    slack = 1 << 20  # the returned field, its float64 lookup, operators, labels
+    # cost and rank (8 B per voxel), merged through the worker's own mask
+    bound = features + workers * (2 * scratch + moving + 9 * voxels) + workers * 8 * voxels
+    slack = 1 << 20  # the returned field, its float32 lookup, operators, labels
     chunked_dsv_execution(f_fixed, f_moving, ds, 2, 1.0, 16 << 20, workers)  # warm the caches
     peaks = []
     for budget_mb in (16, 1024):
@@ -647,6 +647,25 @@ def test_register_external_rejects_dim_mismatch(tmp_path):
     )
     with pytest.raises(ValueError):
         register(case["fixed"], case["moving"], cfg)
+
+
+def test_register_refuses_a_budget_below_one_map_before_any_level(monkeypatch):
+    # the full-size grid's cost map (72^3 float32, 1492992 B) outgrows 1 MB,
+    # while the coarse level's maps would fit: no level is searched
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return chunked_dsv_execution(*args)
+
+    monkeypatch.setattr(pipeline, "chunked_dsv_execution", spy)
+    vol = smooth_random_volume((72, 72, 72), seed=1)
+    levels = (LevelParams(2, 1.0, 2.0, 1, 1.0), LevelParams(1, 1.0, 1.0, 1, 1.0))
+    cfg = RegistrationConfig(feature="intensity", levels=levels, memory_budget_mb=1)
+    with pytest.raises(ValueError, match=r"^memory budget 1048576 B is smaller than one cost map "
+                       r"\(1492992 B\)$"):
+        register(vol, vol, cfg)
+    assert calls == []
 
 
 def test_register_rejects_too_small_volume():

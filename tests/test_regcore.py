@@ -341,6 +341,80 @@ def test_wta_rejects_count_mismatch():
         winner_takes_all(CostVolume(np.zeros((5, 2, 2, 2))), ds)
 
 
+def test_wta_peak_is_its_argmin_map_and_float32_field():
+    # the field is gathered in float32, with no float64 field on the way.
+    # numpy's argmin over the label axis copies the costs label-last (4 B
+    # per label and voxel, next to its 8 B result); three candidates keep
+    # that copy below the readout's peak
+    ds = make_line_set()
+    costs = np.random.default_rng(82).integers(0, 3, size=(3, 32, 32, 32)).astype(np.float32)
+    dsv = CostVolume(costs)
+    voxels = 32**3
+    winner_takes_all(dsv, ds)  # warm up outside the trace
+    tracemalloc.start()
+    try:
+        field = winner_takes_all(dsv, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # int64 argmin map, float32 field and the field's bool finite check
+    bound = 8 * voxels + field.data.nbytes + 3 * voxels
+    assert peak <= bound + (16 << 10), (peak, bound)
+
+
+def strict_unit_walk(costs, units, order):
+    """Per-voxel (best cost, best label) of ``costs`` (labels, z, y, x): each
+    unit, walked in label order by ``_keep_better`` into a unit best, then
+    merged into the best by ``_keep_lower``, units taken in ``order``."""
+    shape = costs.shape[1:]
+    best_cost, best_label = np.full(shape, np.inf, np.float32), np.zeros(shape, np.int32)
+    unit_cost, unit_label = np.empty_like(best_cost), np.empty_like(best_label)
+    mask = np.empty(shape, bool)
+    for u in order:
+        unit_cost.fill(np.inf)
+        for label in units[u]:
+            regcore._keep_better(costs[label], label, unit_cost, unit_label, mask)
+        regcore._keep_lower(unit_cost, unit_label, best_cost, best_label, mask)
+    return best_cost, best_label
+
+
+@pytest.mark.parametrize("seed", [83, 84, 85])
+def test_unit_walks_merged_in_any_order_equal_argmin(seed):
+    # integer costs in {0, 1, 2} tie at most voxels; units are ascending
+    # label sets, contiguous as integer slices are or interleaved as weight
+    # groups are, merged in shuffled orders
+    rng = np.random.default_rng(seed)
+    costs = rng.integers(0, 3, size=(40, 5, 6, 7)).astype(np.float32)
+    contiguous = np.split(np.arange(40), np.sort(rng.choice(np.arange(1, 40), 5, replace=False)))
+    owner = rng.integers(0, 6, size=40)
+    interleaved = [np.flatnonzero(owner == u) for u in np.unique(owner)]
+    for units in (contiguous, interleaved):
+        for _ in range(4):
+            best_cost, best_label = strict_unit_walk(costs, units, rng.permutation(len(units)))
+            assert np.array_equal(best_label, np.argmin(costs, axis=0))
+            assert np.array_equal(best_cost, costs.min(axis=0))
+
+
+def test_keep_lower_allocates_less_than_a_bool_map():
+    # 32^3: the merge runs through its caller's mask
+    rng = np.random.default_rng(86)
+    cost, best_cost = (rng.integers(0, 3, size=(32, 32, 32)).astype(np.float32) for _ in range(2))
+    label, best_label = (rng.integers(0, 50, size=(32, 32, 32)).astype(np.int32) for _ in range(2))
+    mask = np.empty((32, 32, 32), bool)
+    want_cost, want_label = np.minimum(cost, best_cost), best_label.copy()
+    ties, lower = cost == best_cost, cost < best_cost
+    want_label[ties] = np.minimum(label, best_label)[ties]
+    want_label[lower] = label[lower]
+    tracemalloc.start()
+    try:
+        regcore._keep_lower(cost, label, best_cost, best_label, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mask.nbytes, peak
+    assert np.array_equal(best_cost, want_cost) and np.array_equal(best_label, want_label)
+
+
 # ---------------------------------------------------------------------------
 # Energy
 # ---------------------------------------------------------------------------
@@ -502,6 +576,15 @@ def sample_shifted_oracle(moving, d):
     return out
 
 
+def kernel_cost_map(fixed32, moving32, d):
+    """``regcore._label_cost_map`` of ``d`` read off its weight group's
+    ``_blend``, through buffers made here as the searches make theirs."""
+    dims = fixed32.shape[:3]
+    scratch = regcore._sad_scratch(dims, fixed32.shape[3])
+    blended = regcore._blend(moving32, d, np.empty(moving32.size, np.float32), scratch)
+    return regcore._label_cost_map(fixed32, blended, d, np.empty(dims, np.float32), scratch)
+
+
 @pytest.mark.parametrize("channels", [1, 3, 12])
 @pytest.mark.parametrize("q", [1.0, 0.5])
 def test_label_cost_map_matches_clamped_gather_oracle(channels, q):
@@ -519,7 +602,7 @@ def test_label_cost_map_matches_clamped_gather_oracle(channels, q):
         assert arr.dtype == np.float32
         assert np.moveaxis(arr, -1, 0).flags.c_contiguous
     for d in ds.displacements:
-        got = regcore._label_cost_map(fixed32, regcore._blend(moving32, d), d)
+        got = kernel_cost_map(fixed32, moving32, d)
         diff = np.abs(f_fixed.data - sample_shifted_oracle(f_moving.data, d))
         want = diff[..., 0]
         for c in range(1, channels):
@@ -709,7 +792,7 @@ def test_grouped_sad_equals_channel_order_loop(k, q):
     scratch = np.empty((k, 6, 7, 8), np.float32)
     for d in ds.displacements:
         out = np.empty((6, 7, 8), np.float32)
-        blended = regcore._blend(moving32, d, scratch=scratch)
+        blended = regcore._blend(moving32, d, np.empty(moving32.size, np.float32), scratch)
         assert regcore._label_cost_map(fixed32, blended, d, out=out, scratch=scratch) is out
         want = channel_order_sad_oracle(f_fixed.data, f_moving.data, d)
         assert want.dtype == np.float32
@@ -764,7 +847,7 @@ def test_label_cost_map_with_scratch_allocates_less_than_a_map():
     scratch = regcore._sad_scratch(out.shape, 12)
     assert scratch.shape[0] == 8
     for d in ([0.5, -0.5, 1.0], [1.0, 0.0, -1.0]):
-        blended = regcore._blend(moving32, np.array(d), scratch=scratch)
+        blended = regcore._blend(moving32, np.array(d), np.empty(moving32.size, np.float32), scratch)
         tracemalloc.start()
         try:
             regcore._label_cost_map(fixed32, blended, np.array(d), out=out, scratch=scratch)
@@ -790,8 +873,7 @@ def test_corner_cache_keeps_levels_of_other_pad_and_dims_apart():
     for d in ([1.0, -1.0, 0.0], [0.5, 0.0, 1.0], [-0.5, 0.5, -1.0], [-0.5, -0.5, -0.5]):
         for _ in range(2):
             for fixed, moving, (fixed32, moving32) in levels:
-                blended = regcore._blend(moving32, np.array(d))
-                got = regcore._label_cost_map(fixed32, blended, np.array(d))
+                got = kernel_cost_map(fixed32, moving32, np.array(d))
                 want = channel_order_sad_oracle(fixed, moving, d)
                 assert np.array_equal(got, want), (d, fixed.shape, moving32.shape)
 
@@ -801,9 +883,9 @@ def test_repeated_candidate_and_filter_hit_their_caches():
     f = make_features(rng.standard_normal((5, 6, 7, 2)))
     fixed32, moving32 = regcore._level_arrays(f, f, build_displacement_set(1.0, 1.0))
     d = np.array([1.0, 0.0, -1.0])
-    regcore._label_cost_map(fixed32, moving32, d)
+    kernel_cost_map(fixed32, moving32, d)
     hits = regcore._window.cache_info().hits
-    regcore._label_cost_map(fixed32, moving32, d)
+    kernel_cost_map(fixed32, moving32, d)
     assert regcore._window.cache_info().hits == hits + 1
     batch = rng.uniform(0, 5, size=(2, 5, 6, 7)).astype(np.float32)
     regcore._smooth_map(batch, 1.3)

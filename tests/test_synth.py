@@ -116,6 +116,13 @@ def test_bad_generator_input_is_named(make, needle):
     ("sinusoid", {"amplitude": float("nan")}, "amplitude must be finite, got nan"),
     ("sinusoid", {"amplitude": float("inf")}, "amplitude must be finite, got inf"),
     ("blobs", {"period": -1.0}, "period must be > 0, got -1.0"),
+    # every kind checks the noise, period and radii, each for being finite
+    ("blobs", {"noise_sigma": float("nan")}, "noise sigma must be >= 0, got nan"),
+    ("sinusoid", {"period": float("inf")}, "period must be finite, got inf"),
+    ("blobs", {"max_radius": float("inf")}, "max_radius must be finite, got inf"),
+    ("sinusoid", {"noise_sigma": float("inf")}, "noise sigma must be finite, got inf"),
+    ("translation", {"min_radius": float("inf"), "max_radius": float("inf")},
+     "max_radius must be finite, got inf"),
 ])
 def test_make_pair_checks_inputs_before_any_work(monkeypatch, kind, params, needle):
     def no_work(*args, **kwargs):
