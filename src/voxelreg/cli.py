@@ -32,6 +32,7 @@ from voxelreg.volume import (
     load_volume,
     save_volume,
     warp_labels,
+    with_extension,
 )
 
 logger = logging.getLogger("voxelreg")
@@ -76,14 +77,23 @@ def _config_from_args(args) -> RegistrationConfig:
     return dataclasses.replace(cfg, **overrides)
 
 
+def _volume_path(path) -> Path:
+    """The one volume ``path`` names: f, f.raw and f.json give the same path."""
+    return with_extension(path, "").resolve()
+
+
 def cmd_register(args) -> int:
+    if args.out_warped and _volume_path(args.out_warped) == _volume_path(args.out_field):
+        raise ValueError(
+            f"--out-field {args.out_field} and --out-warped {args.out_warped} name one volume"
+        )
     cfg = _config_from_args(args)
     fixed = load_volume(args.fixed, kind="scalar")
     moving = load_volume(args.moving, kind="scalar")
-    field, warped = register(fixed, moving, cfg)
-    save_volume(field, args.out_field)
-    if args.out_warped:
-        save_volume(warped, args.out_warped)
+    result = register(fixed, moving, cfg)
+    save_volume(result.field, args.out_field)
+    if args.out_warped:  # the only read of the warped image
+        save_volume(result.warped, args.out_warped)
     logger.info("registered %s -> %s, field written to %s", args.moving, args.fixed, args.out_field)
     return 0
 
@@ -231,7 +241,7 @@ def _run_batch_pair(pair: dict, cfg: RegistrationConfig):
     moving = load_volume(pair["moving"], kind="scalar")
     fixed_labels = load_volume(pair["fixed_labels"], kind="label")
     moving_labels = load_volume(pair["moving_labels"], kind="label")
-    field, _ = register(fixed, moving, cfg)
+    field = register(fixed, moving, cfg)[0]  # reading [0] never warps the moving image
     warped = warp_labels(moving_labels, field)
     return evaluation.pair_result(pair["fixed"], pair["moving"], fixed_labels, warped)
 

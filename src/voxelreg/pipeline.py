@@ -11,13 +11,19 @@ level's grid. Each level builds one feature pair, by its source:
   their meaning);
 * external features: both saved feature volumes are downsampled and the
   moving one is warped by the running field (after level 0); no image is
-  read until the final warp.
+  read.
 
 The discrete search (``regcore.chunked_dsv_execution``) then produces an
 increment that is composed additively into the running field. Between
 levels the field is upsampled onto the next grid. Additive composition
 is an approximation of true function composition, adequate for the
 small, bounded increments searched here.
+
+``register`` returns a ``Registration``: the final field, and the moving
+image warped by it. That warp runs on the first read of ``warped`` (or
+``result[1]``, or unpacking ``field, warped = register(...)``), not in
+``register``, so a caller that needs only the field, as ``batch`` does,
+never pays for it.
 
 Two kinds of resampler run here. The level grids come from
 ``volume.downsample`` (images, and external features) and
@@ -31,8 +37,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 import os
 from dataclasses import asdict, dataclass, field as dataclass_field, fields
+from functools import cached_property
 from typing import Sequence
 
 from voxelreg import features as feat
@@ -230,14 +238,35 @@ def _check_level_dims(dims, level: LevelParams):
     return level_dims
 
 
-def register(
-    fixed: ScalarVolume, moving: ScalarVolume, cfg: RegistrationConfig
-) -> tuple[DisplacementField, ScalarVolume]:
-    """Estimate the field aligning ``moving`` to ``fixed`` and apply it.
+class Registration(Sequence):
+    """What ``register`` found: ``field``, and ``warped``, the moving image warped by it.
 
-    Returns the displacement field on the fixed grid plus the warped
-    moving image. Deterministic: identical inputs give bit-identical
-    outputs.
+    ``warped`` is made on its first read and kept. The result unpacks
+    and indexes as the pair ``(field, warped)``: ``result[0]`` never
+    warps, while ``result[1]`` and unpacking read ``warped``.
+    """
+
+    def __init__(self, field: DisplacementField, moving: ScalarVolume):
+        self.field = field
+        self.moving = moving
+
+    @cached_property
+    def warped(self) -> ScalarVolume:
+        return warp_scalar(self.moving, self.field)
+
+    def __len__(self) -> int:
+        return 2
+
+    def __getitem__(self, index: int):
+        return self.warped if range(2)[operator.index(index)] else self.field
+
+
+def register(fixed: ScalarVolume, moving: ScalarVolume, cfg: RegistrationConfig) -> Registration:
+    """Estimate the field aligning ``moving`` to ``fixed``.
+
+    Returns a ``Registration``: the displacement field on the fixed grid,
+    and the moving image warped by it, which is made only when read.
+    Deterministic: identical inputs give bit-identical outputs.
     """
     if fixed.dims != moving.dims:
         raise ValueError(f"fixed dims {fixed.dims} != moving dims {moving.dims}")
@@ -291,5 +320,4 @@ def register(
             ratio = level.factor // cfg.levels[i + 1].factor
             field = upsample_field(field, ratio, level_dims[i + 1])
 
-    warped = warp_scalar(moving, field)
-    return field, warped
+    return Registration(field, moving)

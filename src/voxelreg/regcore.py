@@ -524,11 +524,18 @@ def winner_takes_all(dsv: CostVolume, disp: DisplacementSet) -> DisplacementFiel
 
     Among equal costs the lowest label, the first in priority order,
     wins, so the smallest displacement wins and self-similar inputs yield
-    the zero field.
+    the zero field. The labels are scanned in order by ``_keep_better``,
+    which picks argmin's first minimum without its label-last copy of
+    the costs.
     """
     if dsv.label_count != disp.count:
         raise ValueError(f"label_count {dsv.label_count} != |displacements| {disp.count}")
-    return _field_from_labels(disp, np.argmin(dsv.costs, axis=0))
+    best_cost = dsv.costs[0].copy()
+    best_label = np.zeros(best_cost.shape, np.int32)
+    improved = np.empty(best_cost.shape, bool)
+    for label in range(1, dsv.label_count):
+        _keep_better(dsv.costs[label], label, best_cost, best_label, improved)
+    return _field_from_labels(disp, best_label)
 
 
 def _field_from_labels(disp: DisplacementSet, labels: np.ndarray) -> DisplacementField:

@@ -20,7 +20,7 @@ from voxelreg import cli, evaluation, pipeline, regcore  # noqa: E402
 from voxelreg.features import edge_features  # noqa: E402
 from voxelreg.pipeline import LevelParams, RegistrationConfig  # noqa: E402
 from voxelreg.synth import make_pair  # noqa: E402
-from voxelreg.volume import save_volume  # noqa: E402
+from voxelreg.volume import DisplacementField, ScalarVolume, save_volume  # noqa: E402
 
 MODULES = {"pipeline": pipeline, "regcore": regcore, "cli": cli, "evaluation": evaluation}
 TWO_LEVELS = (LevelParams(2, 1.0, 1.0, 1, 1.0), LevelParams(1, 1.0, 1.0, 1, 1.0))
@@ -36,17 +36,23 @@ def write_subject(tmp_path, seed):
     return case, paths
 
 
-def test_every_traced_target_exists_and_is_called(tmp_path):
+def write_manifest(tmp_path):
+    """A one-level edge batch over two subjects; returns (first subject's case, manifest)."""
     case, subject_a = write_subject(tmp_path, 1)
     _, subject_b = write_subject(tmp_path, 2)
-    fixed, moving = case["fixed"], case["moving"]
-    for name, vol in (("ext_fixed", fixed), ("ext_moving", moving)):
-        save_volume(edge_features(vol), tmp_path / name)
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({
         "volumes": [subject_a, subject_b],
         "config": {"feature": "edge", "levels": [TWO_LEVELS[1].to_dict()]},
     }))
+    return case, manifest
+
+
+def test_every_traced_target_exists_and_is_called(tmp_path):
+    case, manifest = write_manifest(tmp_path)
+    fixed, moving = case["fixed"], case["moving"]
+    for name, vol in (("ext_fixed", fixed), ("ext_moving", moving)):
+        save_volume(edge_features(vol), tmp_path / name)
 
     with tracer.Tracer(MODULES) as tr:
         pipeline.register(fixed, moving, RegistrationConfig(feature="ssc", levels=TWO_LEVELS))
@@ -96,3 +102,37 @@ def test_threaded_search_keeps_every_search_span(monkeypatch):
         threads = {s.thread for s in tr.spans if s.name == name}
         assert len(threads) >= 2 and main not in threads, name
     assert {s.name for s in tr.spans} == {t[2] for t in tracer.TARGETS if t[0] in ("pipeline", "regcore")}
+
+
+# ``perfbench/workloads.py`` drives voxelreg through these calls: it wraps
+# ``cli.register`` to capture each batch pair's field as ``result[0]``, and
+# unpacks ``field, _ = pipeline.register(...)`` for single pairs.
+
+def test_batch_calls_register_with_fixed_moving_and_config(tmp_path, monkeypatch):
+    _, manifest = write_manifest(tmp_path)
+    calls = []
+    inner = cli.register
+
+    def capture(*args, **kwargs):
+        calls.append((args, kwargs))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "register", capture)
+    assert cli.main(["batch", str(manifest), "--out-dir", str(tmp_path / "out")]) == 0
+    assert len(calls) == 2
+    for args, kwargs in calls:
+        assert kwargs == {}
+        fixed, moving, cfg = args
+        assert isinstance(fixed, ScalarVolume) and isinstance(moving, ScalarVolume)
+        assert isinstance(cfg, RegistrationConfig)
+
+
+def test_register_result_indexes_and_unpacks_to_its_field():
+    case = make_pair("translation", (12, 12, 12), 4, translation=(1.0, 0.0, 0.0),
+                     num_blobs=3, min_radius=2.0, max_radius=3.0)
+    cfg = RegistrationConfig(feature="ssc", levels=TWO_LEVELS[1:])
+    result = pipeline.register(case["fixed"], case["moving"], cfg)
+    assert isinstance(result[0], DisplacementField)
+    assert result[0] is result.field
+    field, _ = pipeline.register(case["fixed"], case["moving"], cfg)
+    assert field.data.tobytes() == result[0].data.tobytes()

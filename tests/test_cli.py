@@ -453,6 +453,37 @@ def test_register_ignores_budget_env(tmp_path):
     assert all(np.array_equal(f, fields[0]) for f in fields)
 
 
+@pytest.mark.parametrize("field, warped", [
+    ("f", "f"), ("f", "f.raw"), ("f.json", "f"), ("f.raw", "f.json"), ("f", "sub/../f"),
+])
+def test_register_refuses_one_volume_for_both_outputs(tmp_path, field, warped):
+    # refused before any input is read, so none need exist
+    res = run_cli("register", "--fixed", tmp_path / "nope", "--moving", tmp_path / "nope",
+                  "--out-field", tmp_path / field, "--out-warped", tmp_path / warped)
+    assert_one_line_error(res, "name one volume")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_register_warps_the_image_only_for_out_warped(tmp_path, image_warps):
+    from voxelreg import cli, pipeline
+
+    case = make_pair("translation", (12, 12, 12), seed=13, translation=(1, 0, 0))
+    save_volume(case["fixed"], tmp_path / "fixed")
+    save_volume(case["moving"], tmp_path / "moving")
+    args = ["register", "--fixed", str(tmp_path / "fixed"), "--moving", str(tmp_path / "moving"),
+            "--levels", "1:1:1:1:1", "--feature", "intensity"]
+    # one level warps nothing before its search
+    assert cli.main([*args, "--out-field", str(tmp_path / "f1")]) == 0
+    assert image_warps == []
+    assert cli.main([*args, "--out-field", str(tmp_path / "f2"),
+                     "--out-warped", str(tmp_path / "w2")]) == 0
+    assert len(image_warps) == 1
+    field = load_volume(tmp_path / "f2", kind="field")
+    assert field.data.tobytes() == load_volume(tmp_path / "f1", kind="field").data.tobytes()
+    expected = pipeline.warp_scalar(load_volume(tmp_path / "moving", kind="scalar"), field)
+    assert load_volume(tmp_path / "w2").data.tobytes() == expected.data.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # features
 # ---------------------------------------------------------------------------
@@ -822,6 +853,32 @@ def test_batch_skips_pair_that_runs_out_of_memory(tmp_path, monkeypatch, caplog)
     assert [p["fixed"] for p in report["pairs"]] == [pairs[0]["fixed"]]
     assert report["skipped_pairs"] == ["p1"]
     assert "pair p1 failed and was excluded: MemoryError" in caplog.text
+
+
+def test_batch_warps_no_image_and_keeps_its_report(tmp_path, monkeypatch, image_warps):
+    # scoring warps the label maps; the moving image's warp is never read
+    from voxelreg import cli
+
+    pairs = []
+    for i, seed in enumerate((29, 30)):
+        p = write_pair_files(tmp_path, seed=seed, name=f"w{i}")
+        p.pop("unregistered_jc")
+        pairs.append({"pair_id": f"p{i}", **p})
+    manifest = batch_manifest(tmp_path, pairs)  # one level
+    assert cli.main(["batch", str(manifest), "--out-dir", str(tmp_path / "lazy")]) == 0
+    assert image_warps == []
+
+    real_register = cli.register
+
+    def eager(fixed, moving, cfg):
+        field, warped = real_register(fixed, moving, cfg)
+        return field, warped
+
+    monkeypatch.setattr(cli, "register", eager)
+    assert cli.main(["batch", str(manifest), "--out-dir", str(tmp_path / "eager")]) == 0
+    assert len(image_warps) == 2
+    reports = [(tmp_path / d / "report.json").read_bytes() for d in ("lazy", "eager")]
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3", "two"])

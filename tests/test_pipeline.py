@@ -683,6 +683,35 @@ def test_register_is_deterministic():
     assert np.array_equal(w1.data, w2.data)
 
 
+def test_register_reads_the_field_without_warping(image_warps):
+    # one level warps nothing before its search, so any call is the final warp
+    case = make_pair("translation", (12, 12, 12), seed=74, translation=(1.0, 0.0, 0.0))
+    result = register(case["fixed"], case["moving"], single_level(feature="intensity"))
+    assert result[0] is result.field and result[-2] is result.field
+    assert len(result) == 2
+    assert image_warps == []
+    with pytest.raises(IndexError):
+        result[2]
+
+
+def test_register_warps_once_on_first_read_of_warped(image_warps):
+    case = make_pair("translation", (12, 12, 12), seed=74, translation=(1.0, 0.0, 0.0))
+    result = register(case["fixed"], case["moving"], single_level(feature="intensity"))
+    warped = result.warped
+    assert image_warps == [(case["moving"], result.field)]
+    assert result.warped is warped and result[1] is warped and result[-1] is warped
+    assert len(image_warps) == 1
+
+
+def test_register_unpacks_to_the_field_and_its_warp():
+    case = make_pair("sinusoid", (16, 16, 16), seed=75, amplitude=1.5, period=12.0)
+    levels = (LevelParams(2, 1.0, 1.0, 1, 1.0), LevelParams(1, 1.0, 1.0, 1, 1.0))
+    field, warped = register(case["fixed"], case["moving"], RegistrationConfig(levels=levels))
+    expected = pipeline.warp_scalar(case["moving"], field)
+    assert warped.data.tobytes() == expected.data.tobytes()
+    assert warped.spacing == expected.spacing
+
+
 def test_register_with_standardization():
     case = make_pair(
         "translation", (32, 32, 32), seed=73, translation=(1.0, 0.0, 0.0), noise_sigma=1.2

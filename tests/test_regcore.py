@@ -341,13 +341,13 @@ def test_wta_rejects_count_mismatch():
         winner_takes_all(CostVolume(np.zeros((5, 2, 2, 2))), ds)
 
 
-def test_wta_peak_is_its_argmin_map_and_float32_field():
-    # the field is gathered in float32, with no float64 field on the way.
-    # numpy's argmin over the label axis copies the costs label-last (4 B
-    # per label and voxel, next to its 8 B result); three candidates keep
-    # that copy below the readout's peak
-    ds = make_line_set()
-    costs = np.random.default_rng(82).integers(0, 3, size=(3, 32, 32, 32)).astype(np.float32)
+def test_wta_peak_is_its_label_scan_and_float32_field():
+    # the field is gathered in float32, with no float64 field on the way,
+    # and the labels are scanned in place: no label-last copy of the costs
+    # (argmin's 4 B per label and voxel) at any candidate count
+    ds = build_displacement_set(1.0, 1.0)
+    assert ds.count == 27
+    costs = np.random.default_rng(82).integers(0, 3, size=(27, 32, 32, 32)).astype(np.float32)
     dsv = CostVolume(costs)
     voxels = 32**3
     winner_takes_all(dsv, ds)  # warm up outside the trace
@@ -357,9 +357,12 @@ def test_wta_peak_is_its_argmin_map_and_float32_field():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # int64 argmin map, float32 field and the field's bool finite check
-    bound = 8 * voxels + field.data.nbytes + 3 * voxels
+    # float32 best cost, int32 label and bool mask, float32 field and the
+    # field's bool finite check
+    bound = (4 + 4 + 1) * voxels + field.data.nbytes + 3 * voxels
     assert peak <= bound + (16 << 10), (peak, bound)
+    expected = ds.displacements.astype(np.float32)[np.argmin(costs, axis=0)]
+    assert np.array_equal(field.data, expected)
 
 
 def strict_unit_walk(costs, units, order):
