@@ -104,10 +104,12 @@ def edge_features(vol: ScalarVolume) -> FeatureVolume:
     data = vol.data.astype(np.float64)
     lo, hi = data.min(), data.max()
     if hi > lo:
-        data = (data - lo) / (hi - lo)
-    gz, gy, gx = np.gradient(data, edge_order=1)
-    mag = np.sqrt(gx * gx + gy * gy + gz * gz)
-    return FeatureVolume(mag.astype(np.float32)[..., np.newaxis], vol.spacing)
+        data -= lo
+        data /= hi - lo
+    gx, gy, gz = (np.square(g, out=g) for g in np.gradient(data, edge_order=1)[::-1])
+    gx += gy
+    gx += gz  # in place, in the order of gx * gx + gy * gy + gz * gz
+    return FeatureVolume(np.sqrt(gx, out=gx).astype(np.float32)[..., np.newaxis], vol.spacing)
 
 
 # ---------------------------------------------------------------------------

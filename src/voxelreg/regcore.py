@@ -48,11 +48,12 @@ per-voxel (best cost, best label) pair where it is strictly lower
 (``_keep_better``). A batch holds as many cost maps as the SAD scratch
 (``_sad_scratch``, one block of k maps), so the filters take a batch in
 one pass over that scratch, free once the batch is scored. A worker
-walks its first unit into its best and each later one into a unit best,
-merged into its best where (cost, label) is lower (``_keep_lower``, with
-no memory beyond the worker's mask), as the workers' bests are. The lowest
-(cost, label) is what one strict less-than scan over all labels keeps, so
-the winner does not depend on which worker took which unit, or when. The threads share
+walks its first unit into its empty best that way and each later one
+straight into the same best, each map taken where (cost, label) is lower
+(``_keep_lower``, with no memory beyond the worker's mask); the workers'
+bests merge the same way. The lowest (cost, label) is what one strict
+less-than scan over all labels keeps, so the winner does not depend on
+which worker took which unit, or when. The threads share
 one interpreter lock, which numpy releases only inside its array loops,
 so any Python work between array calls runs on one thread at a time.
 That work is cached: a shift's corners (``_corners``) and its window's
@@ -589,10 +590,9 @@ def chunked_dsv_execution(
     feature volumes (the moving one padded by ceil(l_max) voxels per side)
     and, per worker, the SAD scratch, a batch no larger than it, a best
     cost, best label and mask (9 B per voxel), and on levels with
-    fractional candidates one blended moving copy and, with more units than
-    workers, a unit's best cost and label (8 B per voxel), all allocated in
-    the calling thread. A merge needs only the worker's mask, and the field
-    is gathered in float32. The module docstring describes the units,
+    fractional candidates one blended moving copy, all allocated in the
+    calling thread. A merge needs only the worker's mask, and the field is
+    gathered in float32. The module docstring describes the units,
     batches and merges.
     """
     if patch_radius < 0:
@@ -626,12 +626,9 @@ def chunked_dsv_execution(
     best_label = np.zeros((n_workers, nz, ny, nx), dtype=np.int32)
     improved = np.empty((n_workers, nz, ny, nx), dtype=bool)
     blended = np.empty((n_workers, moving.size if disp.fractional else 0), SEARCH_DTYPE)
-    spare = len(units) > n_workers  # some worker walks more than one unit
-    unit_cost = np.empty_like(best_cost) if spare else None
-    unit_label = np.empty_like(best_label) if spare else None
 
-    # worker w walks unit w into its best, then takes the remaining units
-    # one at a time, each walked into its unit best and merged by label
+    # worker w walks unit w into its empty best, then takes the remaining
+    # units one at a time, each walked straight into that best by label
     rest = iter(units[n_workers:])
     lock = threading.Lock()
 
@@ -641,7 +638,7 @@ def chunked_dsv_execution(
 
     # the kernels are looked up by module name at call time, so a wrapper
     # set on the module (the benchmark's tracer) sees every call
-    def walk(w, labels, into_cost, into_label):
+    def walk(w, labels, keep):
         source = _blend(moving, disp.displacements[labels[0]], blended[w], scratch[w])
         for start in range(0, len(labels), per_worker):
             batch_labels = labels[start : start + per_worker]
@@ -653,14 +650,12 @@ def chunked_dsv_execution(
             if smooth_sigma > 0:
                 _smooth_map(batch, smooth_sigma, scratch[w])
             for cost_map, label in zip(batch, batch_labels):
-                _keep_better(cost_map, label, into_cost, into_label, improved[w])
+                keep(cost_map, label, best_cost[w], best_label[w], improved[w])
 
     def search(w):
-        walk(w, units[w], best_cost[w], best_label[w])
+        walk(w, units[w], _keep_better)
         while (labels := next_unit()) is not None:
-            unit_cost[w].fill(np.inf)
-            walk(w, labels, unit_cost[w], unit_label[w])
-            _keep_lower(unit_cost[w], unit_label[w], best_cost[w], best_label[w], improved[w])
+            walk(w, labels, _keep_lower)
 
     if n_workers == 1:
         search(0)

@@ -326,13 +326,6 @@ def _trilinear_zyx(data: np.ndarray, coords: np.ndarray, dtype=np.float64) -> np
     return out.reshape(coords.shape[1:] + data.shape[3:])
 
 
-def _warp_coords(dims_xyz, field_data) -> np.ndarray:
-    """Float64 ``(3, z, y, x)`` sample coordinates x + u(x) of a backward warp."""
-    coords = np.indices(dims_xyz[::-1], dtype=np.float64)
-    coords += np.moveaxis(field_data[..., ::-1], -1, 0)
-    return coords
-
-
 def warp_scalar(
     moving: ScalarVolume | FeatureVolume, field: DisplacementField
 ) -> ScalarVolume | FeatureVolume:
@@ -343,8 +336,9 @@ def warp_scalar(
     """
     if field.dims != moving.dims:
         raise ValueError(f"field dims {field.dims} != volume dims {moving.dims}")
-    out = _trilinear_zyx(moving.data, _warp_coords(field.dims, field.data), np.float32)
-    return type(moving)(out, moving.spacing)
+    coords = np.indices(field.dims[::-1], dtype=np.float64)  # (3, z, y, x) sample positions
+    coords += np.moveaxis(field.data[..., ::-1], -1, 0)
+    return type(moving)(_trilinear_zyx(moving.data, coords, np.float32), moving.spacing)
 
 
 warp_features = warp_scalar
@@ -353,16 +347,20 @@ warp_features = warp_scalar
 def warp_labels(labels: LabelVolume, field: DisplacementField) -> LabelVolume:
     """Backward warp with nearest-neighbor sampling (round half up, clamped).
 
-    Never introduces labels absent from the input.
+    Never introduces labels absent from the input. Per axis, floor(x + u + 0.5)
+    is x + floor(u) + (u - floor(u) >= 0.5), computed in the field's float32.
     """
     if field.dims != labels.dims:
         raise ValueError(f"field dims {field.dims} != volume dims {labels.dims}")
-    nz, ny, nx = labels.data.shape
-    zc, yc, xc = _warp_coords(field.dims, field.data)
-    zi = np.clip(np.floor(zc + 0.5).astype(np.intp), 0, nz - 1)
-    yi = np.clip(np.floor(yc + 0.5).astype(np.intp), 0, ny - 1)
-    xi = np.clip(np.floor(xc + 0.5).astype(np.intp), 0, nx - 1)
-    return LabelVolume(labels.data[zi, yi, xi], labels.spacing, labels.dtype)
+    flat = np.zeros(labels.data.shape, np.intp)  # row-major index of each sample
+    for axis, n in enumerate(labels.data.shape):
+        u = field.data[..., 2 - axis]  # components are (ux, uy, uz)
+        index = np.floor(u)
+        grid = np.arange(n, dtype=index.dtype).reshape((n,) + (1,) * (2 - axis))  # z, y or x
+        index += (u - index >= 0.5) + grid
+        flat *= n
+        flat += np.clip(index, 0, n - 1, out=index).astype(np.intp)
+    return LabelVolume(labels.data.take(flat), labels.spacing, labels.dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -421,9 +421,11 @@ def test_chunked_peak_memory_does_not_grow_with_the_budget():
 
 
 def test_chunked_fractional_peak_holds_one_blend_per_worker():
-    # 24^3, 12 channels, q = 0.5: 125 candidates in 8 weight groups, so each
-    # worker walks several units and blends each group into its one buffer
-    n, channels, workers = 24, 12, 2
+    # 48^3, 12 channels, q = 0.5: 125 candidates in 8 weight groups, so each
+    # worker walks several units, blends each group into its one buffer and
+    # walks each unit straight into its one best; at 48^3 a unit best per
+    # worker (8 B per voxel) would not fit in the slack
+    n, channels, workers = 48, 12, 2
     f_fixed, f_moving = random_feature_pair(64, n=n, channels=channels)
     ds = regcore.build_displacement_set(0.5, 1.0)
     voxels = n**3
@@ -431,10 +433,9 @@ def test_chunked_fractional_peak_holds_one_blend_per_worker():
     features = 4 * channels * voxels + moving
     scratch = regcore._sad_scratch((n, n, n), channels).nbytes  # = one batch
     # per worker: scratch, batch, blend, float32 best cost, int32 best rank
-    # and bool mask (9 B per voxel); the rank merge: each worker's unit best
-    # cost and rank (8 B per voxel), merged through the worker's own mask
-    bound = features + workers * (2 * scratch + moving + 9 * voxels) + workers * 8 * voxels
-    slack = 1 << 20  # the returned field, its float32 lookup, operators, labels
+    # and bool mask (9 B per voxel); then the float32 field (12 B per voxel)
+    bound = features + workers * (2 * scratch + moving + 9 * voxels) + 12 * voxels
+    slack = 1 << 20  # the field's float32 lookup, operators, labels
     chunked_dsv_execution(f_fixed, f_moving, ds, 2, 1.0, 16 << 20, workers)  # warm the caches
     peaks = []
     for budget_mb in (16, 1024):
@@ -470,7 +471,9 @@ def test_chunked_search_calls_the_kernel_once_per_candidate_from_the_workers(mon
     # the benchmark's tracer counts regcore._label_cost_map calls (label
     # maps, fractional ones by their d) and times each as one SAD span; with
     # more workers than cores and a short switch interval, a unit taken
-    # twice or lost shows as a wrong call count
+    # twice or lost shows as a wrong call count, and a merge that depends
+    # on the interleaving as a field unlike the one-worker field (integer
+    # features tie often, so the merges decide many voxels)
     calls = []
     kernel = regcore._label_cost_map
 
@@ -479,14 +482,16 @@ def test_chunked_search_calls_the_kernel_once_per_candidate_from_the_workers(mon
         return kernel(fixed64, moving64, d, out=out, scratch=scratch)
 
     monkeypatch.setattr(regcore, "_label_cost_map", spy)
-    f_fixed, f_moving = random_feature_pair(75)
+    f_fixed, f_moving = integer_feature_pair(75)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for q, l_max, fractional in ((1.0, 1.0, 0), (0.5, 1.0, 98)):
             ds = regcore.build_displacement_set(q, l_max)
+            want = chunked_dsv_execution(f_fixed, f_moving, ds, 1, 1.0, 1 << 30, 1)
             calls.clear()
-            chunked_dsv_execution(f_fixed, f_moving, ds, 1, 1.0, 1 << 30, workers)
+            got = chunked_dsv_execution(f_fixed, f_moving, ds, 1, 1.0, 1 << 30, workers)
+            assert got.data.tobytes() == want.data.tobytes(), q
             shifts = [d for _, d in calls]
             assert len(shifts) == ds.count
             assert sorted(shifts) == sorted(map(tuple, ds.displacements.tolist()))

@@ -366,18 +366,18 @@ def test_wta_peak_is_its_label_scan_and_float32_field():
 
 
 def strict_unit_walk(costs, units, order):
-    """Per-voxel (best cost, best label) of ``costs`` (labels, z, y, x): each
-    unit, walked in label order by ``_keep_better`` into a unit best, then
-    merged into the best by ``_keep_lower``, units taken in ``order``."""
+    """Per-voxel (best cost, best label) of ``costs`` (labels, z, y, x): the
+    units walked in label order, taken in ``order``, into one best; the
+    first by ``_keep_better`` into the empty best, each later one straight
+    into it by ``_keep_lower``."""
     shape = costs.shape[1:]
     best_cost, best_label = np.full(shape, np.inf, np.float32), np.zeros(shape, np.int32)
-    unit_cost, unit_label = np.empty_like(best_cost), np.empty_like(best_label)
     mask = np.empty(shape, bool)
+    keep = regcore._keep_better
     for u in order:
-        unit_cost.fill(np.inf)
         for label in units[u]:
-            regcore._keep_better(costs[label], label, unit_cost, unit_label, mask)
-        regcore._keep_lower(unit_cost, unit_label, best_cost, best_label, mask)
+            keep(costs[label], label, best_cost, best_label, mask)
+        keep = regcore._keep_lower
     return best_cost, best_label
 
 
@@ -385,7 +385,7 @@ def strict_unit_walk(costs, units, order):
 def test_unit_walks_merged_in_any_order_equal_argmin(seed):
     # integer costs in {0, 1, 2} tie at most voxels; units are ascending
     # label sets, contiguous as integer slices are or interleaved as weight
-    # groups are, merged in shuffled orders
+    # groups are, walked into one best in shuffled orders
     rng = np.random.default_rng(seed)
     costs = rng.integers(0, 3, size=(40, 5, 6, 7)).astype(np.float32)
     contiguous = np.split(np.arange(40), np.sort(rng.choice(np.arange(1, 40), 5, replace=False)))

@@ -431,7 +431,7 @@ def test_warp_samples_straight_into_float32(channels):
     u[::2] = np.round(u[::2])
     field = DisplacementField(u)
     out = warp_features(fv, field)
-    coords = volume._warp_coords(field.dims, field.data)
+    coords = np.indices((7, 6, 5), dtype=np.float64) + np.moveaxis(u[..., ::-1], -1, 0)
     want = volume._trilinear_zyx(fv.data, coords).astype(np.float32)
     assert out.data.dtype == np.float32
     assert np.array_equal(out.data.view(np.uint32), want.view(np.uint32))
@@ -460,17 +460,24 @@ def test_warp_labels_constant_integer_shift():
 def test_warp_labels_matches_nearest_neighbor_oracle():
     rng = np.random.default_rng(9)
     labels = LabelVolume(rng.integers(0, 5, size=(5, 6, 7)))
-    field = DisplacementField(smooth_noise(rng, (5, 6, 7, 3)) * 3.0)
-    out = warp_labels(labels, field)
+    smooth = smooth_noise(rng, (5, 6, 7, 3)) * 3.0
+    # exact halves, negative ones and ones past both faces, their float32
+    # neighbours and tiny offsets of either sign
+    below, above = np.nextafter(np.float32([0.5, -0.5]), np.float32([0.0, -1.0]))
+    offsets = [-9.5, -2.5, -1.5, -0.5, 0.5, 1.5, 2.5, 9.5, below, above, 1e-30, -1e-30]
+    halves = rng.choice(np.float32(offsets), size=(5, 6, 7, 3))
     nz, ny, nx = labels.data.shape
-    for z in range(nz):
-        for y in range(ny):
-            for x in range(nx):
-                ux, uy, uz = (float(v) for v in field.data[z, y, x])
-                xi = min(max(int(math.floor(x + ux + 0.5)), 0), nx - 1)
-                yi = min(max(int(math.floor(y + uy + 0.5)), 0), ny - 1)
-                zi = min(max(int(math.floor(z + uz + 0.5)), 0), nz - 1)
-                assert out.data[z, y, x] == labels.data[zi, yi, xi]
+    for data in (smooth, halves):
+        field = DisplacementField(data)
+        out = warp_labels(labels, field)
+        for z in range(nz):
+            for y in range(ny):
+                for x in range(nx):
+                    ux, uy, uz = (float(v) for v in field.data[z, y, x])
+                    xi = min(max(int(math.floor(x + ux + 0.5)), 0), nx - 1)
+                    yi = min(max(int(math.floor(y + uy + 0.5)), 0), ny - 1)
+                    zi = min(max(int(math.floor(z + uz + 0.5)), 0), nz - 1)
+                    assert out.data[z, y, x] == labels.data[zi, yi, xi]
 
 
 def test_warp_labels_never_invents_labels():
