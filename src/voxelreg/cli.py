@@ -323,11 +323,9 @@ def cmd_synth(args) -> int:
     case = synth.make_pair(args.kind, dims, seed=args.seed, **params)
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    pair_parts = ["fixed", "moving", "fixed_labels", "moving_labels", "field"]
-    written = ["labels"] if args.kind == "blobs" else pair_parts
-    for name in written:
-        save_volume(case[name], f"{prefix}_{name}")
-    meta = {"kind": args.kind, "dims": list(dims), "seed": args.seed, **params, "written": written}
+    for name, vol in case.items():
+        save_volume(vol, f"{prefix}_{name}")
+    meta = {"kind": args.kind, "dims": list(dims), "seed": args.seed, **params, "written": list(case)}
     Path(f"{prefix}_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     logger.info("synth case '%s' written under %s_*", args.kind, prefix)
     return 0

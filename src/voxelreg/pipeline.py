@@ -128,8 +128,8 @@ def _check_keys(d: dict, cls, what: str):
 class RegistrationConfig:
     """Full description of one registration run.
 
-    Levels are ordered coarse to fine: factors non-increasing, each factor
-    divisible by the next, final factor 1. ``standardize`` remaps the
+    Levels are ordered coarse to fine: each factor divides the previous
+    one, and the last is 1. ``standardize`` remaps the
     moving image's intensity scale onto the fixed image (or, when
     ``standardize_reference`` names a volume, remaps both onto that
     reference; a reference requires ``standardize``). External features
@@ -179,8 +179,6 @@ class RegistrationConfig:
         if factors[-1] != 1:
             raise ValueError("final level must have factor 1")
         for a, b in zip(factors, factors[1:]):
-            if b > a:
-                raise ValueError(f"factors must be non-increasing, got {factors}")
             if a % b != 0:
                 raise ValueError(f"each factor must divide the previous one, got {factors}")
         if self.feature == "external" and not (self.external_fixed and self.external_moving):

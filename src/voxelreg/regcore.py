@@ -281,11 +281,11 @@ def _weight_groups(disp: DisplacementSet) -> list[np.ndarray]:
 _BLEND_PIECE = 2**17
 
 
-def _blend(moving64: np.ndarray, d: np.ndarray, out, scratch) -> np.ndarray:
+def _blend(moving: np.ndarray, d: np.ndarray, out, scratch) -> np.ndarray:
     """The padded moving copy blended with the trilinear weights of ``d``'s
-    weight group, a (z, y, x, C) view as ``moving64`` is.
+    weight group, a (z, y, x, C) view as ``moving`` is.
 
-    ``moving64`` is the moving view ``_level_arrays`` returns; an integer
+    ``moving`` is the moving view ``_level_arrays`` returns; an integer
     ``d`` returns it as it is. Every candidate of the group reads its
     blended samples as one window, at its floor, of the result
     (``_label_cost_map``). An element is w0 * m[p] + w1 * m[p + o1] + ...
@@ -303,8 +303,8 @@ def _blend(moving64: np.ndarray, d: np.ndarray, out, scratch) -> np.ndarray:
     """
     (w0, _), *rest = _corners(tuple(d.tolist()))
     if not rest:
-        return moving64
-    src = moving64.transpose(3, 0, 1, 2)
+        return moving
+    src = moving.transpose(3, 0, 1, 2)
     flat = src.reshape(-1)
     dst = out.reshape(-1)
     ny, nx = src.shape[2:]
@@ -324,13 +324,13 @@ def _label_cost_map(fixed64: np.ndarray, moving64: np.ndarray, d: np.ndarray, ou
     """Per-voxel SAD between fixed(x) and moving(x + d), shape (z, y, x), into ``out``.
 
     Both inputs are (z, y, x, C) views as ``_level_arrays`` returns them
-    (float32; the names predate that, and the benchmark's tracer binds
-    them), ``moving64`` blended for ``d``'s weight group (``_blend``: the
-    level copy itself for an integer ``d``). ``d`` is an array (dx, dy, dz).
-    The kernel reads one window of ``moving64``, at floor(d), whose slices
-    come from ``_window`` (the pad is read off the shape difference), so a
-    cached candidate costs only its array operations. ``out`` is a (z, y, x)
-    map of the inputs' dtype.
+    (float32; the names predate that, and the benchmark's tracer reads
+    ``fixed64`` and ``d``), ``moving64`` blended for ``d``'s weight group
+    (``_blend``: the level copy itself for an integer ``d``). ``d`` is an
+    array (dx, dy, dz). The kernel reads one window of ``moving64``, at
+    floor(d), whose slices come from ``_window`` (the pad is read off the
+    shape difference), so a cached candidate costs only its array
+    operations. ``out`` is a (z, y, x) map of the inputs' dtype.
 
     Channels are taken k at a time, k read off ``scratch`` (as ``_sad_scratch``
     makes it), so each group costs one subtract and one abs over a (k, z, y, x)
@@ -678,9 +678,7 @@ def energy(f_fixed: FeatureVolume, f_moving: FeatureVolume, field: DisplacementF
     energy.
     """
     _check_feature_pair(f_fixed, f_moving)
-    if field.dims != f_fixed.dims:
-        raise ValueError(f"field dims {field.dims} != volume dims {f_fixed.dims}")
-    warped = warp_features(f_moving, field).data
+    warped = warp_features(f_moving, field).data  # refuses a field of other dims
     data_term = float(np.abs(f_fixed.data.astype(np.float64) - warped).sum())
 
     grad_term = 0.0

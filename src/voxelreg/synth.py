@@ -37,7 +37,7 @@ def _check_noise(sigma: float):
 
 def _check_blobs(num_structures: int, min_radius: float, max_radius: float):
     if num_structures < 1:
-        raise ValueError("num_structures must be >= 1")
+        raise ValueError(f"blob count must be >= 1, got {num_structures}")
     if not 0 <= min_radius <= max_radius:
         raise ValueError(f"need 0 <= min_radius <= max_radius, got {min_radius}, {max_radius}")
     if np.isinf(max_radius):
@@ -140,14 +140,16 @@ def make_pair(
 ) -> dict:
     """Build one synthetic registration case.
 
-    Returns a dict with ``moving``, ``fixed``, ``field`` (the ground-truth
-    displacement a registration of moving onto fixed should recover),
-    ``moving_labels`` and ``fixed_labels``. For ``kind="blobs"`` only a
-    label volume is generated (key ``labels``).
+    Returns a dict of ``fixed``, ``moving``, ``fixed_labels``, ``moving_labels``
+    and ``field`` (the ground truth a registration of moving onto fixed should
+    recover), in the order ``voxelreg synth`` writes them. ``kind="blobs"``
+    makes only a label volume (key ``labels``).
     """
     if kind not in SYNTH_KINDS:
         raise ValueError(f"unknown kind {kind!r}, expected one of {SYNTH_KINDS}")
     # every input is checked before any volume is made
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     header = VolumeHeader(tuple(dims))
     _check_blobs(num_blobs, min_radius, max_radius)
     _translation_vector(translation)
@@ -165,6 +167,6 @@ def make_pair(
     moving_labels = blob_labels(dims, num_blobs, seed + 2, min_radius, max_radius)
     fixed = warp_scalar(moving, field)
     fixed_labels = warp_labels(moving_labels, field)
-    return {"moving": moving, "fixed": fixed, "field": field,
-            "moving_labels": moving_labels, "fixed_labels": fixed_labels}
+    return {"fixed": fixed, "moving": moving, "fixed_labels": fixed_labels,
+            "moving_labels": moving_labels, "field": field}
 

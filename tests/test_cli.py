@@ -128,6 +128,9 @@ def test_synth_bad_dims_fails(tmp_path):
     (["--kind", "sinusoid", "--dims", "8", "--period", "inf"], "period must be finite, got inf"),
     (["--kind", "blobs", "--dims", "8", "--max-radius", "inf"], "max_radius must be finite, got inf"),
     (["--kind", "sinusoid", "--dims", "8", "--noise-sigma", "inf"], "noise sigma must be finite, got inf"),
+    # the messages name the flags' own values, not numpy's or an inner parameter
+    (["--dims", "8", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["--kind", "blobs", "--dims", "8", "--num-blobs", "0"], "blob count must be >= 1, got 0"),
 ])
 def test_synth_bad_input_is_one_line_error(tmp_path, flags, needle):
     res = run_cli("synth", "--kind", "translation", "--seed", "1",
@@ -384,6 +387,7 @@ def test_register_with_config_file(tmp_path):
          "config external paths apply only to external features, not ssc"),
         ({"feature": "edge", "external_moving": "em"},
          "config external paths apply only to external features, not edge"),
+        ({"feature": "sift"}, "unknown feature 'sift', expected one of"),
     ],
 )
 def test_register_bad_config_is_one_line_error(tmp_path, cfg, needle):
@@ -762,6 +766,8 @@ def test_batch_manifest_parse_failure_errors(tmp_path):
         ({"pairs": [], "pair_mode": "include-self"},
          "manifest pair_mode applies only to 'volumes', not 'pairs'"),
         ({"pairs": [], "volumes": []}, "manifest needs exactly one of 'pairs' and 'volumes'"),
+        ({"volumes": [{"id": 1, "image": "a", "labels": "b"}], "pair_mode": "bogus"},
+         "unknown pair mode 'bogus'"),
     ],
 )
 def test_batch_manifest_bad_shape_is_one_line_error(tmp_path, manifest, needle):

@@ -56,17 +56,21 @@ def mean_jc(a, b):
 # ---------------------------------------------------------------------------
 
 def test_config_rejects_increasing_factors():
-    with pytest.raises(ValueError):
-        RegistrationConfig(levels=(LevelParams(factor=1), LevelParams(factor=2)))
+    # the final factor is 1, so the divisibility rule alone refuses 2 -> 4
+    with pytest.raises(ValueError, match=r"each factor must divide the previous one, got \[2, 4, 1\]"):
+        RegistrationConfig(
+            levels=(LevelParams(factor=2), LevelParams(factor=4), LevelParams(factor=1))
+        )
 
 
 def test_config_requires_final_factor_one():
-    with pytest.raises(ValueError):
-        RegistrationConfig(levels=(LevelParams(factor=2),))
+    for factors in ((2,), (1, 2)):
+        with pytest.raises(ValueError, match="final level must have factor 1"):
+            RegistrationConfig(levels=tuple(LevelParams(factor=f) for f in factors))
 
 
 def test_config_requires_divisible_factors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"each factor must divide the previous one, got \[3, 2, 1\]"):
         RegistrationConfig(
             levels=(LevelParams(factor=3), LevelParams(factor=2), LevelParams(factor=1))
         )
@@ -100,6 +104,11 @@ def test_level_params_rejects_bad_candidate_grid():
         LevelParams(q=0.0)
     with pytest.raises(ValueError, match="l_max must be >= 0"):
         LevelParams(l_max=-1.0)
+
+
+def test_level_params_rejects_factor_zero():
+    with pytest.raises(ValueError, match="factor must be >= 1"):
+        LevelParams(factor=0)
 
 
 def test_level_params_accepts_integer_reals():
@@ -652,6 +661,12 @@ def test_register_external_rejects_dim_mismatch(tmp_path):
     )
     with pytest.raises(ValueError):
         register(case["fixed"], case["moving"], cfg)
+
+
+def test_register_rejects_image_dim_mismatch():
+    fixed, moving = smooth_random_volume((8, 8, 8), seed=1), smooth_random_volume((8, 8, 9), seed=1)
+    with pytest.raises(ValueError, match=r"fixed dims \(8, 8, 8\) != moving dims \(8, 8, 9\)"):
+        register(fixed, moving, single_level(q=1.0, l_max=1.0))
 
 
 def test_register_refuses_a_budget_below_one_map_before_any_level(monkeypatch):

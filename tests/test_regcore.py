@@ -428,6 +428,12 @@ def test_energy_identical_volumes_zero_field():
     assert energy(f, f, zero_field(f.dims), alpha=1.0) == 0.0
 
 
+def test_energy_rejects_field_dim_mismatch():
+    f = smooth_features(np.random.default_rng(48), (4, 4, 4), channels=2)
+    with pytest.raises(ValueError, match=r"field dims \(4, 4, 5\) != volume dims \(4, 4, 4\)"):
+        energy(f, f, zero_field((4, 4, 5)), alpha=1.0)
+
+
 def test_energy_constant_field_has_zero_gradient_term():
     rng = np.random.default_rng(49)
     f = smooth_features(rng, (5, 5, 5))

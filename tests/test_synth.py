@@ -93,6 +93,7 @@ def test_unknown_kind_rejected():
     (lambda: blob_labels((8, 8, 8.0), 3, seed=0), "dims and channels must be integers"),
     (lambda: sinusoid_field((8, 8.5, 8), 1.0, 8.0, seed=0), "dims and channels must be integers"),
     (lambda: translation_field((8.5, 8, 8), (1.0, 0.0, 0.0)), "dims and channels must be integers"),
+    (lambda: blob_labels((8, 8, 8), 0, seed=0), "blob count must be >= 1, got 0"),
 ])
 def test_bad_generator_input_is_named(make, needle):
     with pytest.raises(ValueError, match=needle):
@@ -123,6 +124,8 @@ def test_bad_generator_input_is_named(make, needle):
     ("sinusoid", {"noise_sigma": float("inf")}, "noise sigma must be finite, got inf"),
     ("translation", {"min_radius": float("inf"), "max_radius": float("inf")},
      "max_radius must be finite, got inf"),
+    ("sinusoid", {"seed": -1}, "seed must be >= 0, got -1"),
+    ("blobs", {"num_blobs": 0}, "blob count must be >= 1, got 0"),
 ])
 def test_make_pair_checks_inputs_before_any_work(monkeypatch, kind, params, needle):
     def no_work(*args, **kwargs):
@@ -132,4 +135,4 @@ def test_make_pair_checks_inputs_before_any_work(monkeypatch, kind, params, need
         monkeypatch.setattr(synth, name, no_work)
     dims = params.pop("dims", (8, 8, 8))
     with pytest.raises(ValueError, match=needle):
-        make_pair(kind, dims, seed=0, **params)
+        make_pair(kind, dims, **{"seed": 0, **params})

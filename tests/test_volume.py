@@ -198,6 +198,16 @@ def test_sidecar_bad_spacing_is_sidecar_error(tmp_path, spacing):
         load_volume(stem)
 
 
+def test_missing_payload_and_unknown_kind_are_named(tmp_path):
+    stem = tmp_path / "vol"
+    save_volume(ScalarVolume(np.zeros((2, 2, 2))), stem)
+    with pytest.raises(ValueError, match=r"vol\.raw: unknown kind 'bogus', expected one of"):
+        load_volume(stem, kind="bogus")
+    stem.with_suffix(".raw").unlink()
+    with pytest.raises(VolumeError, match=r"missing payload .*vol\.raw"):
+        load_volume(stem)
+
+
 def test_nan_payload_is_reported(tmp_path):
     stem = tmp_path / "nan"
     stem.with_suffix(".json").write_text(
@@ -278,6 +288,13 @@ def test_uint16_labels_roundtrip(tmp_path):
     assert back.header == vol.header
     assert np.array_equal(back.data, raw)
     assert set(np.unique(back.data)) == set(np.unique(raw))
+
+
+def test_labels_beyond_their_save_dtype_are_not_written(tmp_path):
+    vol = LabelVolume(np.full((2, 2, 2), 300), dtype="uint8")
+    with pytest.raises(VolumeError, match="labels out of range for dtype uint8"):
+        save_volume(vol, tmp_path / "labels")
+    assert not list(tmp_path.iterdir())
 
 
 def test_scalar_roundtrip_bit_exact(tmp_path):
@@ -443,6 +460,12 @@ def test_warp_features_rejects_dim_mismatch():
         warp_features(fv, zero_field((3, 3, 4)))
 
 
+def test_warp_labels_rejects_dim_mismatch():
+    labels = LabelVolume(np.zeros((3, 3, 3), np.int32))
+    with pytest.raises(ValueError, match=r"field dims \(4, 3, 3\) != volume dims \(3, 3, 3\)"):
+        warp_labels(labels, zero_field((4, 3, 3)))
+
+
 def test_warp_labels_zero_field_is_identity():
     rng = np.random.default_rng(8)
     labels = LabelVolume(rng.integers(0, 4, size=(4, 4, 4)))
@@ -491,6 +514,13 @@ def test_warp_labels_never_invents_labels():
 # ---------------------------------------------------------------------------
 # Down/upsampling
 # ---------------------------------------------------------------------------
+
+def test_resamplers_refuse_factor_zero():
+    with pytest.raises(ValueError, match="factor must be >= 1, got 0"):
+        downsample(ScalarVolume(np.zeros((4, 4, 4))), 0)
+    with pytest.raises(ValueError, match="factor must be >= 1, got 0"):
+        upsample_field(zero_field((2, 2, 2)), 0, (4, 4, 4))
+
 
 def test_downsample_factor_one_is_identity():
     rng = np.random.default_rng(11)
