@@ -224,6 +224,12 @@ def load_manifest(path) -> tuple[list[dict], RegistrationConfig, str | None]:
         pairs = _checked_entries(data["pairs"], "pair", pair_keys)
     else:
         volumes = _checked_entries(data["volumes"], "volume", ("id", "image", "labels"))
+        # pair ids are built from the ids as strings, so 1 and "1" repeat too
+        seen = set()
+        for vid in (str(v["id"]) for v in volumes):
+            if vid in seen:
+                raise ValueError(f"manifest volume id {vid!r} is not unique")
+            seen.add(vid)
         pairs = enumerate_pairs(volumes, data.get("pair_mode", "ordered"))
     ids = [p["pair_id"] for p in pairs]
     if len(set(ids)) != len(ids):

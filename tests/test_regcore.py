@@ -8,17 +8,19 @@ import pytest
 from scipy import ndimage
 
 from voxelreg import regcore
-from voxelreg.regcore import (
-    CostVolume,
-    DisplacementSet,
-    aggregate_costs,
-    build_displacement_set,
-    build_dsv,
-    energy,
-    regularize_dsv,
-    winner_takes_all,
-)
+from voxelreg.pipeline import chunked_dsv_execution
+from voxelreg.regcore import DisplacementSet, build_displacement_set
 from voxelreg.volume import DisplacementField, FeatureVolume, zero_field
+
+from tests.oracle import (
+    box_sum_oracle,
+    cost_volume,
+    dsv_oracle,
+    energy,
+    gaussian_smooth_oracle,
+    reference_field,
+    winner_field,
+)
 
 
 def make_features(data):
@@ -98,7 +100,7 @@ def test_dsv_sad_accumulates_in_channel_order():
     f_moving = make_features(rng.standard_normal((5, 7, 9, 12)))
     ds = build_displacement_set(1.0, 1.0)
     zero_label = int(np.where((ds.displacements == 0).all(axis=1))[0][0])
-    got = build_dsv(f_fixed, f_moving, ds).costs[zero_label]
+    got = cost_volume(f_fixed, f_moving, ds)[zero_label]
     assert got.dtype == np.float32
     for z, y, x in np.ndindex(5, 7, 9):
         want = np.float32(0.0)
@@ -112,9 +114,9 @@ def test_dsv_zero_displacement_on_identical_volumes():
     rng = np.random.default_rng(41)
     f = smooth_features(rng, (5, 5, 5), channels=3)
     ds = build_displacement_set(1.0, 1.0)
-    dsv = build_dsv(f, f, ds)
+    costs = cost_volume(f, f, ds)
     zero_label = int(np.where((ds.displacements == 0).all(axis=1))[0][0])
-    assert np.all(dsv.costs[zero_label] == 0.0)
+    assert np.all(costs[zero_label] == 0.0)
 
 
 def test_dsv_line_volume_hand_case():
@@ -122,9 +124,9 @@ def test_dsv_line_volume_hand_case():
     # +1 step along the long axis must cost |1 - 2| = 1
     line = make_features(np.arange(3, dtype=np.float32).reshape(1, 1, 3))
     ds = build_displacement_set(1.0, 1.0)
-    dsv = build_dsv(line, line, ds)
+    costs = cost_volume(line, line, ds)
     label = int(np.where((ds.displacements == [1.0, 0.0, 0.0]).all(axis=1))[0][0])
-    assert dsv.costs[label, 0, 0, 1] == 1.0
+    assert costs[label, 0, 0, 1] == 1.0
 
 
 def test_dsv_rejects_mismatched_inputs():
@@ -132,28 +134,10 @@ def test_dsv_rejects_mismatched_inputs():
     b = make_features(np.zeros((4, 3, 3)))
     ds = build_displacement_set(1.0, 1.0)
     with pytest.raises(ValueError):
-        build_dsv(a, b, ds)
+        chunked_dsv_execution(a, b, ds, 0, 0.0, 1 << 20)
     c = make_features(np.zeros((3, 3, 3, 2)))
     with pytest.raises(ValueError):
-        build_dsv(a, c, ds)
-
-
-def dsv_oracle(fixed, moving, displacements):
-    """Quadruple loop: voxels x labels, clamped lookup, channel-order SAD."""
-    nz, ny, nx, nc = fixed.shape
-    out = np.zeros((len(displacements), nz, ny, nx))
-    for li, (dx, dy, dz) in enumerate(displacements):
-        for z in range(nz):
-            for y in range(ny):
-                for x in range(nx):
-                    zi = min(max(z + int(dz), 0), nz - 1)
-                    yi = min(max(y + int(dy), 0), ny - 1)
-                    xi = min(max(x + int(dx), 0), nx - 1)
-                    acc = 0.0
-                    for c in range(nc):
-                        acc += abs(float(fixed[z, y, x, c]) - float(moving[zi, yi, xi, c]))
-                    out[li, z, y, x] = acc
-    return out
+        chunked_dsv_execution(a, c, ds, 0, 0.0, 1 << 20)
 
 
 def test_dsv_matches_bruteforce_oracle():
@@ -161,9 +145,9 @@ def test_dsv_matches_bruteforce_oracle():
     f_fixed = smooth_features(rng, (8, 8, 8), channels=2)
     f_moving = smooth_features(rng, (8, 8, 8), channels=2)
     ds = build_displacement_set(1.0, 1.0)
-    dsv = build_dsv(f_fixed, f_moving, ds)
+    costs = cost_volume(f_fixed, f_moving, ds)
     want = dsv_oracle(f_fixed.data, f_moving.data, ds.displacements.tolist())
-    assert np.abs(dsv.costs - want).max() < 1e-5
+    assert np.abs(costs - want).max() < 1e-5
 
 
 def test_dsv_fractional_displacement_matches_trilinear_oracle():
@@ -173,7 +157,7 @@ def test_dsv_fractional_displacement_matches_trilinear_oracle():
     f_fixed = smooth_features(rng, (4, 4, 4), channels=2)
     f_moving = smooth_features(rng, (4, 4, 4), channels=2)
     ds = build_displacement_set(0.5, 0.5)
-    dsv = build_dsv(f_fixed, f_moving, ds)
+    costs = cost_volume(f_fixed, f_moving, ds)
     for li, (dx, dy, dz) in enumerate(ds.displacements.tolist()):
         for z in range(4):
             for y in range(4):
@@ -182,104 +166,46 @@ def test_dsv_fractional_displacement_matches_trilinear_oracle():
                     for c in range(2):
                         mv = trilinear_oracle(f_moving.data[..., c], x + dx, y + dy, z + dz)
                         acc += abs(float(f_fixed.data[z, y, x, c]) - mv)
-                    assert dsv.costs[li, z, y, x] == pytest.approx(acc, abs=1e-6)
-
-
-def test_cost_volume_is_built_from_its_array():
-    dsv = CostVolume(np.zeros((2, 3, 4, 5), np.float64))
-    assert dsv.costs.shape == (2, 3, 4, 5) and dsv.label_count == 2
-    assert dsv.costs.dtype == regcore.SEARCH_DTYPE and not dsv.costs.flags.writeable
-    bad_nan = np.zeros((1, 2, 2, 2))
-    bad_nan[0, 1, 1, 1] = np.nan
-    with pytest.raises(ValueError, match=r"costs must be 4-D \(label, z, y, x\), got shape \(2, 2, 2\)"):
-        CostVolume(np.zeros((2, 2, 2)))
-    for bad in (bad_nan, np.full((1, 2, 2, 2), -1.0)):
-        with pytest.raises(ValueError, match="costs must be finite and non-negative"):
-            CostVolume(bad)
+                    assert costs[li, z, y, x] == pytest.approx(acc, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
 # Aggregation and regularization
 # ---------------------------------------------------------------------------
 
-def test_aggregate_radius_zero_is_identity():
-    rng = np.random.default_rng(44)
-    dsv = CostVolume(rng.uniform(0, 1, size=(2, 3, 3, 3)))
-    assert aggregate_costs(dsv, 0) is dsv
+def one_map_scratch(costs):
+    return np.empty(costs.shape[1:], costs.dtype)
 
 
 def test_aggregate_constant_map_interior():
-    dsv = CostVolume(np.full((1, 5, 5, 5), 0.5))
-    out = aggregate_costs(dsv, 1)
-    assert out.costs[0, 2, 2, 2] == pytest.approx(27 * 0.5, abs=1e-9)
-
-
-def box_sum_oracle(cost_map, radius):
-    nz, ny, nx = cost_map.shape
-    out = np.zeros_like(cost_map, dtype=np.float64)
-    for z in range(nz):
-        for y in range(ny):
-            for x in range(nx):
-                acc = 0.0
-                for dz in range(-radius, radius + 1):
-                    for dy in range(-radius, radius + 1):
-                        for dx in range(-radius, radius + 1):
-                            zi = min(max(z + dz, 0), nz - 1)
-                            yi = min(max(y + dy, 0), ny - 1)
-                            xi = min(max(x + dx, 0), nx - 1)
-                            acc += float(cost_map[zi, yi, xi])
-                out[z, y, x] = acc
-    return out
+    costs = np.full((1, 5, 5, 5), 0.5, regcore.SEARCH_DTYPE)
+    out = regcore._box_sum_map(costs, 1, one_map_scratch(costs))
+    assert out[0, 2, 2, 2] == pytest.approx(27 * 0.5, abs=1e-9)
 
 
 def test_aggregate_matches_window_sum_oracle():
     rng = np.random.default_rng(45)
     costs = rng.uniform(0, 2, size=(3, 6, 5, 4))
-    dsv = CostVolume(costs)
-    out = aggregate_costs(dsv, 1)
+    out = costs.astype(regcore.SEARCH_DTYPE)
+    regcore._box_sum_map(out, 1, one_map_scratch(out))
     for li in range(3):
         want = box_sum_oracle(costs[li], 1)
-        assert np.abs(out.costs[li] - want).max() < 1e-4
-
-
-def test_regularize_sigma_zero_is_identity():
-    rng = np.random.default_rng(46)
-    dsv = CostVolume(rng.uniform(0, 1, size=(2, 3, 3, 3)))
-    assert regularize_dsv(dsv, 0.0) is dsv
+        assert np.abs(out[li] - want).max() < 1e-4
 
 
 def test_regularize_constant_map_unchanged():
-    dsv = CostVolume(np.full((1, 5, 5, 5), 0.75))
-    out = regularize_dsv(dsv, 1.0)
-    assert np.abs(out.costs - 0.75).max() < 1e-6
-
-
-def gaussian_smooth_oracle(cost_map, sigma):
-    """Direct separable Gaussian convolution, replicated borders."""
-    radius = int(4.0 * sigma + 0.5)
-    xs = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-0.5 * xs * xs / (sigma * sigma))
-    kernel /= kernel.sum()
-    out = cost_map.astype(np.float64)
-    for axis in range(3):
-        moved = np.moveaxis(out, axis, 0)
-        res = np.zeros_like(moved)
-        n = moved.shape[0]
-        for i in range(n):
-            for k, w in enumerate(kernel):
-                j = min(max(i + k - radius, 0), n - 1)
-                res[i] += w * moved[j]
-        out = np.moveaxis(res, 0, axis)
-    return out
+    costs = np.full((1, 5, 5, 5), 0.75, regcore.SEARCH_DTYPE)
+    out = regcore._smooth_map(costs, 1.0, one_map_scratch(costs))
+    assert np.abs(out - 0.75).max() < 1e-6
 
 
 def test_regularize_impulse_matches_separable_oracle():
     impulse = np.zeros((1, 7, 7, 7))
     impulse[0, 3, 3, 3] = 1.0
-    dsv = CostVolume(impulse)
-    out = regularize_dsv(dsv, 1.0)
+    out = impulse.astype(regcore.SEARCH_DTYPE)
+    regcore._smooth_map(out, 1.0, one_map_scratch(out))
     want = gaussian_smooth_oracle(impulse[0], 1.0)
-    assert np.abs(out.costs[0] - want).max() < 1e-5
+    assert np.abs(out[0] - want).max() < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -294,25 +220,32 @@ def make_line_set():
     return ds
 
 
+def scan_winner(costs, ds):
+    """Each voxel's displacement after a one-unit walk over every label,
+    the label scan of a one-worker integer search."""
+    _, labels = strict_unit_walk(costs.astype(regcore.SEARCH_DTYPE), [np.arange(ds.count)], [0])
+    return ds.displacements[labels]
+
+
 def test_wta_tie_breaks_to_smaller_displacement():
     ds = make_line_set()
     # costs of (0, -1, +1): zero ties with +1 at the lowest cost
     costs = np.array([1.0, 3.0, 1.0]).reshape(3, 1, 1, 1)
-    field = winner_takes_all(CostVolume(costs), ds)
-    assert field.data[0, 0, 0].tolist() == [0.0, 0.0, 0.0]
+    field = scan_winner(costs, ds)
+    assert field[0, 0, 0].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_wta_plain_argmin():
     ds = make_line_set()
     costs = np.array([5.0, 2.0, 1.0]).reshape(3, 1, 1, 1)
-    field = winner_takes_all(CostVolume(costs), ds)
-    assert field.data[0, 0, 0].tolist() == [1.0, 0.0, 0.0]
+    field = scan_winner(costs, ds)
+    assert field[0, 0, 0].tolist() == [1.0, 0.0, 0.0]
 
 
 def check_wta_against_loop_oracle(rng, ds):
     # quantized costs force frequent ties
     costs = np.round(rng.uniform(0, 3, size=(27, 4, 4, 4)) * 4) / 4.0
-    field = winner_takes_all(CostVolume(costs), ds)
+    field = scan_winner(costs, ds)
     disp = ds.displacements
     for z in range(4):
         for y in range(4):
@@ -323,7 +256,7 @@ def check_wta_against_loop_oracle(rng, ds):
                     key = (costs[li, z, y, x], abs(dx) + abs(dy) + abs(dz), dz, dy, dx)
                     if best is None or key < best[0]:
                         best = (key, (dx, dy, dz))
-                assert tuple(field.data[z, y, x].tolist()) == best[1]
+                assert tuple(field[z, y, x].tolist()) == best[1]
 
 
 def test_wta_matches_loop_oracle_with_ties():
@@ -333,36 +266,6 @@ def test_wta_matches_loop_oracle_with_ties():
     shuffled = DisplacementSet(1.0, 1.0, np.random.default_rng(46).permutation(cube.displacements))
     for ds in (cube, shuffled):
         check_wta_against_loop_oracle(rng, ds)
-
-
-def test_wta_rejects_count_mismatch():
-    ds = build_displacement_set(1.0, 1.0)
-    with pytest.raises(ValueError):
-        winner_takes_all(CostVolume(np.zeros((5, 2, 2, 2))), ds)
-
-
-def test_wta_peak_is_its_label_scan_and_float32_field():
-    # the field is gathered in float32, with no float64 field on the way,
-    # and the labels are scanned in place: no label-last copy of the costs
-    # (argmin's 4 B per label and voxel) at any candidate count
-    ds = build_displacement_set(1.0, 1.0)
-    assert ds.count == 27
-    costs = np.random.default_rng(82).integers(0, 3, size=(27, 32, 32, 32)).astype(np.float32)
-    dsv = CostVolume(costs)
-    voxels = 32**3
-    winner_takes_all(dsv, ds)  # warm up outside the trace
-    tracemalloc.start()
-    try:
-        field = winner_takes_all(dsv, ds)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # float32 best cost, int32 label and bool mask, float32 field and the
-    # field's bool finite check
-    bound = (4 + 4 + 1) * voxels + field.data.nbytes + 3 * voxels
-    assert peak <= bound + (16 << 10), (peak, bound)
-    expected = ds.displacements.astype(np.float32)[np.argmin(costs, axis=0)]
-    assert np.array_equal(field.data, expected)
 
 
 def strict_unit_walk(costs, units, order):
@@ -482,18 +385,11 @@ def test_energy_matches_scalar_oracle():
 # Module invariants
 # ---------------------------------------------------------------------------
 
-def full_pipeline_field(f_fixed, f_moving, ds, radius=1, sigma=1.0):
-    dsv = build_dsv(f_fixed, f_moving, ds)
-    dsv = aggregate_costs(dsv, radius)
-    dsv = regularize_dsv(dsv, sigma)
-    return winner_takes_all(dsv, ds)
-
-
 def test_self_registration_gives_zero_field():
     rng = np.random.default_rng(51)
     f = smooth_features(rng, (8, 8, 8), channels=2)
     ds = build_displacement_set(1.0, 2.0)
-    field = full_pipeline_field(f, f, ds)
+    field = reference_field(f, f, ds, 1, 1.0)
     assert np.all(field.data == 0.0)
 
 
@@ -508,7 +404,7 @@ def test_exact_translation_recovery_interior():
     xi = np.clip(np.arange(n) - t[0], 0, n - 1)
     moving = make_features(fixed.data[np.ix_(zi, yi, xi)][..., 0])
     ds = build_displacement_set(1.0, 2.0)
-    field = full_pipeline_field(fixed, moving, ds, radius=1, sigma=0.0)
+    field = reference_field(fixed, moving, ds, 1, 0.0)
     margin = 3  # l_max + patch_radius
     interior = field.data[margin:-margin, margin:-margin, margin:-margin]
     assert np.all(interior == np.array(t, dtype=np.float32))
@@ -524,8 +420,8 @@ def test_negation_symmetry_on_translation_pair():
     xi = np.clip(np.arange(n) - t[0], 0, n - 1)
     moving = make_features(fixed.data[np.ix_(zi, yi, xi)][..., 0])
     ds = build_displacement_set(1.0, 2.0)
-    fwd = full_pipeline_field(fixed, moving, ds, radius=1, sigma=0.0)
-    rev = full_pipeline_field(moving, fixed, ds, radius=1, sigma=0.0)
+    fwd = reference_field(fixed, moving, ds, 1, 0.0)
+    rev = reference_field(moving, fixed, ds, 1, 0.0)
     margin = 3
     sl = (slice(margin, -margin),) * 3
     assert np.all(fwd.data[sl] == -rev.data[sl])
@@ -537,7 +433,7 @@ def test_energy_descent_of_winner_field():
         f_fixed = smooth_features(rng, (6, 6, 6), channels=2)
         f_moving = smooth_features(rng, (6, 6, 6), channels=2)
         ds = build_displacement_set(1.0, 1.0)
-        field = winner_takes_all(build_dsv(f_fixed, f_moving, ds), ds)
+        field = winner_field(cost_volume(f_fixed, f_moving, ds), ds)
         e_winner = energy(f_fixed, f_moving, field, alpha=0.0)
         e_zero = energy(f_fixed, f_moving, zero_field(f_fixed.dims), alpha=0.0)
         assert e_winner <= e_zero
@@ -550,11 +446,11 @@ def test_dsv_and_wta_are_bit_deterministic():
     f_fixed = smooth_features(rng, (6, 6, 6), channels=3)
     f_moving = smooth_features(rng, (6, 6, 6), channels=3)
     ds = build_displacement_set(1.0, 1.0)
-    dsv1 = build_dsv(f_fixed, f_moving, ds)
-    dsv2 = build_dsv(f_fixed, f_moving, ds)
-    assert np.array_equal(dsv1.costs, dsv2.costs)
-    w1 = winner_takes_all(dsv1, ds)
-    w2 = winner_takes_all(dsv2, ds)
+    costs1 = cost_volume(f_fixed, f_moving, ds)
+    costs2 = cost_volume(f_fixed, f_moving, ds)
+    assert np.array_equal(costs1, costs2)
+    w1 = winner_field(costs1, ds)
+    w2 = winner_field(costs2, ds)
     assert np.array_equal(w1.data, w2.data)
 
 
@@ -606,7 +502,7 @@ def test_label_cost_map_matches_clamped_gather_oracle(channels, q):
     f_moving = make_features(rng.standard_normal((7, 9, 11, channels)))
     ds = build_displacement_set(q, 2.0 if q == 1.0 else 1.0)
     assert ds.count == 125
-    fixed32, moving32 = regcore._level_arrays(f_fixed, f_moving, ds)
+    fixed32, moving32 = regcore._level_arrays(f_fixed, f_moving, ds, 1)
     for arr in (fixed32, moving32):  # float32 views of channel-first storage
         assert arr.dtype == np.float32
         assert np.moveaxis(arr, -1, 0).flags.c_contiguous
@@ -635,8 +531,9 @@ def filter_each_map(batch, radius, sigma):
     out = []
     for m in batch:
         one = m[None].copy()
-        regcore._box_sum_map(one, radius)
-        out.append(regcore._smooth_map(one, sigma)[0])
+        scratch = one_map_scratch(one)
+        regcore._box_sum_map(one, radius, scratch)
+        out.append(regcore._smooth_map(one, sigma, scratch)[0])
     return np.stack(out)
 
 
@@ -706,9 +603,9 @@ def test_filters_keep_zero_maps_zero_and_never_go_negative():
     rng = np.random.default_rng(64)
     batch = rng.uniform(0, 1, size=(3, 9, 8, 7)) ** 8  # many values near 0
     batch[1] = 0.0
-    regcore._box_sum_map(batch, 2)
+    regcore._box_sum_map(batch, 2, one_map_scratch(batch))
     assert (batch[1] == 0.0).all() and (batch >= 0.0).all()
-    regcore._smooth_map(batch, 1.7)
+    regcore._smooth_map(batch, 1.7, one_map_scratch(batch))
     assert (batch[1] == 0.0).all() and (batch >= 0.0).all()
 
 
@@ -797,7 +694,7 @@ def test_grouped_sad_equals_channel_order_loop(k, q):
     f_fixed = make_features(rng.standard_normal((6, 7, 8, 12)))
     f_moving = make_features(rng.standard_normal((6, 7, 8, 12)))
     ds = build_displacement_set(q, 1.0)
-    fixed32, moving32 = regcore._level_arrays(f_fixed, f_moving, ds)
+    fixed32, moving32 = regcore._level_arrays(f_fixed, f_moving, ds, 1)
     scratch = np.empty((k, 6, 7, 8), np.float32)
     for d in ds.displacements:
         out = np.empty((6, 7, 8), np.float32)
@@ -817,7 +714,7 @@ def test_dsv_weight_groups_keep_each_candidates_bits(q, l_max):
     f_fixed = make_features(rng.standard_normal((5, 6, 7, 3)))
     f_moving = make_features(rng.standard_normal((5, 6, 7, 3)))
     ds = build_displacement_set(q, l_max)
-    costs = build_dsv(f_fixed, f_moving, ds).costs
+    costs = cost_volume(f_fixed, f_moving, ds)
     for li, d in enumerate(ds.displacements):
         want = channel_order_sad_oracle(f_fixed.data, f_moving.data, d)
         assert np.array_equal(costs[li], want), d
@@ -851,7 +748,7 @@ def test_label_cost_map_with_scratch_allocates_less_than_a_map():
     f_fixed = make_features(rng.standard_normal((32, 32, 32, 12)))
     f_moving = make_features(rng.standard_normal((32, 32, 32, 12)))
     ds = build_displacement_set(0.5, 1.0)
-    fixed32, moving32 = regcore._level_arrays(f_fixed, f_moving, ds)
+    fixed32, moving32 = regcore._level_arrays(f_fixed, f_moving, ds, 1)
     out = np.empty((32, 32, 32), np.float32)
     scratch = regcore._sad_scratch(out.shape, 12)
     assert scratch.shape[0] == 8
@@ -877,7 +774,7 @@ def test_corner_cache_keeps_levels_of_other_pad_and_dims_apart():
         f_fixed = make_features(rng.standard_normal(shape + (3,)))
         f_moving = make_features(rng.standard_normal(shape + (3,)))
         for l_max in (1.0, 2.0):
-            arrays = regcore._level_arrays(f_fixed, f_moving, build_displacement_set(0.5, l_max))
+            arrays = regcore._level_arrays(f_fixed, f_moving, build_displacement_set(0.5, l_max), 1)
             levels.append((f_fixed.data, f_moving.data, arrays))
     for d in ([1.0, -1.0, 0.0], [0.5, 0.0, 1.0], [-0.5, 0.5, -1.0], [-0.5, -0.5, -0.5]):
         for _ in range(2):
@@ -890,16 +787,16 @@ def test_corner_cache_keeps_levels_of_other_pad_and_dims_apart():
 def test_repeated_candidate_and_filter_hit_their_caches():
     rng = np.random.default_rng(73)
     f = make_features(rng.standard_normal((5, 6, 7, 2)))
-    fixed32, moving32 = regcore._level_arrays(f, f, build_displacement_set(1.0, 1.0))
+    fixed32, moving32 = regcore._level_arrays(f, f, build_displacement_set(1.0, 1.0), 1)
     d = np.array([1.0, 0.0, -1.0])
     kernel_cost_map(fixed32, moving32, d)
     hits = regcore._window.cache_info().hits
     kernel_cost_map(fixed32, moving32, d)
     assert regcore._window.cache_info().hits == hits + 1
     batch = rng.uniform(0, 5, size=(2, 5, 6, 7)).astype(np.float32)
-    regcore._smooth_map(batch, 1.3)
+    regcore._smooth_map(batch, 1.3, one_map_scratch(batch))
     hits = regcore._filter_plan.cache_info().hits
-    regcore._smooth_map(batch, 1.3)
+    regcore._smooth_map(batch, 1.3, one_map_scratch(batch))
     assert regcore._filter_plan.cache_info().hits == hits + 1
 
 
@@ -915,7 +812,7 @@ def test_level_arrays_equal_a_cast_and_np_pad(q, l_max):
     f_fixed = make_features(rng.standard_normal((3, 6, 5, 4)))
     f_moving = make_features(rng.standard_normal((3, 6, 5, 4)))
     ds = build_displacement_set(q, l_max)
-    fixed, moving = regcore._level_arrays(f_fixed, f_moving, ds)
+    fixed, moving = regcore._level_arrays(f_fixed, f_moving, ds, 1)
     pad = int(np.ceil(l_max))
     want = np.pad(f_moving.data, [(pad, pad)] * 3 + [(0, 0)], mode="edge")
     assert fixed.dtype == moving.dtype == np.float32
@@ -935,7 +832,7 @@ def test_level_arrays_peak_is_their_two_outputs():
     slack = plane + (4 << 10)
     tracemalloc.start()
     try:
-        fixed, moving = regcore._level_arrays(f_fixed, f_moving, ds)
+        fixed, moving = regcore._level_arrays(f_fixed, f_moving, ds, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -961,11 +858,11 @@ def test_float32_filters_give_per_map_bits_and_stay_float32(shape):
         assert filter_float32(out, maps) is out
         assert out.dtype == np.float32
         assert np.array_equal(out, want), (shape, maps)
-    # without a scratch, one float32 map is allocated
+    # through a one-map float32 scratch
     out = batch.copy()
-    regcore._box_sum_map(out, 2)
+    regcore._box_sum_map(out, 2, one_map_scratch(out))
     assert out.dtype == np.float32
-    assert np.array_equal(regcore._smooth_map(out, 1.3), want)
+    assert np.array_equal(regcore._smooth_map(out, 1.3, one_map_scratch(out)), want)
 
 
 def test_float32_filters_match_the_float64_operators():
@@ -978,8 +875,8 @@ def test_float32_filters_match_the_float64_operators():
     batch[1] **= 8  # a wide dynamic range
     got = filter_float32(batch.copy(), 2)
     want = batch.astype(np.float64)
-    regcore._box_sum_map(want, 2)
-    regcore._smooth_map(want, 1.3)
+    regcore._box_sum_map(want, 2, one_map_scratch(want))
+    regcore._smooth_map(want, 1.3, one_map_scratch(want))
     np.testing.assert_allclose(got, want, rtol=64 * np.finfo(np.float32).eps, atol=0)
 
 
@@ -1010,8 +907,8 @@ def test_filter_plans_of_either_dtype_keep_cold_cache_bits():
 
     def filtered(dtype):
         batch = maps.astype(dtype)
-        regcore._box_sum_map(batch, 2)
-        return regcore._smooth_map(batch, 1.3)
+        regcore._box_sum_map(batch, 2, one_map_scratch(batch))
+        return regcore._smooth_map(batch, 1.3, one_map_scratch(batch))
 
     want = {}
     for dtype in (np.float32, np.float64):

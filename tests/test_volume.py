@@ -10,7 +10,7 @@ import pytest
 from scipy import ndimage
 
 from voxelreg import volume
-from voxelreg.regcore import CostVolume, DisplacementSet
+from voxelreg.regcore import DisplacementSet
 from voxelreg.volume import (
     DTYPES,
     DisplacementField,
@@ -260,11 +260,9 @@ def test_containers_are_frozen():
         lambda: FeatureVolume(np.zeros((1, 1, 2, 2))),
         lambda: LabelVolume(np.zeros((1, 1, 2), np.int32)),
         lambda: DisplacementField(np.zeros((1, 1, 2, 3))),
-        lambda: CostVolume(np.zeros((2, 1, 1, 2))),
         lambda: DisplacementSet(1.0, 1.0, np.zeros((2, 3))),
     ],
-    ids=["ScalarVolume", "FeatureVolume", "LabelVolume", "DisplacementField", "CostVolume",
-         "DisplacementSet"],
+    ids=["ScalarVolume", "FeatureVolume", "LabelVolume", "DisplacementField", "DisplacementSet"],
 )
 def test_array_records_compare_by_identity_and_hash(make):
     # the generated __eq__ would compare the arrays and raise on their truth value
