@@ -87,6 +87,9 @@ def cmd_register(args) -> int:
         raise ValueError(
             f"--out-field {args.out_field} and --out-warped {args.out_warped} name one volume"
         )
+    for flag, out in (("--out-field", args.out_field), ("--out-warped", args.out_warped)):
+        if out and not _volume_path(out).parent.is_dir():
+            raise ValueError(f"{flag} {out}: {_volume_path(out).parent} is not a directory")
     cfg = _config_from_args(args)
     fixed = load_volume(args.fixed, kind="scalar")
     moving = load_volume(args.moving, kind="scalar")

@@ -211,7 +211,11 @@ class RegistrationConfig:
     @classmethod
     def from_json(cls, path) -> "RegistrationConfig":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"cannot parse config {path}: {exc}") from exc
+        return cls.from_dict(data)
 
 
 def compose_fields(coarse_up: DisplacementField, increment: DisplacementField) -> DisplacementField:

@@ -34,7 +34,7 @@ from voxelreg.volume import (
 
 from tests import oracle
 from tests.oracle import box_sum_oracle, dsv_oracle, mean_jc_oracle
-from tests.test_cli import run_cli
+from tests.test_cli import run_entry_point as run_cli
 
 
 def announce(num, text):

@@ -1,7 +1,16 @@
-"""End-to-end CLI tests via subprocess: exit codes, files, reports."""
+"""End-to-end CLI tests: exit codes, files, reports.
 
+``run_cli`` runs a command in this interpreter through ``cli.main``.
+``run_entry_point`` starts ``python -m voxelreg`` in a new interpreter; it
+runs only the tests whose point is a fresh process: the entry point's exit
+codes, the environment at import time, and the acceptance criteria.
+"""
+
+import contextlib
 import dataclasses
+import io
 import json
+import logging
 import os
 import re
 import subprocess
@@ -12,6 +21,7 @@ import numpy as np
 import pytest
 
 import voxelreg
+from voxelreg import cli
 from voxelreg.cli import (
     CONFIG_FLAGS,
     _config_from_args,
@@ -29,7 +39,7 @@ from voxelreg.synth import make_pair, smooth_random_volume
 SRC = str(Path(voxelreg.__file__).resolve().parents[1])
 
 
-def run_cli(*args, env=None):
+def run_entry_point(*args, env=None):
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "voxelreg", *map(str, args)],
@@ -37,6 +47,29 @@ def run_cli(*args, env=None):
         text=True,
         env={**os.environ, "PYTHONPATH": path, **(env or {})},
     )
+
+
+def run_cli(*args):
+    """``cli.main(args)`` in this interpreter, with what a child process would report."""
+    argv = [str(a) for a in args]
+    out, err = io.StringIO(), io.StringIO()
+    # main's basicConfig does nothing while pytest's log capture holds root
+    # handlers, so the voxelreg logger writes to the captured stderr itself
+    handler = logging.StreamHandler(err)
+    handler.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
+    level = cli.logger.level
+    cli.logger.addHandler(handler)
+    cli.logger.setLevel(logging.INFO)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse: 2 on a usage error, 0 after --help
+                code = exc.code
+    finally:
+        cli.logger.removeHandler(handler)
+        cli.logger.setLevel(level)
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
 
 
 def assert_one_line_error(res, needle):
@@ -426,8 +459,6 @@ def test_unparsable_flag_value_is_one_line_error(tmp_path, args, needle):
     ("", "error: out of memory"),
 ])
 def test_register_out_of_memory_is_one_line_error(tmp_path, monkeypatch, capsys, message, line):
-    from voxelreg import cli
-
     vol = smooth_random_volume((12, 12, 12), seed=12)
     save_volume(vol, tmp_path / "vol")
 
@@ -448,7 +479,7 @@ def test_register_ignores_budget_env(tmp_path):
     fields = []
     for env in ({}, {"REG_MEMORY_BUDGET_MB": "abc"}, {"REG_MEMORY_BUDGET_MB": "1"}):
         out = tmp_path / f"field{len(fields)}"
-        res = run_cli(
+        res = run_entry_point(
             "register", "--fixed", tmp_path / "fixed", "--moving", tmp_path / "moving",
             "--levels", "1:1:1:1:1", "--out-field", out, env=env,
         )
@@ -468,8 +499,37 @@ def test_register_refuses_one_volume_for_both_outputs(tmp_path, field, warped):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag", ["--out-field", "--out-warped"])
+def test_register_refuses_output_in_missing_directory(tmp_path, flag):
+    # refused before any input is read, so none need exist, and no output is written
+    outputs = {"--out-field": tmp_path / "f", "--out-warped": tmp_path / "w",
+               flag: tmp_path / "nodir" / "v"}
+    res = run_cli("register", "--fixed", tmp_path / "nope", "--moving", tmp_path / "nope",
+                  *(arg for pair in outputs.items() for arg in pair))
+    assert_one_line_error(res, f"{flag} {tmp_path / 'nodir' / 'v'}: {tmp_path / 'nodir'} is not a directory")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_register_malformed_config_names_its_file(tmp_path):
+    (tmp_path / "bad.json").write_text("{bad")
+    res = run_cli("register", "--fixed", tmp_path / "nope", "--moving", tmp_path / "nope",
+                  "--config", tmp_path / "bad.json", "--out-field", tmp_path / "f")
+    assert_one_line_error(res, f"cannot parse config {tmp_path / 'bad.json'}: Expecting property name")
+
+
+def test_entry_point_carries_exit_codes(tmp_path):
+    # python -m voxelreg exits with argparse's usage code and main's return value
+    res = run_entry_point("register", "--moving", tmp_path / "m", "--out-field", tmp_path / "f")
+    assert res.returncode == 2
+    assert res.stderr.startswith("usage: voxelreg register")
+    assert "the following arguments are required: --fixed" in res.stderr
+    res = run_entry_point("register", "--fixed", tmp_path / "nope", "--moving", tmp_path / "nope",
+                          "--out-field", tmp_path / "f")
+    assert_one_line_error(res, f"missing sidecar {tmp_path / 'nope.json'}")
+
+
 def test_register_warps_the_image_only_for_out_warped(tmp_path, image_warps):
-    from voxelreg import cli, pipeline
+    from voxelreg import pipeline
 
     case = make_pair("translation", (12, 12, 12), seed=13, translation=(1, 0, 0))
     save_volume(case["fixed"], tmp_path / "fixed")
@@ -843,8 +903,6 @@ def test_batch_jobs_do_not_change_report(tmp_path):
 
 
 def test_batch_skips_pair_that_runs_out_of_memory(tmp_path, monkeypatch, caplog):
-    from voxelreg import cli
-
     pairs = []
     for i, seed in enumerate((27, 28)):
         p = write_pair_files(tmp_path, seed=seed, name=f"m{i}")
@@ -869,7 +927,6 @@ def test_batch_skips_pair_that_runs_out_of_memory(tmp_path, monkeypatch, caplog)
 
 def test_batch_warps_no_image_and_keeps_its_report(tmp_path, monkeypatch, image_warps):
     # scoring warps the label maps; the moving image's warp is never read
-    from voxelreg import cli
 
     pairs = []
     for i, seed in enumerate((29, 30)):
@@ -915,7 +972,6 @@ def test_batch_jobs_must_be_positive_integer(tmp_path, jobs):
 )
 def test_batch_caps_jobs_times_workers_at_cpu_count(tmp_path, monkeypatch, cpus, jobs, n_pairs,
                                                     workers, expected):
-    from voxelreg import cli
     from voxelreg.volume import zero_field
 
     p = write_pair_files(tmp_path, seed=29, name="c")
