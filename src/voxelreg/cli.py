@@ -77,19 +77,20 @@ def _config_from_args(args) -> RegistrationConfig:
     return dataclasses.replace(cfg, **overrides)
 
 
-def _volume_path(path) -> Path:
-    """The one volume ``path`` names: f, f.raw and f.json give the same path."""
-    return with_extension(path, "").resolve()
+def _check_outputs(args, *dests):
+    """Refuse, before any input is read, outputs at ``dests`` that name one volume
+    (f, f.raw and f.json all name f), then one whose directory is missing."""
+    outputs = {"--" + dest.replace("_", "-"): out for dest, out in _given(args, dests).items()}
+    volumes = {flag: with_extension(out, "").resolve() for flag, out in outputs.items()}
+    if len(set(volumes.values())) < len(volumes):  # only register writes two
+        raise ValueError(" and ".join(f"{f} {out}" for f, out in outputs.items()) + " name one volume")
+    for flag, volume in volumes.items():
+        if not volume.parent.is_dir():
+            raise ValueError(f"{flag} {outputs[flag]}: {volume.parent} is not a directory")
 
 
 def cmd_register(args) -> int:
-    if args.out_warped and _volume_path(args.out_warped) == _volume_path(args.out_field):
-        raise ValueError(
-            f"--out-field {args.out_field} and --out-warped {args.out_warped} name one volume"
-        )
-    for flag, out in (("--out-field", args.out_field), ("--out-warped", args.out_warped)):
-        if out and not _volume_path(out).parent.is_dir():
-            raise ValueError(f"{flag} {out}: {_volume_path(out).parent} is not a directory")
+    _check_outputs(args, "out_field", "out_warped")
     cfg = _config_from_args(args)
     fixed = load_volume(args.fixed, kind="scalar")
     moving = load_volume(args.moving, kind="scalar")
@@ -106,6 +107,7 @@ def cmd_register(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_features(args) -> int:
+    _check_outputs(args, "out")
     # only intensity takes parameters on the command line
     percentiles = _given(args, ("p_low", "p_high"))
     if percentiles and args.descriptor != "intensity":
@@ -126,6 +128,7 @@ def cmd_features(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_evaluate(args) -> int:
+    _check_outputs(args, "out_report")
     try:
         labels = [int(v) for v in args.labels.split(",")] if args.labels else None
     except ValueError:
@@ -321,14 +324,15 @@ def _parse_triple(flag: str, spec: str, cast=float):
 
 
 # synth.make_pair parameters set by same-named flags, defaulting as make_pair
-# does, and recorded in the meta file
-SYNTH_PARAMS = ("amplitude", "period", "num_blobs", "min_radius", "max_radius", "noise_sigma")
+# does (a triple as X,Y,Z), and recorded in the meta file
+SYNTH_PARAMS = ("translation", "amplitude", "period", "num_blobs", "min_radius", "max_radius",
+                "noise_sigma")
 
 
 def cmd_synth(args) -> int:
     dims = _parse_triple("--dims", args.dims, int)
-    params = {"translation": _parse_triple("--translation", args.translation)}
-    params.update((name, getattr(args, name)) for name in SYNTH_PARAMS)
+    params = {name: getattr(args, name) for name in SYNTH_PARAMS}
+    params["translation"] = _parse_triple("--translation", args.translation)
     case = synth.make_pair(args.kind, dims, seed=args.seed, **params)
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -395,10 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--dims", required=True, help="X,Y,Z or a single cube size")
     p_synth.add_argument("--seed", type=int, required=True)
     p_synth.add_argument("--out-prefix", required=True)
-    p_synth.add_argument("--translation", default="2,0,0")
     synth_defaults = inspect.signature(synth.make_pair).parameters
     for name in SYNTH_PARAMS:
         default = synth_defaults[name].default
+        if isinstance(default, tuple):
+            default = ",".join(map(str, default))
         p_synth.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     p_synth.set_defaults(func=cmd_synth)
     return parser

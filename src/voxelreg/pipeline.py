@@ -287,11 +287,9 @@ def register(fixed: ScalarVolume, moving: ScalarVolume, cfg: RegistrationConfig)
     if cfg.standardize_reference:
         reference = load_volume(cfg.standardize_reference, kind="scalar")
 
-    # the first level's grid, with the spacing ``downsample`` gives it;
     # warping by the zero field returns a volume bit for bit, so level 0
-    # warps nothing
-    first = cfg.levels[0].factor
-    field = zero_field(level_dims[0], tuple(s * first for s in fixed.spacing))
+    # warps nothing; the level fields' spacing is never used
+    field = zero_field(level_dims[0])
     for i, level in enumerate(cfg.levels):
         if cfg.feature == "external":
             f_fix = downsample_features(ext_fixed, level.factor)
@@ -322,4 +320,4 @@ def register(fixed: ScalarVolume, moving: ScalarVolume, cfg: RegistrationConfig)
             ratio = level.factor // cfg.levels[i + 1].factor
             field = upsample_field(field, ratio, level_dims[i + 1])
 
-    return Registration(field, moving)
+    return Registration(DisplacementField(field.data, fixed.spacing), moving)

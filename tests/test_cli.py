@@ -8,6 +8,8 @@ codes, the environment at import time, and the acceptance criteria.
 
 import contextlib
 import dataclasses
+import functools
+import inspect
 import io
 import json
 import logging
@@ -170,6 +172,20 @@ def test_synth_bad_input_is_one_line_error(tmp_path, flags, needle):
                   "--out-prefix", tmp_path / "x", *flags)
     assert_one_line_error(res, needle)
     assert not list(tmp_path.iterdir())
+
+
+def test_synth_flags_default_as_make_pair_does(tmp_path, monkeypatch):
+    calls = []
+    # the stand-in keeps make_pair's signature, which the parser reads
+    fake = functools.wraps(make_pair)(lambda kind, dims, **kw: calls.append(kw) or {})
+    monkeypatch.setattr(cli.synth, "make_pair", fake)
+    res = run_cli("synth", "--kind", "translation", "--dims", "8", "--seed", "1",
+                  "--out-prefix", tmp_path / "x")
+    assert res.returncode == 0, res.stderr
+    defaults = {name: p.default for name, p in inspect.signature(make_pair).parameters.items()
+                if p.default is not p.empty}
+    assert set(defaults) == set(cli.SYNTH_PARAMS) and "translation" in defaults
+    assert calls == [{"seed": 1, **defaults}]
 
 
 def test_synth_dotted_prefix_keeps_its_dots(tmp_path):
@@ -499,15 +515,34 @@ def test_register_refuses_one_volume_for_both_outputs(tmp_path, field, warped):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("flag", ["--out-field", "--out-warped"])
-def test_register_refuses_output_in_missing_directory(tmp_path, flag):
-    # refused before any input is read, so none need exist, and no output is written
-    outputs = {"--out-field": tmp_path / "f", "--out-warped": tmp_path / "w",
-               flag: tmp_path / "nodir" / "v"}
-    res = run_cli("register", "--fixed", tmp_path / "nope", "--moving", tmp_path / "nope",
-                  *(arg for pair in outputs.items() for arg in pair))
-    assert_one_line_error(res, f"{flag} {tmp_path / 'nodir' / 'v'}: {tmp_path / 'nodir'} is not a directory")
+@pytest.mark.parametrize("command", [
+    pytest.param(["register", "--fixed", "nope", "--moving", "nope", "--out-warped", "w",
+                  "--out-field"], id="--out-field"),
+    pytest.param(["register", "--fixed", "nope", "--moving", "nope", "--out-field", "f",
+                  "--out-warped"], id="--out-warped"),
+    pytest.param(["evaluate", "--fixed-labels", "nope", "--moving-labels", "nope", "--field", "nope",
+                  "--out-report"], id="--out-report"),
+    pytest.param(["features", "--in", "nope", "--descriptor", "ssc", "--out"], id="--out"),
+])
+def test_refuses_output_in_missing_directory(tmp_path, monkeypatch, command):
+    # the command's last flag points into a missing directory; refused before
+    # any input is read, so none need exist, and no output is written
+    monkeypatch.chdir(tmp_path)
+    res = run_cli(*command, "nodir/v")
+    assert_one_line_error(res, f"{command[-1]} nodir/v: {tmp_path / 'nodir'} is not a directory")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_register_field_sidecar_keeps_the_image_spacing(tmp_path):
+    case = make_pair("sinusoid", (24, 24, 24), seed=14, amplitude=1.5, period=12.0)
+    for name in ("fixed", "moving"):
+        save_volume(type(case[name])(case[name].data, (0.1, 0.2, 0.35)), tmp_path / name)
+    res = run_cli("register", "--fixed", tmp_path / "fixed", "--moving", tmp_path / "moving",
+                  "--levels", "3:1:1:1:1,1:1:1:1:1", "--feature", "intensity",
+                  "--out-field", tmp_path / "field", "--out-warped", tmp_path / "warped")
+    assert res.returncode == 0, res.stderr
+    for name in ("field", "warped"):
+        assert json.loads((tmp_path / f"{name}.json").read_text())["spacing"] == [0.1, 0.2, 0.35]
 
 
 def test_register_malformed_config_names_its_file(tmp_path):

@@ -748,6 +748,21 @@ def test_register_unpacks_to_the_field_and_its_warp():
     assert warped.spacing == expected.spacing
 
 
+@pytest.mark.parametrize("factors", [(3, 1), (6, 3, 1)])
+def test_register_returns_the_field_on_the_fixed_grid(factors):
+    # spacing times and then over a factor other than a power of two is not
+    # the spacing again, so the field must take the fixed image's own
+    from voxelreg.volume import ScalarVolume
+
+    case = make_pair("sinusoid", (48, 48, 48), seed=76, amplitude=1.5, period=12.0)
+    fixed, moving = (ScalarVolume(case[k].data, (0.1, 0.2, 0.35)) for k in ("fixed", "moving"))
+    cfg = RegistrationConfig(levels=tuple(LevelParams(f, 1.0, 1.0, 1, 1.0) for f in factors))
+    field = register(fixed, moving, cfg).field
+    assert field.spacing == fixed.spacing
+    # no level reads the spacing
+    assert field.data.tobytes() == register(case["fixed"], case["moving"], cfg).field.data.tobytes()
+
+
 def test_register_with_standardization():
     case = make_pair(
         "translation", (32, 32, 32), seed=73, translation=(1.0, 0.0, 0.0), noise_sigma=1.2
