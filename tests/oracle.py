@@ -17,7 +17,7 @@ figures the acceptance criteria score.
 import numpy as np
 
 from voxelreg import regcore
-from voxelreg.volume import DisplacementField, warp_features
+from voxelreg.volume import DisplacementField, warp_scalar
 
 
 def cost_volume(f_fixed, f_moving, disp) -> np.ndarray:
@@ -67,7 +67,7 @@ def energy(f_fixed, f_moving, field, alpha) -> float:
     field at alpha = 0, patch_radius = 0 can never exceed the zero-field
     energy.
     """
-    warped = warp_features(f_moving, field).data  # refuses a field of other dims
+    warped = warp_scalar(f_moving, field).data  # refuses a field of other dims
     data_term = float(np.abs(f_fixed.data.astype(np.float64) - warped).sum())
     u = field.data.astype(np.float64)
     grad_term = sum(float((np.diff(u[..., c], axis=axis) ** 2).sum()) for c in range(3) for axis in range(3))

@@ -184,8 +184,31 @@ def test_synth_flags_default_as_make_pair_does(tmp_path, monkeypatch):
     assert res.returncode == 0, res.stderr
     defaults = {name: p.default for name, p in inspect.signature(make_pair).parameters.items()
                 if p.default is not p.empty}
-    assert set(defaults) == set(cli.SYNTH_PARAMS) and "translation" in defaults
+    assert "translation" in defaults
     assert calls == [{"seed": 1, **defaults}]
+
+
+def test_synth_flags_follow_make_pair_keywords(tmp_path, monkeypatch):
+    # a keyword make_pair gains is a flag with no CLI edit: an int default
+    # takes an int, a tuple default X,Y,Z text of its elements' type
+    calls = []
+
+    def fake(kind, dims, **kw):
+        calls.append(kw)
+        return {}
+
+    real = inspect.signature(make_pair)
+    extra = [inspect.Parameter(name, inspect.Parameter.KEYWORD_ONLY, default=default)
+             for name, default in (("count", 3), ("shape", (1, 2, 3)))]
+    fake.__signature__ = real.replace(parameters=[*real.parameters.values(), *extra])
+    monkeypatch.setattr(cli.synth, "make_pair", fake)
+    res = run_cli("synth", "--kind", "translation", "--dims", "8", "--seed", "1",
+                  "--out-prefix", tmp_path / "x", "--count", "7", "--shape", "4,5,6")
+    assert res.returncode == 0, res.stderr
+    assert (calls[0]["count"], calls[0]["shape"]) == (7, (4, 5, 6))
+    assert {type(v) for v in (calls[0]["count"], *calls[0]["shape"])} == {int}
+    meta = json.loads((tmp_path / "x_meta.json").read_text())
+    assert (meta["count"], meta["shape"]) == (7, [4, 5, 6])
 
 
 def test_synth_dotted_prefix_keeps_its_dots(tmp_path):
@@ -543,6 +566,19 @@ def test_register_field_sidecar_keeps_the_image_spacing(tmp_path):
     assert res.returncode == 0, res.stderr
     for name in ("field", "warped"):
         assert json.loads((tmp_path / f"{name}.json").read_text())["spacing"] == [0.1, 0.2, 0.35]
+
+
+def test_register_warped_sidecar_takes_the_fixed_spacing(tmp_path):
+    # the warped image lies on the fixed grid, not on the moving one
+    case = make_pair("translation", (24, 24, 24), seed=12, translation=(1, 0, 0))
+    for name, spacing in (("fixed", (0.5, 0.5, 0.5)), ("moving", (1.0, 1.0, 2.0))):
+        save_volume(type(case[name])(case[name].data, spacing), tmp_path / name)
+    res = run_cli("register", "--fixed", tmp_path / "fixed", "--moving", tmp_path / "moving",
+                  "--levels", "1:1:1:1:1", "--feature", "intensity",
+                  "--out-field", tmp_path / "field", "--out-warped", tmp_path / "warped")
+    assert res.returncode == 0, res.stderr
+    for name in ("field", "warped"):
+        assert json.loads((tmp_path / f"{name}.json").read_text())["spacing"] == [0.5, 0.5, 0.5]
 
 
 def test_register_malformed_config_names_its_file(tmp_path):

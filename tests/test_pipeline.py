@@ -25,8 +25,10 @@ from voxelreg.pipeline import (
 from voxelreg.synth import make_pair, smooth_random_volume
 from voxelreg.volume import (
     DisplacementField,
+    ScalarVolume,
     save_volume,
     warp_labels,
+    warp_scalar,
     zero_field,
 )
 from voxelreg.features import normalize_intensity
@@ -660,9 +662,11 @@ def test_register_external_features_do_no_image_work(tmp_path, monkeypatch):
         external_moving=str(tmp_path / "fm"),
     )
     field, warped = register(fixed, moving, cfg)
-    assert [name for name, _ in calls] == ["warp_scalar"]
-    image, final_field = calls[0][1]
-    assert image is moving and final_field is field
+    # the levels resample feature volumes through the image resamplers
+    *level_calls, (name, (image, final_field)) = calls
+    assert {name for name, _ in level_calls} == {"downsample", "warp_scalar"}
+    assert not any(isinstance(a, ScalarVolume) for _, args in level_calls for a in args)
+    assert name == "warp_scalar" and image is moving and final_field is field
 
 
 def test_register_external_rejects_dim_mismatch(tmp_path):
@@ -761,6 +765,16 @@ def test_register_returns_the_field_on_the_fixed_grid(factors):
     assert field.spacing == fixed.spacing
     # no level reads the spacing
     assert field.data.tobytes() == register(case["fixed"], case["moving"], cfg).field.data.tobytes()
+
+
+def test_register_warped_image_takes_the_fixed_spacing():
+    # the moving image is sampled on the fixed grid, whatever its own spacing
+    case = make_pair("translation", (24, 24, 24), seed=77, translation=(1.0, 0.0, 0.0))
+    fixed = ScalarVolume(case["fixed"].data, (0.5, 0.5, 0.5))
+    moving = ScalarVolume(case["moving"].data, (1.0, 1.0, 2.0))
+    result = register(fixed, moving, single_level(l_max=1.0, feature="intensity"))
+    assert result.warped.spacing == fixed.spacing
+    assert result.warped.data.tobytes() == warp_scalar(moving, result.field).data.tobytes()
 
 
 def test_register_with_standardization():

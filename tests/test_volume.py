@@ -23,12 +23,10 @@ from voxelreg.volume import (
     VolumeError,
     VolumeHeader,
     downsample,
-    downsample_features,
     downsampled_dims,
     load_volume,
     save_volume,
     upsample_field,
-    warp_features,
     warp_labels,
     warp_scalar,
     zero_field,
@@ -427,7 +425,7 @@ def test_warp_features_equals_per_channel_warp_scalar(channels):
     data = rng.standard_normal((5, 6, 7, channels)).astype(np.float32)
     fv = FeatureVolume(data, (1.0, 2.0, 0.5))
     field = DisplacementField(rng.uniform(-8, 8, size=(5, 6, 7, 3)))
-    out = warp_features(fv, field)
+    out = warp_scalar(fv, field)
     assert isinstance(out, FeatureVolume) and out.header == fv.header
     for c in range(channels):
         want = warp_scalar(ScalarVolume(data[..., c], (1.0, 2.0, 0.5)), field)
@@ -445,7 +443,7 @@ def test_warp_samples_straight_into_float32(channels):
     u = rng.uniform(-6, 6, size=(7, 6, 5, 3)).astype(np.float32)
     u[::2] = np.round(u[::2])
     field = DisplacementField(u)
-    out = warp_features(fv, field)
+    out = warp_scalar(fv, field)
     coords = np.indices((7, 6, 5), dtype=np.float64) + np.moveaxis(u[..., ::-1], -1, 0)
     want = volume._trilinear_zyx(fv.data, coords).astype(np.float32)
     assert out.data.dtype == np.float32
@@ -455,7 +453,7 @@ def test_warp_samples_straight_into_float32(channels):
 def test_warp_features_rejects_dim_mismatch():
     fv = FeatureVolume(np.zeros((3, 3, 3, 2)))
     with pytest.raises(ValueError):
-        warp_features(fv, zero_field((3, 3, 4)))
+        warp_scalar(fv, zero_field((3, 3, 4)))
 
 
 def test_warp_labels_rejects_dim_mismatch():
@@ -549,7 +547,7 @@ def test_downsample_features_equals_per_channel_downsample(factor):
     rng = np.random.default_rng(12)
     data = rng.standard_normal((7, 9, 11, 3)).astype(np.float32)
     fv = FeatureVolume(data, (1.0, 2.0, 0.5))
-    out = downsample_features(fv, factor)
+    out = downsample(fv, factor)
     for c in range(3):
         want = downsample(ScalarVolume(data[..., c], (1.0, 2.0, 0.5)), factor)
         assert np.array_equal(out.data[..., c], want.data), c
