@@ -28,8 +28,8 @@ from voxelreg.pipeline import (
     usable_cpus,
 )
 from voxelreg.volume import (
-    VolumeError,
     load_volume,
+    read_json,
     save_volume,
     warp_labels,
     with_extension,
@@ -77,10 +77,14 @@ def _config_from_args(args) -> RegistrationConfig:
     return dataclasses.replace(cfg, **overrides)
 
 
-def _check_outputs(args, *dests):
-    """Refuse, before any input is read, outputs at ``dests`` that name one volume
-    (f, f.raw and f.json all name f), then one whose directory is missing."""
-    outputs = {"--" + dest.replace("_", "-"): out for dest, out in _given(args, dests).items()}
+def _check_outputs(args, required, *optional):
+    """Refuse, before any input is read, an empty ``required`` output, then
+    outputs that name one volume (f, f.raw and f.json all name f), then one
+    whose directory is missing; an empty ``optional`` output is not given."""
+    if getattr(args, required) == "":
+        raise ValueError(f"--{required.replace('_', '-')} must name a file, got ''")
+    given = _given(args, (required, *optional))
+    outputs = {"--" + dest.replace("_", "-"): out for dest, out in given.items()}
     volumes = {flag: with_extension(out, "").resolve() for flag, out in outputs.items()}
     if len(set(volumes.values())) < len(volumes):  # only register writes two
         raise ValueError(" and ".join(f"{f} {out}" for f, out in outputs.items()) + " name one volume")
@@ -205,11 +209,7 @@ def _checked_entries(entries, what: str, required: tuple[str, ...]) -> list[dict
 
 def load_manifest(path) -> tuple[list[dict], RegistrationConfig, str | None]:
     """Parse a batch manifest; returns (pairs, config, output_dir)."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot parse manifest {path}: {exc}") from exc
+    data = read_json(path, "manifest")
     if not isinstance(data, dict):
         raise ValueError(f"manifest {path} must be a JSON object, got {type(data).__name__}")
     unknown = sorted(set(data) - {"output_dir", "config", "pairs", "volumes", "pair_mode"})
@@ -282,7 +282,7 @@ def cmd_batch(args) -> int:
     def run_one(pair):
         try:
             return pair["pair_id"], _run_batch_pair(pair, cfg), None
-        except (VolumeError, ValueError, OSError, MemoryError) as exc:
+        except (ValueError, OSError, MemoryError) as exc:
             return pair["pair_id"], None, str(exc) or type(exc).__name__
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -418,7 +418,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s: %(message)s")
     try:
         return args.func(args)
-    except (VolumeError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -30,7 +30,6 @@ field, between levels), which work one axis at a time. Warps onto a grid
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import operator
@@ -49,6 +48,7 @@ from voxelreg.volume import (
     downsample,
     downsampled_dims,
     load_volume,
+    read_json,
     upsample_field,
     warp_scalar,
     zero_field,
@@ -94,7 +94,7 @@ class LevelParams:
         if self.alpha < 0 or self.patch_radius < 0:
             raise ValueError("alpha and patch_radius must be >= 0")
         # same q / l_max rule as the search, checked before any level runs
-        regcore.build_displacement_set(self.q, self.l_max)
+        regcore.candidate_steps(self.q, self.l_max)
 
     @property
     def smooth_sigma(self) -> float:
@@ -206,12 +206,7 @@ class RegistrationConfig:
 
     @classmethod
     def from_json(cls, path) -> "RegistrationConfig":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"cannot parse config {path}: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(read_json(path, "config"))
 
 
 def compose_fields(coarse_up: DisplacementField, increment: DisplacementField) -> DisplacementField:
@@ -227,11 +222,10 @@ def _featurize(vol: ScalarVolume, feature: str) -> FeatureVolume:
 
 def _check_level_dims(dims, level: LevelParams):
     level_dims = downsampled_dims(dims, level.factor)
-    needed = int(math.ceil(2 * level.l_max + 1))
-    if min(level_dims) < needed:
+    if min(level_dims) < 2 * level.l_max + 1:  # inf for l_max near the float maximum
         raise ValueError(
             f"volume too small: level factor {level.factor} gives dims {level_dims}, "
-            f"search with l_max={level.l_max} needs >= {needed} per axis"
+            f"search with l_max={level.l_max} needs >= 2 * l_max + 1 per axis"
         )
     return level_dims
 

@@ -122,20 +122,22 @@ class DisplacementSet:
         return bool((self.displacements % 1).any())
 
 
-def build_displacement_set(q: float, l_max: float) -> DisplacementSet:
-    """Cartesian cube of per-axis steps {0, +-q, ..., +-l_max}.
-
-    ``l_max`` must be an integer multiple of ``q``; the result has
-    (2k + 1)^3 candidates for k = l_max / q.
-    """
+def candidate_steps(q: float, l_max: float) -> int:
+    """k = l_max / q, the candidate cube's steps on each side of zero along an axis."""
     if q <= 0:
         raise ValueError(f"q must be > 0, got {q}")
     if l_max < 0:
         raise ValueError(f"l_max must be >= 0, got {l_max}")
     k = l_max / q
-    if abs(k - round(k)) > 1e-9:
-        raise ValueError(f"l_max ({l_max}) must be an integer multiple of q ({q})")
-    k = int(round(k))
+    if not math.isfinite(k) or abs(k - round(k)) > 1e-9:
+        raise ValueError(f"l_max ({l_max}) must be a finite integer multiple of q ({q})")
+    return int(round(k))
+
+
+def build_displacement_set(q: float, l_max: float) -> DisplacementSet:
+    """Cartesian cube of per-axis steps {0, +-q, ..., +-l_max}: (2k + 1)^3
+    candidates for k = ``candidate_steps(q, l_max)``."""
+    k = candidate_steps(q, l_max)
     steps = np.arange(-k, k + 1, dtype=np.float64) * q
     dz, dy, dx = np.meshgrid(steps, steps, steps, indexing="ij")
     disp = np.column_stack([dx.ravel(), dy.ravel(), dz.ravel()])

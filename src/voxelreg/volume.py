@@ -13,7 +13,8 @@ freezes the payload. A volume is built from its array and spacing,
 ``FeatureVolume(array, spacing)`` (a label volume also takes the integer
 dtype it is saved as), and derives its ``VolumeHeader``, the sidecar's
 contents. ``load_volume`` picks the class from the kind table ``KINDS``.
-Every operation here is a pure function.
+Every operation here is a pure function. ``read_json`` reads every JSON
+input file, and a refused input file is a ``VolumeError`` that names it.
 
 Warping is backward/pull: ``output(x) = moving(x + u(x))``. Warps and
 the energy's data term sample through ``ndimage.map_coordinates`` with
@@ -43,20 +44,8 @@ import numpy as np
 from scipy import ndimage
 
 
-class VolumeError(Exception):
-    """Base class for volume I/O and validation failures."""
-
-
-class SidecarError(VolumeError):
-    """Missing or garbled JSON sidecar header."""
-
-
-class PayloadSizeError(VolumeError):
-    """Raw payload length does not match the sidecar header."""
-
-
-class NonFiniteDataError(VolumeError):
-    """Payload contains NaN or Inf values."""
+class VolumeError(ValueError):
+    """A refused input file, or a volume that fails validation; a ValueError."""
 
 
 DTYPES = {
@@ -118,7 +107,7 @@ class VolumeHeader:
                 dtype=str(d["dtype"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise SidecarError(f"invalid sidecar header: {exc}") from exc
+            raise ValueError(f"invalid sidecar header: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +154,7 @@ class Volume:
 
     def _check_payload(self, data: np.ndarray):
         if not np.isfinite(data).all():
-            raise NonFiniteDataError(f"{type(self).__name__} contains non-finite values")
+            raise VolumeError(f"{type(self).__name__} contains non-finite values")
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,6 +231,16 @@ KINDS = {
 }
 
 
+def read_json(path, what: str):
+    """The JSON value in the UTF-8 file ``path``. A file that cannot be
+    read, decoded or parsed is a VolumeError naming it as ``what``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise VolumeError(f"cannot parse {what} {path}: {exc}") from exc
+
+
 def load_volume(path, kind: str = "auto") -> Volume:
     """Load a volume from its ``.raw`` payload + ``.json`` sidecar.
 
@@ -251,25 +250,25 @@ def load_volume(path, kind: str = "auto") -> Volume:
     sidecar's dtype. ``kind="auto"`` infers it
     from the header: integer dtypes load as LabelVolume, float with
     channels == 1 as ScalarVolume, and float with any other channel count,
-    3 included, as FeatureVolume. A payload the class rejects raises a
-    VolumeError that names the payload file.
+    3 included, as FeatureVolume. A refused file, a payload whose byte
+    length is not the header's among them, is a VolumeError naming it.
     """
     sidecar, payload = with_extension(path, ".json"), with_extension(path, ".raw")
     if not sidecar.exists():
-        raise SidecarError(f"missing sidecar {sidecar}")
+        raise VolumeError(f"missing sidecar {sidecar}")
+    header = read_json(sidecar, "sidecar")
     try:
-        header = VolumeHeader.from_dict(json.loads(sidecar.read_text()))
-    except (json.JSONDecodeError, SidecarError) as exc:
-        raise SidecarError(f"garbled sidecar {sidecar}: {exc}") from exc
+        header = VolumeHeader.from_dict(header)
+    except ValueError as exc:
+        raise VolumeError(f"{sidecar}: {exc}") from exc
     if not payload.exists():
         raise VolumeError(f"missing payload {payload}")
 
+    expected = header.n_voxels * header.channels * DTYPES[header.dtype].itemsize
+    size = payload.stat().st_size  # checked first: fromfile drops a trailing partial value
+    if size != expected:
+        raise VolumeError(f"{payload}: payload has {size} bytes, header implies {expected}")
     raw = np.fromfile(payload, dtype=DTYPES[header.dtype])
-    expected = header.n_voxels * header.channels
-    if raw.size != expected:
-        raise PayloadSizeError(
-            f"{payload}: payload has {raw.size} values, header implies {expected}"
-        )
 
     if kind == "auto":
         is_integer = header.dtype in _INTEGER_DTYPES
@@ -282,8 +281,6 @@ def load_volume(path, kind: str = "auto") -> Volume:
     label_dtype = (header.dtype,) if cls is LabelVolume else ()
     try:
         return cls(raw.reshape(header.shape_zyx + channel_axis), header.spacing, *label_dtype)
-    except NonFiniteDataError as exc:
-        raise NonFiniteDataError(f"{payload}: {exc}") from exc
     except ValueError as exc:
         raise VolumeError(f"{payload}: {exc}") from exc
 

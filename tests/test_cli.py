@@ -480,6 +480,8 @@ def test_register_bad_config_is_one_line_error(tmp_path, cfg, needle):
      "bad level spec '1.5:1:2:1:1', expected factor:q:l_max:patch_radius:alpha"),
     (["register", "--levels", "1:1:2:1"], "bad level spec '1:1:2:1'"),
     (["evaluate", "--labels", "1,,2"], "bad --labels '1,,2', expected comma-separated integers"),
+    (["register", "--levels", "1:0.1:1e308:2:2"],
+     "l_max (1e+308) must be a finite integer multiple of q (0.1)"),
 ])
 def test_unparsable_flag_value_is_one_line_error(tmp_path, args, needle):
     # the value is rejected before any input is read, so none need exist
@@ -538,14 +540,20 @@ def test_register_refuses_one_volume_for_both_outputs(tmp_path, field, warped):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", [
+# commands whose last flag is an output; only --out-warped is optional
+REQUIRED_OUTPUTS = [
     pytest.param(["register", "--fixed", "nope", "--moving", "nope", "--out-warped", "w",
                   "--out-field"], id="--out-field"),
-    pytest.param(["register", "--fixed", "nope", "--moving", "nope", "--out-field", "f",
-                  "--out-warped"], id="--out-warped"),
     pytest.param(["evaluate", "--fixed-labels", "nope", "--moving-labels", "nope", "--field", "nope",
                   "--out-report"], id="--out-report"),
     pytest.param(["features", "--in", "nope", "--descriptor", "ssc", "--out"], id="--out"),
+]
+
+
+@pytest.mark.parametrize("command", [
+    *REQUIRED_OUTPUTS,
+    pytest.param(["register", "--fixed", "nope", "--moving", "nope", "--out-field", "f",
+                  "--out-warped"], id="--out-warped"),
 ])
 def test_refuses_output_in_missing_directory(tmp_path, monkeypatch, command):
     # the command's last flag points into a missing directory; refused before
@@ -553,6 +561,15 @@ def test_refuses_output_in_missing_directory(tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
     res = run_cli(*command, "nodir/v")
     assert_one_line_error(res, f"{command[-1]} nodir/v: {tmp_path / 'nodir'} is not a directory")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", REQUIRED_OUTPUTS)
+def test_refuses_empty_required_output(tmp_path, monkeypatch, command):
+    # refused before any input is read, so none need exist
+    monkeypatch.chdir(tmp_path)
+    res = run_cli(*command, "")
+    assert_one_line_error(res, f"{command[-1]} must name a file, got ''")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -581,11 +598,22 @@ def test_register_warped_sidecar_takes_the_fixed_spacing(tmp_path):
         assert json.loads((tmp_path / f"{name}.json").read_text())["spacing"] == [0.5, 0.5, 0.5]
 
 
-def test_register_malformed_config_names_its_file(tmp_path):
-    (tmp_path / "bad.json").write_text("{bad")
-    res = run_cli("register", "--fixed", tmp_path / "nope", "--moving", tmp_path / "nope",
-                  "--config", tmp_path / "bad.json", "--out-field", tmp_path / "f")
-    assert_one_line_error(res, f"cannot parse config {tmp_path / 'bad.json'}: Expecting property name")
+UNPARSABLE_JSON = [
+    pytest.param(b"{bad", "Expecting property name", id="syntax"),
+    pytest.param(b"\xff{}", "'utf-8' codec can't decode byte 0xff", id="utf8"),
+]
+
+
+@pytest.mark.parametrize("what", ["config", "sidecar"])
+@pytest.mark.parametrize("content, reason", UNPARSABLE_JSON)
+def test_register_malformed_config_names_its_file(tmp_path, what, content, reason):
+    # the bad file is the config, or the sidecar of both images
+    (tmp_path / "bad.json").write_bytes(content)
+    images = tmp_path / ("nope" if what == "config" else "bad")
+    config = ["--config", tmp_path / "bad.json"] if what == "config" else []
+    res = run_cli("register", "--fixed", images, "--moving", images, *config,
+                  "--out-field", tmp_path / "f")
+    assert_one_line_error(res, f"cannot parse {what} {tmp_path / 'bad.json'}: {reason}")
 
 
 def test_entry_point_carries_exit_codes(tmp_path):
@@ -864,11 +892,12 @@ def test_batch_skips_unreadable_pair_with_warning(tmp_path):
     assert report["skipped_pairs"] == ["bad"]
 
 
-def test_batch_manifest_parse_failure_errors(tmp_path):
+@pytest.mark.parametrize("content, reason", UNPARSABLE_JSON)
+def test_batch_manifest_parse_failure_errors(tmp_path, content, reason):
     bad = tmp_path / "bad.json"
-    bad.write_text("{broken")
+    bad.write_bytes(content)
     res = run_cli("batch", bad)
-    assert res.returncode == 1
+    assert_one_line_error(res, f"cannot parse manifest {bad}: {reason}")
 
 
 @pytest.mark.parametrize(

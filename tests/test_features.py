@@ -19,8 +19,8 @@ from voxelreg.features import (
 )
 from voxelreg.volume import (
     FeatureVolume,
-    NonFiniteDataError,
     ScalarVolume,
+    VolumeError,
     load_volume,
     save_volume,
 )
@@ -368,7 +368,7 @@ def test_external_nan_payload_rejected(tmp_path):
         json.dumps({"dims": [2, 1, 1], "spacing": [1, 1, 1], "channels": 2, "dtype": "float32"})
     )
     np.array([0.0, 1.0, np.nan, 2.0], dtype="<f4").tofile(stem.with_suffix(".raw"))
-    with pytest.raises(NonFiniteDataError):
+    with pytest.raises(VolumeError):
         load_volume(stem, kind="feature")
 
 

@@ -98,6 +98,17 @@ def test_level_params_rejects_bad_candidate_grid():
         LevelParams(l_max=-1.0)
 
 
+def test_level_params_check_builds_no_candidates():
+    # validating a level counts its steps; the search builds the 81^3 cube
+    tracemalloc.start()
+    try:
+        LevelParams(q=0.1, l_max=4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_level_params_rejects_factor_zero():
     with pytest.raises(ValueError, match="factor must be >= 1"):
         LevelParams(factor=0)
@@ -712,6 +723,12 @@ def test_register_rejects_too_small_volume():
     vol = smooth_random_volume((6, 6, 6), seed=71)
     with pytest.raises(ValueError):
         register(vol, vol, single_level(q=1.0, l_max=4.0))
+
+
+def test_register_refuses_an_l_max_whose_span_overflows():
+    vol = smooth_random_volume((6, 6, 6), seed=71)
+    with pytest.raises(ValueError, match=r"l_max=1e\+308 needs >= 2 \* l_max \+ 1 per axis"):
+        register(vol, vol, single_level(q=1.0, l_max=1e308))
 
 
 def test_register_is_deterministic():

@@ -16,10 +16,7 @@ from voxelreg.volume import (
     DisplacementField,
     FeatureVolume,
     LabelVolume,
-    NonFiniteDataError,
-    PayloadSizeError,
     ScalarVolume,
-    SidecarError,
     VolumeError,
     VolumeHeader,
     downsample,
@@ -122,7 +119,7 @@ def test_header_roundtrips_via_dict():
 def test_scalar_volume_rejects_nan():
     data = np.zeros((2, 2, 2), dtype=np.float32)
     data[0, 0, 0] = np.nan
-    with pytest.raises(NonFiniteDataError):
+    with pytest.raises(VolumeError):
         ScalarVolume(data)
 
 
@@ -154,21 +151,39 @@ def test_length_mismatch_is_reported(tmp_path):
         json.dumps({"dims": [4, 4, 4], "spacing": [1, 1, 1], "channels": 1, "dtype": "float32"})
     )
     np.zeros(63, dtype="<f4").tofile(stem.with_suffix(".raw"))
-    with pytest.raises(PayloadSizeError):
+    with pytest.raises(VolumeError):
         load_volume(stem)
 
 
+def test_trailing_payload_bytes_are_refused(tmp_path):
+    # eight values and 2 stray bytes: the header implies exactly 32 bytes
+    stem = tmp_path / "long"
+    save_volume(ScalarVolume(np.zeros((2, 2, 2))), stem)
+    with open(stem.with_suffix(".raw"), "ab") as fh:
+        fh.write(b"\0\0")
+    with pytest.raises(VolumeError, match=r"long\.raw: payload has 34 bytes, header implies 32"):
+        load_volume(stem)
+
+
+def test_volume_error_is_a_value_error():
+    assert issubclass(VolumeError, ValueError)
+
+
 def test_missing_and_garbled_sidecar(tmp_path):
-    with pytest.raises(SidecarError):
+    with pytest.raises(VolumeError):
         load_volume(tmp_path / "nothing.raw")
     stem = tmp_path / "bad"
     stem.with_suffix(".json").write_text("{not json")
     np.zeros(1, dtype="<f4").tofile(stem.with_suffix(".raw"))
-    with pytest.raises(SidecarError):
+    with pytest.raises(VolumeError):
         load_volume(stem)
     stem.with_suffix(".json").write_text(json.dumps({"dims": [0, 1, 1], "dtype": "float32"}))
-    with pytest.raises(SidecarError, match="bad.json"):
+    with pytest.raises(VolumeError, match="bad.json"):
         load_volume(stem)
+    stem.with_suffix(".json").write_bytes(b"\xff{}")
+    with pytest.raises(VolumeError) as excinfo:
+        load_volume(stem)
+    assert str(excinfo.value).startswith(f"cannot parse sidecar {stem.with_suffix('.json')}: 'utf-8' codec")
 
 
 @pytest.mark.parametrize(
@@ -178,7 +193,7 @@ def test_sidecar_non_integer_counts_are_sidecar_errors(tmp_path, counts):
     stem = tmp_path / "counts"
     stem.with_suffix(".json").write_text(json.dumps({"dims": [2, 1, 1], "dtype": "float32", **counts}))
     np.zeros(2, dtype="<f4").tofile(stem.with_suffix(".raw"))
-    with pytest.raises(SidecarError, match="counts.json.*must be integers"):
+    with pytest.raises(VolumeError, match="counts.json.*must be integers"):
         load_volume(stem)
 
 
@@ -192,7 +207,7 @@ def test_sidecar_bad_spacing_is_sidecar_error(tmp_path, spacing):
         json.dumps({"dims": [2, 1, 1], "spacing": spacing, "dtype": "float32"})
     )
     np.zeros(2, dtype="<f4").tofile(stem.with_suffix(".raw"))
-    with pytest.raises(SidecarError, match="spacing.json.*spacing must be three finite positive reals"):
+    with pytest.raises(VolumeError, match="spacing.json.*spacing must be three finite positive reals"):
         load_volume(stem)
 
 
@@ -212,7 +227,7 @@ def test_nan_payload_is_reported(tmp_path):
         json.dumps({"dims": [2, 1, 1], "spacing": [1, 1, 1], "channels": 1, "dtype": "float32"})
     )
     np.array([0.0, np.nan], dtype="<f4").tofile(stem.with_suffix(".raw"))
-    with pytest.raises(NonFiniteDataError, match="nan.raw"):
+    with pytest.raises(VolumeError, match="nan.raw"):
         load_volume(stem)
 
 
